@@ -26,7 +26,7 @@ Integer arithmetic is exact everywhere; expectations are rationals; floats
 only appear in asymptotic estimates and distances.
 """
 
-from .params import Params, validate
+from .params import Params
 from .onecomp import (
     NodeCensus,
     count_otc,
@@ -59,6 +59,7 @@ from .words import (
     enumerate_words,
     is_valid_word,
     lambda_factor,
+    tc_row,
     tc_table,
 )
 from .compgraphs import (
@@ -173,11 +174,11 @@ __all__ = [
     "tc_envelope_ratio",
     "tc_k1_closed_form",
     "tc_k2_closed_form",
+    "tc_row",
     "tc_table",
     "total_variation",
     "total_variation_exact",
     "twig_expectation_bound",
     "unary_binary_path_length",
-    "validate",
     "z_coefficient",
 ]

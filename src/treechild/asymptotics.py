@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import exp, factorial, lgamma, log, pi, sqrt
 
 from .logvalue import LogValue
-from .onecomp import _exact_div, count_otc, count_otc_total
-from .words import _b_row, _row_c, b_max_table
+from .onecomp import count_otc, count_otc_total
+from .words import b_max_table_binomial, tc_row
 
 # principal root of the Airy function Ai, 15 significant digits
 AIRY_A1 = -2.338107410459767
@@ -164,7 +164,7 @@ def tc_envelope_ratio(d: int, n_values) -> dict[int, float]:
         return {}
     if n_values[0] < 2:
         raise ValueError("grid values must be >= 2")
-    slice_table = b_max_table(d, max(n_values) - 1)
+    slice_table = b_max_table_binomial(d, max(n_values) - 1)
     out = {}
     for n in n_values:
         c = sum(slice_table.get((n - 1, m), 0) for m in range(1, n))
@@ -177,12 +177,8 @@ def ratio_sqrt_e(d: int, n: int) -> Fraction:
     """Exact TC_n / TC(n, n-1)."""
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
-    row = _b_row(d, n - 1, n - 1)
-    counts = [
-        _exact_div(factorial(n) * _row_c(row, n - 1, k), 2 ** (n - k - 1))
-        for k in range(n)
-    ]
-    return Fraction(sum(counts), counts[n - 1])
+    counts = tc_row(d, n)
+    return Fraction(sum(counts), counts[-1])
 
 
 def ratio_sqrt_e_reference(d: int) -> float:

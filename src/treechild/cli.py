@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import compgraphs, distributions, verify, words
@@ -37,6 +38,7 @@ from .asymptotics import (
 from .onecomp import count_otc, count_otc_direct, count_otc_total
 from .params import Params
 
+VERIFY_FAILED = 1
 USAGE_ERROR = 2
 
 
@@ -51,12 +53,14 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _count(v: int) -> str:
-    return str(v)
+    # Decimal holds every digit exactly and, unlike str(), is not capped by
+    # the interpreter's limit on int-to-string conversion
+    return format(Decimal(v), "f")
 
 
 def _ratio(fr) -> dict:
     fr = Fraction(fr)
-    return {"numerator": str(fr.numerator), "denominator": str(fr.denominator)}
+    return {"numerator": _count(fr.numerator), "denominator": _count(fr.denominator)}
 
 
 def _float17(x: float) -> float:
@@ -174,7 +178,9 @@ def _cmd_count(args, out) -> int:
 
     values = {v for _, v in pairs}
     if len(values) > 1:
-        raise SystemExit(f"methods disagree: {pairs}")
+        found = ", ".join(f"{tag}={_count(v)}" for tag, v in pairs)
+        print(f"methods disagree: {found}", file=sys.stderr)
+        return VERIFY_FAILED
     parameters = {"d": d, "n": n}
     if k is not None:
         parameters["k"] = k
@@ -206,7 +212,7 @@ def _cmd_table(args, out) -> int:
         writer = csv.writer(out)
         writer.writerow(["n"] + [f"k={k}" for k in range(args.n_max)])
         for n, values in rows:
-            writer.writerow([n] + [str(v) for v in values] + [""] * (args.n_max - n))
+            writer.writerow([n] + [_count(v) for v in values] + [""] * (args.n_max - n))
     else:
         for n, values in rows:
             _emit(
@@ -342,7 +348,7 @@ def _cmd_verify(args, out) -> int:
             out,
         )
         failed += not r.passed
-    return 1 if failed else 0
+    return VERIFY_FAILED if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,3 +427,7 @@ def run(argv=None, out=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

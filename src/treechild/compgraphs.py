@@ -308,14 +308,6 @@ def _coef_negative_odd(m: int, n: int) -> Fraction:
     return Fraction(comb(n + h, h) * comb(2 * n + m - 1, n + h), comb(m - 1, h))
 
 
-def _coef_negative_rising(m: int, n: int) -> Fraction:
-    """[z^n] X^(-m) as the rising product m(m+2)...(m+2n-2) 2^n / n!."""
-    prod = 1
-    for i in range(n):
-        prod *= m + 2 * i
-    return Fraction(prod * 2**n, factorial(n))
-
-
 def _coef_negative_even(m: int, n: int) -> Fraction:
     """[z^n] X^(-m) for even m >= 2."""
     return Fraction(4**n * comb(n + (m - 2) // 2, (m - 2) // 2))

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import erfc, factorial, sqrt
 
-from .onecomp import _exact_div, count_otc
+from .onecomp import count_otc
 from .params import Params
-from .words import _b_row, _row_c
+from .words import tc_row
 
 TAIL_BOUND = Fraction(1, 10**15)
 DEFAULT_ONECOMP_CEILING = 200
@@ -90,14 +90,7 @@ def ret_pmf(
         if n > general_ceiling:
             raise ValueError(f"n={n} exceeds the general-family ceiling {general_ceiling}")
         Params(d, n, 0)
-        if n == 1:
-            counts = [1]
-        else:
-            row = _b_row(d, n - 1, n - 1)
-            counts = [
-                _exact_div(factorial(n) * _row_c(row, n - 1, k), 2 ** (n - k - 1))
-                for k in range(n)
-            ]
+        counts = tc_row(d, n)
     else:
         raise ValueError(f"unknown family {family!r}")
     total = sum(counts)

@@ -11,7 +11,7 @@ The tree-child condition (every non-leaf node has at least one child that is
 not a reticulation node) forces 0 <= k <= n - 1, so Params rejects k outside
 that range.  Counting routines that sum over k construct Params themselves
 and never go out of range; callers that want a zero instead of an error for
-out-of-range k can pass lenient=True to the counting functions.
+out-of-range k can pass lenient=True to count_otc.
 """
 from __future__ import annotations
 
@@ -25,6 +25,10 @@ class Params:
     k: int
 
     def __post_init__(self):
+        for name in ("d", "n", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.d < 2:
             raise ValueError(f"reticulation in-degree d must be >= 2, got {self.d}")
         if self.n < 1:
@@ -34,7 +38,3 @@ class Params:
                 f"reticulation count k must satisfy 0 <= k <= n-1, got k={self.k} with n={self.n}"
             )
 
-
-def validate(d: int, n: int, k: int) -> Params:
-    """Validate (d, n, k) and return the frozen triple."""
-    return Params(d, n, k)

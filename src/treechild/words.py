@@ -21,19 +21,24 @@ each other:
   enumerate_words     literal generation of the words themselves
 
 The network count follows as count_tc_words(d, n, k)
-= n! * c(n-1, k) / 2^(n-k-1) with c(n, k) = sum_m b(n, k, m).
+= n! * c(n-1, k) / 2^(n-k-1) with c(n, k) = sum_m b(n, k, m); tc_row gives
+the counts for every k at once, and the totals, the general reticulation
+law and the sqrt(e) ratio are built on it.
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
-faster two-term recurrence and a binomial form, both implemented, and an
-exactly rational rescaling e(N, M) of that slice satisfies a two-neighbor
-recurrence whose verification is part of table construction.
+two-term rational recurrence and an integer binomial form, both
+implemented; the binomial form is several times faster and feeds the
+tables, the two-term form stays as a cross-check.  An exactly rational
+rescaling e(N, M) of that slice satisfies a two-neighbor recurrence whose
+verification is part of table construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 from math import comb, factorial
+from operator import add, mul
 from typing import Iterator
 
 from .onecomp import _exact_div
@@ -218,45 +223,50 @@ def count_words_direct(
 # b(n, k, m) recurrence
 
 
-def _initial_row(k_max: int) -> dict:
-    row = {(0, 1): 1}
-    if k_max >= 1:
-        row[(1, 1)] = 1
-    return row
-
-
-def _next_row(d: int, n: int, prev: dict, k_max: int) -> dict:
-    """Row n of the b-table from row n-1.  Keys (k, m), zero cells absent.
+def _word_rows(d: int, k_max: int) -> Iterator[list[list[int]]]:
+    """Rows n = 1, 2, ... of the b-table: row[k][m-1] = b(n, k, m) for
+    0 <= k <= min(n, k_max) and 1 <= m <= n.
 
     b(n, k, m) = sum_{j<=min(m,n-1)} b(n-1, k, j)
                + binom(n+m+k(d-1)-2, d-1) * sum_{j<=min(m,n-1)} b(n-1, k-1, j)
 
-    The inner sums are running prefix sums, so a row costs O(n * k_max)
-    big-integer additions.
+    The inner sums are running prefix sums, built one k at a time so the
+    working set stays at about two rows; a row costs O(n * k_max)
+    big-integer operations.
     """
-    cur = {}
-    for k in range(0, min(n, k_max) + 1):
-        s_k = 0
-        s_km1 = 0
-        for m in range(1, n + 1):
-            if m <= n - 1:
-                s_k += prev.get((k, m), 0)
-                s_km1 += prev.get((k - 1, m), 0)
-            val = s_k + comb(n + m + k * (d - 1) - 2, d - 1) * s_km1
-            if val:
-                cur[(k, m)] = val
-    return cur
+    row = [[1], [1]] if k_max >= 1 else [[1]]
+    binoms: list[int] = []  # binoms[a] = binom(a, d-1)
+    n = 1
+    while True:
+        yield row
+        n += 1
+        top = min(n, k_max)
+        binoms.extend(
+            comb(a, d - 1) for a in range(len(binoms), 2 * n - 1 + top * (d - 1))
+        )
+        cur = []
+        for k in range(top + 1):
+            # prefix sums of the previous row at k, m = 1..n; zero at k = n
+            sums = list(accumulate(row[k])) if k < len(row) else [0] * (n - 1)
+            sums.append(sums[-1])
+            if k == 0:
+                cur.append(sums)
+            else:
+                lo = n - 1 + k * (d - 1)
+                cur.append(list(map(add, sums, map(mul, binoms[lo : lo + n], below))))
+            below = sums
+        row = cur
 
 
-def _b_row(d: int, n: int, k_max: int) -> dict:
-    row = _initial_row(k_max)
-    for j in range(2, n + 1):
-        row = _next_row(d, j, row, k_max)
-    return row
+def _nth_row(d: int, n: int, k_max: int) -> list[list[int]]:
+    return next(islice(_word_rows(d, k_max), n - 1, None))
 
 
-def _row_c(row: dict, n: int, k: int) -> int:
-    return sum(row.get((k, m), 0) for m in range(1, n + 1))
+def _tc_counts(n: int, row: list[list[int]]) -> list[int]:
+    """TC(n, k) for each k of b-row n-1: n! * c(n-1, k) / 2^(n-k-1), the
+    division exact and checked."""
+    f = factorial(n)
+    return [_exact_div(f * sum(cells), 2 ** (n - k - 1)) for k, cells in enumerate(row)]
 
 
 @dataclass(frozen=True)
@@ -281,16 +291,13 @@ def b_table(d: int, n_max: int, k_max: int | None = None) -> BTable:
     """Materialized b-table; counting functions use rolling rows instead."""
     if d < 2 or n_max < 1:
         raise ValueError("need d >= 2 and n_max >= 1")
-    if k_max is None:
-        k_max = n_max
-    entries = {}
-    row = _initial_row(k_max)
-    for (k, m), v in row.items():
-        entries[(1, k, m)] = v
-    for n in range(2, n_max + 1):
-        row = _next_row(d, n, row, k_max)
-        for (k, m), v in row.items():
-            entries[(n, k, m)] = v
+    rows = _word_rows(d, n_max if k_max is None else k_max)
+    entries = {
+        (n, k, m): v
+        for n, row in zip(range(1, n_max + 1), rows)
+        for k, cells in enumerate(row)
+        for m, v in enumerate(cells, start=1)
+    }
     return BTable(d=d, n_max=n_max, entries=entries)
 
 
@@ -299,7 +306,7 @@ def count_words(d: int, n: int, k: int) -> int:
     _word_class_args(d, n, k)
     if n == 0:
         return 1 if k == 0 else 0
-    return _row_c(_b_row(d, n, k), n, k)
+    return sum(_nth_row(d, n, k)[k])
 
 
 def count_tc_words(p: Params) -> int:
@@ -310,22 +317,22 @@ def count_tc_words(p: Params) -> int:
     d, n, k = p.d, p.n, p.k
     if n == 1:
         return 1
-    c = count_words(d, n - 1, k)
-    return _exact_div(factorial(n) * c, 2 ** (n - k - 1))
+    return _tc_counts(n, _nth_row(d, n - 1, k))[k]
+
+
+def tc_row(d: int, n: int) -> list[int]:
+    """[TC(n, 0), ..., TC(n, n-1)], tree-child networks with n leaves by
+    reticulation count."""
+    if d < 2 or n < 1:
+        raise ValueError("d >= 2 and n >= 1 required")
+    if n == 1:
+        return [1]
+    return _tc_counts(n, _nth_row(d, n - 1, n - 1))
 
 
 def count_tc_total(d: int, n: int) -> int:
     """All tree-child networks with n leaves, summed over k."""
-    if d < 2 or n < 1:
-        raise ValueError("d >= 2 and n >= 1 required")
-    if n == 1:
-        return 1
-    row = _b_row(d, n - 1, n - 1)
-    total = 0
-    for k in range(n):
-        c = _row_c(row, n - 1, k)
-        total += _exact_div(factorial(n) * c, 2 ** (n - k - 1))
-    return total
+    return sum(tc_row(d, n))
 
 
 def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
@@ -333,17 +340,8 @@ def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
     if d < 2 or n_max < 1:
         raise ValueError("d >= 2 and n_max >= 1 required")
     table = {1: [1]}
-    if n_max == 1:
-        return table
-    row = _initial_row(n_max)
-    for j in range(1, n_max):
-        n = j + 1
-        table[n] = [
-            _exact_div(factorial(n) * _row_c(row, j, k), 2 ** (n - k - 1))
-            for k in range(n)
-        ]
-        if n < n_max:
-            row = _next_row(d, n, row, n_max)
+    for n, row in zip(range(2, n_max + 1), _word_rows(d, n_max - 1)):
+        table[n] = _tc_counts(n, row)
     return table
 
 
@@ -434,7 +432,7 @@ def e_table(d: int, n_max: int) -> ETable:
     """Build and self-verify the rescaled slice up to (N+M)/2 = n_max."""
     if d < 2 or n_max < 2:
         raise ValueError("need d >= 2 and n_max >= 2")
-    b = b_max_table(d, n_max)
+    b = b_max_table_binomial(d, n_max)
     lam = lambda_factor(d)
     entries: dict = {}
     for n in range(1, n_max + 1):

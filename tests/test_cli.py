@@ -1,8 +1,13 @@
 """End-to-end tests of the command-line interface through run()."""
 import io
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
-from treechild import GOLDEN_TC
+from treechild import GOLDEN_TC, compgraphs, count_otc, count_tc_words, Params
 from treechild.cli import run
 
 
@@ -37,6 +42,41 @@ def test_count_tc_all_methods_agree():
         "words", "compgraph", "genfun", "closedform",
     }
     assert {r["results"]["value"] for r in recs} == {"291420"}
+
+
+def test_count_disagreement_is_a_verification_failure(monkeypatch, capsys):
+    true = count_tc_words(Params(2, 4, 1))
+    monkeypatch.setattr(compgraphs, "count_tc_compgraph", lambda *a, **kw: true + 1)
+    code, text = invoke("count", "tc", "--d", "2", "--n", "4", "--k", "1",
+                        "--method", "all")
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "methods disagree" in err
+    assert f"compgraph={true + 1}" in err
+
+
+def test_count_beyond_int_string_limit():
+    code, text = invoke("count", "otc", "--d", "2", "--n", "1500", "--k", "1499")
+    assert code == 0
+    (rec,) = records(text)
+    value = rec["results"]["value"]
+    assert len(value) > 4300
+    assert Decimal(value) == count_otc(2, 1500, 1499)
+
+
+def test_module_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treechild.cli", "count", "tc", "--d", "2",
+         "--n", "8", "--k", "7"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = records(proc.stdout)
+    assert rec["results"]["value"] == "8485564550400"
 
 
 def test_count_tc_total_when_k_omitted():

@@ -106,5 +106,9 @@ def test_params_validation():
         Params(2, 0, 0)
     with pytest.raises(ValueError):
         Params(2, 3, 3)
+    for bad in [(2, 3.0, 1), (2.0, 3, 1), (2, 3, 1.0), (True, 3, 1),
+                (2, True, 0), (2, 3, False), (2, "3", 1), (2, 3, None)]:
+        with pytest.raises(ValueError):
+            Params(*bad)
     p = Params(3, 4, 2)
     assert (p.d, p.n, p.k) == (3, 4, 2)

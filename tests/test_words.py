@@ -21,6 +21,9 @@ from treechild import (
     enumerate_words,
     is_valid_word,
     lambda_factor,
+    tc_k1_closed_form,
+    tc_k2_closed_form,
+    tc_row,
     tc_table,
 )
 
@@ -132,11 +135,20 @@ def test_tc_spot_values():
 
 
 def test_tc_table_matches_pointwise_counts():
-    for d in (2, 3):
+    for d in range(2, 7):
         table = tc_table(d, 6)
         for n in range(1, 7):
             assert table[n] == [count_tc_words(Params(d, n, k)) for k in range(n)]
+            assert tc_row(d, n) == table[n]
             assert count_tc_total(d, n) == sum(table[n])
+
+
+def test_truncated_rows_match_closed_forms():
+    # k = 1, 2 only advance the first rows' low-k cells, far past n <= 12
+    for d in (2, 3):
+        for n in (100, 200, 300, 500):
+            assert count_tc_words(Params(d, n, 1)) == tc_k1_closed_form(d, n), (d, n)
+            assert count_tc_words(Params(d, n, 2)) == tc_k2_closed_form(d, n), (d, n)
 
 
 def test_all_heavy_slice_three_routes_agree():
