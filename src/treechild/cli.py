@@ -7,7 +7,15 @@ floats), exact rationals are numerator/denominator string pairs, floats
 carry full double precision (17 significant digits survive the round
 trip), and every record names the method that produced it.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+`count TARGET --method M` runs one route of `verify.count_routes`, the table
+of which method covers which (d, n, k): the target's first method by
+default, or with `--method all` every route whose domain holds, which must
+all agree.  A method that does not cover the cell is a usage error.
+`asymp ratio` adds the word-route fields `tc_total_over_max_k` and
+`tc_ratio_reference` only for n up to TREECHILD_GENERAL_CEILING.
+
+Exit codes: 0 success, 1 verification failure (including routes that
+disagree), 2 usage error.
 
 Environment variables override only the safety ceilings, never science
 parameters: TREECHILD_WORD_CEILING, TREECHILD_BLOWUP_N_CEILING,
@@ -24,7 +32,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import compgraphs, distributions, verify, words
+from . import distributions, verify, words
 from .asymptotics import (
     otc_asymptotic,
     otc_asymptotic_ratio,
@@ -35,8 +43,7 @@ from .asymptotics import (
     tc_envelope,
     tc_envelope_ratio,
 )
-from .onecomp import count_otc, count_otc_direct, count_otc_total
-from .params import Params
+from .onecomp import count_otc
 
 VERIFY_FAILED = 1
 USAGE_ERROR = 2
@@ -96,86 +103,27 @@ def _record(command: str, parameters: dict, results: dict, method: str) -> dict:
 # count
 
 
+# built once: the routes read their ceilings from the environment each time
+# they run
+_COUNT_ROUTES = verify.count_routes(_env_int)
+
+
 def _cmd_count(args, out) -> int:
-    d, n, k = args.d, args.n, args.k
-    target = args.target
-    method = args.method
-    pairs = []  # (method tag, value)
-
-    if target == "tc":
-        if k is None:
-            if method not in (None, "words"):
-                raise SystemExit("totals are only computed via the word recurrence")
-            pairs.append(("words", words.count_tc_total(d, n)))
-        else:
-            p = Params(d, n, k)
-            chosen = method or "words"
-            route = {
-                "words": lambda: words.count_tc_words(p),
-                "compgraph": lambda: compgraphs.count_tc_compgraph(
-                    p,
-                    n_ceiling=_env_int("TREECHILD_BLOWUP_N_CEILING", compgraphs.DEFAULT_BLOWUP_N_CEILING),
-                    k_ceiling=_env_int("TREECHILD_BLOWUP_K_CEILING", compgraphs.DEFAULT_BLOWUP_K_CEILING),
-                ),
-                "genfun": lambda: {
-                    1: compgraphs.count_tc_genfun_k1,
-                    2: compgraphs.count_tc_genfun_k2,
-                }[k](d, n),
-                "closedform": lambda: {
-                    1: compgraphs.tc_k1_closed_form,
-                    2: compgraphs.tc_k2_closed_form,
-                }[k](d, n),
-            }
-            if chosen == "all":
-                selected = ["words", "compgraph"]
-                if k in (1, 2):
-                    selected.append("genfun")
-                    if d in (2, 3):
-                        selected.append("closedform")
-            else:
-                if chosen not in route:
-                    raise SystemExit(f"unknown method {chosen!r} for count tc")
-                if chosen in ("genfun", "closedform") and k not in (1, 2):
-                    raise SystemExit(f"method {chosen!r} covers k = 1, 2 only")
-                if chosen == "closedform" and d not in (2, 3):
-                    raise SystemExit("closed forms cover d = 2, 3 only")
-                selected = [chosen]
-            for tag in selected:
-                pairs.append((tag, route[tag]()))
-    elif target == "otc":
-        if method not in (None, "closedform", "all"):
-            raise SystemExit(f"unknown method {args.method!r} for count otc")
-        if k is None:
-            pairs.append(("closedform", count_otc_total(d, n)))
-        else:
-            pairs.append(("closedform", count_otc(d, n, k)))
-            if method == "all":
-                pairs.append(("direct", count_otc_direct(d, n, k)))
-    elif target == "words":
-        if k is None:
-            raise SystemExit("count words requires --k")
-        chosen = method or "words"
-        if chosen not in ("words", "bruteforce", "all"):
-            raise SystemExit(f"unknown method {chosen!r} for count words")
-        ceiling = _env_int("TREECHILD_WORD_CEILING", words.DEFAULT_ENUM_CEILING)
-        if chosen in ("words", "all"):
-            pairs.append(("words", words.count_words(d, n, k)))
-        if chosen in ("bruteforce", "all"):
-            pairs.append(("bruteforce", words.count_words_direct(d, n, k, ceiling=ceiling)))
-    elif target == "compgraphs":
-        if method not in (None, "compgraph"):
-            raise SystemExit(f"unknown method {args.method!r} for count compgraphs")
-        if k is None:
-            pairs.append(("compgraph", compgraphs.count_component_graphs_total(d, n)))
-        else:
-            pairs.append(("compgraph", compgraphs.count_component_graphs(d, n, k)))
-    elif target == "star":
-        if method not in (None, "closedform"):
-            raise SystemExit(f"unknown method {args.method!r} for count star")
-        if k is None:
-            raise SystemExit("count star requires --k")
-        pairs.append(("closedform", compgraphs.count_star(Params(d, n, k))))
-
+    d, n, k, target = args.d, args.n, args.k, args.target
+    routes = _COUNT_ROUTES[target]
+    method = args.method or next(iter(routes))
+    if method != "all" and method not in routes:
+        raise SystemExit(
+            f"unknown method {method!r} for count {target}; "
+            f"choose from {', '.join(routes)} or all"
+        )
+    selected = [
+        m for m, (_, covers) in routes.items()
+        if method in ("all", m) and covers(d, n, k)
+    ]
+    if not selected:
+        raise SystemExit(f"count {target} --method {method} does not cover d={d}, n={n}, k={k}")
+    pairs = [(m, routes[m][0](d, n, k)) for m in selected]
     values = {v for _, v in pairs}
     if len(values) > 1:
         found = ", ".join(f"{tag}={_count(v)}" for tag, v in pairs)
@@ -231,6 +179,14 @@ def _cmd_table(args, out) -> int:
 # dist
 
 
+# total-variation distance to each reference law, by --compare value
+_TV_KEYS = {
+    "poisson": "tv_to_poisson_half",
+    "bessel": "tv_to_bessel_1_2",
+    "dirac": "tv_to_dirac_0",
+}
+
+
 def _cmd_dist(args, out) -> int:
     family, d, n = args.family, args.d, args.n
     pmf = distributions.ret_pmf(
@@ -245,29 +201,16 @@ def _cmd_dist(args, out) -> int:
         "mass": {str(k): _ratio(pmf.p(k)) for k in pmf.support},
     }
     method = "closedform" if family == "onecomp" else "words"
-    if args.compare:
+    if args.compare == "normal":
+        if family != "onecomp" or d != 2:
+            raise SystemExit("--compare normal applies to --family onecomp --d 2")
+        results["normal_sup_gap"] = _float17(distributions.normal_cdf_diagnostic(n))
+    elif args.compare:
         shifted = pmf.remap(lambda k: n - 1 - k)
-        if args.compare == "poisson":
-            ref = distributions.reference_pmf("poisson")
-            results["tv_to_poisson_half"] = _float17(
-                distributions.total_variation(shifted, ref)
-            )
-        elif args.compare == "bessel":
-            ref = distributions.reference_pmf("bessel")
-            results["tv_to_bessel_1_2"] = _float17(
-                distributions.total_variation(shifted, ref)
-            )
-        elif args.compare == "dirac":
-            ref = distributions.reference_pmf("dirac")
-            results["tv_to_dirac_0"] = _float17(
-                distributions.total_variation(shifted, ref)
-            )
-        elif args.compare == "normal":
-            if family != "onecomp" or d != 2:
-                raise SystemExit("--compare normal applies to --family onecomp --d 2")
-            results["normal_sup_gap"] = _float17(
-                distributions.normal_cdf_diagnostic(n)
-            )
+        ref = distributions.reference_pmf(args.compare)
+        results[_TV_KEYS[args.compare]] = _float17(
+            distributions.total_variation(shifted, ref)
+        )
     _emit(
         _record("dist ret", {"family": family, "d": d, "n": n}, results, method),
         out,
@@ -362,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="single exact count")
-    p_count.add_argument(
-        "target", choices=["tc", "otc", "words", "compgraphs", "star"]
-    )
+    p_count.add_argument("target", choices=list(_COUNT_ROUTES))
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--k", type=int)
@@ -383,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--family", choices=["onecomp", "general"], required=True)
     p_dist.add_argument("--d", type=int, required=True)
     p_dist.add_argument("--n", type=int, required=True)
-    p_dist.add_argument("--compare", choices=["poisson", "bessel", "dirac", "normal"])
+    p_dist.add_argument("--compare", choices=[*_TV_KEYS, "normal"])
     p_dist.set_defaults(run=_cmd_dist)
 
     p_asymp = sub.add_parser("asymp", help="asymptotic parameters and diagnostics")

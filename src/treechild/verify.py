@@ -16,23 +16,21 @@ and exit nonzero on any failure:
 
 The frozen tables double as the package's regression fixtures: they were
 tabulated independently before the library existed.
+
+`count_routes` is the one table of which route covers which (d, n, k); the
+cross-method suite and the command line's `count --method` both read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
+from typing import Callable
 
-from .compgraphs import (
-    count_component_graphs_total,
-    count_tc_compgraph,
-    count_tc_genfun_k1,
-    count_tc_genfun_k2,
-    enumerate_component_graphs,
-    tc_k1_closed_form,
-    tc_k2_closed_form,
-)
-from .asymptotics import e_lower_bound, ratio_sqrt_e
-from .onecomp import _exact_div, count_otc, count_otc_direct, count_phylo_trees
+from . import compgraphs, onecomp, words
+from .asymptotics import e_lower_bound
+from .compgraphs import count_component_graphs_total, enumerate_component_graphs
+from .onecomp import _exact_div
 from .params import Params
 from .pathlength import (
     expected_path_length,
@@ -40,8 +38,7 @@ from .pathlength import (
     path_length_total_recurrence,
     unary_binary_path_length,
 )
-from .words import count_tc_words, count_words, count_words_direct, tc_table
-from math import factorial
+from .words import count_words, count_words_direct, tc_table
 
 
 @dataclass(frozen=True)
@@ -49,6 +46,16 @@ class CheckResult:
     name: str
     passed: bool
     details: str = ""
+
+
+def _result(name: str, summary: str, bad: list, word: str = "mismatch") -> CheckResult:
+    """A check that passes when `bad` is empty; the details name the first
+    entry of `bad` otherwise."""
+    return CheckResult(
+        name=name,
+        passed=not bad,
+        details=summary + (f"; first {word} {bad[0]}" if bad else ""),
+    )
 
 
 # Frozen regression fixtures: rows n -> [count at k = 0, 1, ..., n-1].
@@ -113,72 +120,52 @@ def suite_golden_tables(d: int | None = None, n_max: int | None = None):
                 checked += 1
                 if computed[n][k] != want:
                     bad.append((n, k, computed[n][k], want))
-        results.append(
-            CheckResult(
-                name=f"golden-tables d={dv}",
-                passed=not bad,
-                details=f"{checked} entries"
-                + (f"; first mismatch {bad[0]}" if bad else ""),
-            )
-        )
+        results.append(_result(f"golden-tables d={dv}", f"{checked} entries", bad))
     return results
+
+
+def _genfun_k2_merged(d: int, n: int, k: int) -> int:
+    return compgraphs.count_tc_genfun_k2(d, n, form="merged")
 
 
 def suite_cross_method(d: int | None = None, n_max: int | None = None):
     """words == blow-up (n <= 6, k <= 3); series == closed forms == words
-    for k = 1, 2 up to n = 12; both series forms equal."""
+    for k = 1, 2 up to n = 12, each route on its domain; both series forms
+    equal."""
+    tc = count_routes()["tc"]
+    by_words, by_compgraph = tc["words"][0], tc["compgraph"][0]
+    # the merged k = 2 series is a second form of the genfun route, checked
+    # here only
+    series = [tc["genfun"], (_genfun_k2_merged, lambda d, n, k: k == 2), tc["closedform"]]
     results = []
     d_values = [d] if d is not None else [2, 3]
-    blow_n = min(n_max or 6, 6)
+    blow_n = 6 if n_max is None else min(n_max, 6)
     for dv in d_values:
         bad = []
         checked = 0
         for n in range(1, blow_n + 1):
             for k in range(0, min(4, n)):
                 checked += 1
-                p = Params(dv, n, k)
-                a = count_tc_words(p)
-                b = count_tc_compgraph(p)
+                a = by_words(dv, n, k)
+                b = by_compgraph(dv, n, k)
                 if a != b:
                     bad.append((n, k, a, b))
-        results.append(
-            CheckResult(
-                name=f"words-vs-compgraph d={dv}",
-                passed=not bad,
-                details=f"{checked} cells"
-                + (f"; first mismatch {bad[0]}" if bad else ""),
-            )
-        )
-    series_n = min(n_max or 12, 12)
+        results.append(_result(f"words-vs-compgraph d={dv}", f"{checked} cells", bad))
+    series_n = 12 if n_max is None else min(n_max, 12)
     for dv in d_values:
         bad = []
         checked = 0
-        for n in range(2, series_n + 1):
-            want = count_tc_words(Params(dv, n, 1))
-            for got in (
-                count_tc_genfun_k1(dv, n),
-                tc_k1_closed_form(dv, n) if dv in (2, 3) else want,
-            ):
-                checked += 1
-                if got != want:
-                    bad.append((n, 1, got, want))
-        for n in range(3, series_n + 1):
-            want = count_tc_words(Params(dv, n, 2))
-            for got in (
-                count_tc_genfun_k2(dv, n),
-                count_tc_genfun_k2(dv, n, form="merged"),
-                tc_k2_closed_form(dv, n) if dv in (2, 3) else want,
-            ):
-                checked += 1
-                if got != want:
-                    bad.append((n, 2, got, want))
+        for k in (1, 2):
+            for n in range(k + 1, series_n + 1):
+                want = by_words(dv, n, k)
+                for route, covers in series:
+                    if covers(dv, n, k):
+                        checked += 1
+                        got = route(dv, n, k)
+                        if got != want:
+                            bad.append((n, k, got, want))
         results.append(
-            CheckResult(
-                name=f"series-and-closed-forms d={dv}",
-                passed=not bad,
-                details=f"{checked} comparisons"
-                + (f"; first mismatch {bad[0]}" if bad else ""),
-            )
+            _result(f"series-and-closed-forms d={dv}", f"{checked} comparisons", bad)
         )
     return results
 
@@ -188,7 +175,7 @@ def suite_oracle(d: int | None = None, n_max: int | None = None):
     graph enumeration against the graph recurrence."""
     results = []
     d_values = [d] if d is not None else [2, 3, 4]
-    top = min(n_max or 5, 5)
+    top = 5 if n_max is None else min(n_max, 5)
     for dv in d_values:
         bad = []
         checked = 0
@@ -200,12 +187,7 @@ def suite_oracle(d: int | None = None, n_max: int | None = None):
                 if got != want:
                     bad.append((n, k, got, want))
         results.append(
-            CheckResult(
-                name=f"word-definition-vs-recurrence d={dv}",
-                passed=not bad,
-                details=f"{checked} classes"
-                + (f"; first mismatch {bad[0]}" if bad else ""),
-            )
+            _result(f"word-definition-vs-recurrence d={dv}", f"{checked} classes", bad)
         )
     for dv in d_values:
         if dv > 3:
@@ -216,13 +198,7 @@ def suite_oracle(d: int | None = None, n_max: int | None = None):
             want = count_component_graphs_total(dv, m)
             if got != want:
                 bad.append((m, got, want))
-        results.append(
-            CheckResult(
-                name=f"graph-enumeration-vs-recurrence d={dv}",
-                passed=not bad,
-                details="m <= 4" + (f"; first mismatch {bad[0]}" if bad else ""),
-            )
-        )
+        results.append(_result(f"graph-enumeration-vs-recurrence d={dv}", "m <= 4", bad))
     return results
 
 
@@ -232,7 +208,7 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
     results = []
     d_values = [d] if d is not None else [2, 3]
     for dv in d_values:
-        top = n_max or (25 if dv == 2 else 12)
+        top = n_max if n_max is not None else (25 if dv == 2 else 12)
         table = tc_table(dv, top)
         bad = []
         for n in range(2, top + 1):
@@ -242,13 +218,7 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
                     bad.append(("chain", n, k))
             if dv == 2 and n >= 3 and row[n - 2] * 2 != row[n - 1]:
                 bad.append(("equality", n, n - 2))
-        results.append(
-            CheckResult(
-                name=f"interlacing-chain d={dv}",
-                passed=not bad,
-                details=f"n <= {top}" + (f"; first failure {bad[0]}" if bad else ""),
-            )
-        )
+        results.append(_result(f"interlacing-chain d={dv}", f"n <= {top}", bad, "failure"))
         if dv == 2:
             sandwich_top = min(top, 12)
             bad = []
@@ -260,12 +230,7 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
                     if not lower <= row[n - 1 - k] <= upper:
                         bad.append((n, k))
             results.append(
-                CheckResult(
-                    name="two-sided-sandwich d=2",
-                    passed=not bad,
-                    details=f"n <= {sandwich_top}"
-                    + (f"; first failure {bad[0]}" if bad else ""),
-                )
+                _result("two-sided-sandwich d=2", f"n <= {sandwich_top}", bad, "failure")
             )
             e_lo = e_lower_bound()
             bad = []
@@ -274,11 +239,7 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
                 if not (1 <= r and r * r <= e_lo):
                     bad.append((n, r))
             results.append(
-                CheckResult(
-                    name="total-over-max-ratio in [1, sqrt(e)] d=2",
-                    passed=not bad,
-                    details=f"n <= {top}" + (f"; first failure {bad[0]}" if bad else ""),
-                )
+                _result("total-over-max-ratio in [1, sqrt(e)] d=2", f"n <= {top}", bad, "failure")
             )
     return results
 
@@ -288,7 +249,7 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
     small anchored values."""
     results = []
     d_values = [d] if d is not None else [2, 3, 4, 5, 6]
-    top = min(n_max or 25, 25)
+    top = 25 if n_max is None else min(n_max, 25)
     for dv in d_values:
         bad = []
         checked = 0
@@ -305,12 +266,7 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
                 if closed != multinomial * unary_binary_path_length(n - k, dv * k):
                     bad.append(("factorization", n, k))
         results.append(
-            CheckResult(
-                name=f"path-length identities d={dv}",
-                passed=not bad,
-                details=f"{checked} cells"
-                + (f"; first failure {bad[0]}" if bad else ""),
-            )
+            _result(f"path-length identities d={dv}", f"{checked} cells", bad, "failure")
         )
     anchors = [
         ("path_length_total(2,2,0) == 5", path_length_total(2, 2, 0) == 5),
@@ -325,6 +281,87 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
     return results
 
 
+def _default_ceiling(name: str, default: int) -> int:
+    return default
+
+
+def count_routes(ceiling: Callable[[str, int], int] = _default_ceiling) -> dict:
+    """Every route to a count, by `count` target and method.
+
+    Returns ``{target: {method: (route, domain)}}``: ``route(d, n, k)``
+    returns the count and ``domain(d, n, k)`` says whether the route covers
+    the cell.  ``k is None`` asks for the total over k, and the first method
+    of each target is its default.  A covered cell can still be refused by
+    a route's safety ceiling: the exponential routes look theirs up as
+    ``ceiling(name, default)`` each time they run, with ``name`` the
+    ceiling's environment variable.  Routes call through their module's
+    attribute, so a rebound or patched function is the one that runs.
+    """
+    def anywhere(d, n, k):
+        return True
+
+    def with_k(d, n, k):
+        return k is not None
+
+    def tc_words(d, n, k):
+        if k is None:
+            return words.count_tc_total(d, n)
+        return words.count_tc_words(Params(d, n, k))
+
+    def tc_compgraph(d, n, k):
+        return compgraphs.count_tc_compgraph(
+            Params(d, n, k),
+            n_ceiling=ceiling("TREECHILD_BLOWUP_N_CEILING", compgraphs.DEFAULT_BLOWUP_N_CEILING),
+            k_ceiling=ceiling("TREECHILD_BLOWUP_K_CEILING", compgraphs.DEFAULT_BLOWUP_K_CEILING),
+        )
+
+    def tc_genfun(d, n, k):
+        if k == 1:
+            return compgraphs.count_tc_genfun_k1(d, n)
+        return compgraphs.count_tc_genfun_k2(d, n)
+
+    def tc_closedform(d, n, k):
+        if k == 1:
+            return compgraphs.tc_k1_closed_form(d, n)
+        return compgraphs.tc_k2_closed_form(d, n)
+
+    def otc_closedform(d, n, k):
+        if k is None:
+            return onecomp.count_otc_total(d, n)
+        return onecomp.count_otc(d, n, k)
+
+    def words_bruteforce(d, n, k):
+        return words.count_words_direct(
+            d, n, k, ceiling=ceiling("TREECHILD_WORD_CEILING", words.DEFAULT_ENUM_CEILING)
+        )
+
+    def component_graphs(d, n, k):
+        if k is None:
+            return compgraphs.count_component_graphs_total(d, n)
+        return compgraphs.count_component_graphs(d, n, k)
+
+    return {
+        "tc": {
+            "words": (tc_words, anywhere),
+            "compgraph": (tc_compgraph, with_k),
+            "genfun": (tc_genfun, lambda d, n, k: k in (1, 2)),
+            "closedform": (tc_closedform, lambda d, n, k: k in (1, 2) and d in (2, 3)),
+        },
+        "otc": {
+            "closedform": (otc_closedform, anywhere),
+            "direct": (lambda d, n, k: onecomp.count_otc_direct(d, n, k), with_k),
+        },
+        "words": {
+            "words": (lambda d, n, k: words.count_words(d, n, k), with_k),
+            "bruteforce": (words_bruteforce, with_k),
+        },
+        "compgraphs": {"compgraph": (component_graphs, anywhere)},
+        "star": {
+            "closedform": (lambda d, n, k: compgraphs.count_star(Params(d, n, k)), with_k),
+        },
+    }
+
+
 SUITES = {
     "golden-tables": suite_golden_tables,
     "cross-method": suite_cross_method,
@@ -335,9 +372,16 @@ SUITES = {
 
 
 def run_suite(name: str, d: int | None = None, n_max: int | None = None):
-    """Dispatch a suite by name; deterministic and idempotent."""
+    """Dispatch a suite by name; deterministic and idempotent.  Raises
+    ValueError when `n_max` is below 1 or the suite selects no check, so
+    a suite never passes on nothing."""
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return fn(d=d, n_max=n_max)
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    results = fn(d=d, n_max=n_max)
+    if not results:
+        raise ValueError(f"suite {name!r} selects no check for d={d}, n_max={n_max}")
+    return results

@@ -7,7 +7,9 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from treechild import GOLDEN_TC, compgraphs, count_otc, count_tc_words, Params
+import pytest
+
+from treechild import GOLDEN_TC, compgraphs, count_otc, count_tc_words, Params, verify
 from treechild.cli import run
 
 
@@ -54,6 +56,25 @@ def test_count_disagreement_is_a_verification_failure(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "methods disagree" in err
     assert f"compgraph={true + 1}" in err
+
+
+@pytest.mark.parametrize("target", list(verify.count_routes()))
+def test_count_all_runs_every_covering_route_in_registry_order(target):
+    routes = verify.count_routes()[target]
+    for d in (2, 4):
+        for k in (None, 1, 2, 3):
+            argv = ["count", target, "--d", str(d), "--n", "4", "--method", "all"]
+            if k is not None:
+                argv += ["--k", str(k)]
+            want = [m for m, (_, covers) in routes.items() if covers(d, 4, k)]
+            code, text = invoke(*argv)
+            if not want:
+                assert (code, text) == (2, ""), argv
+                continue
+            assert code == 0, argv
+            recs = records(text)
+            assert [r["method"] for r in recs] == want, argv
+            assert len({r["results"]["value"] for r in recs}) == 1, argv
 
 
 def test_count_beyond_int_string_limit():
@@ -179,7 +200,18 @@ def test_usage_errors_exit_2():
     assert invoke("count", "words", "--d", "2", "--n", "3")[0] == 2
     assert invoke("count", "tc", "--d", "2", "--n", "3", "--k", "1",
                   "--method", "nope")[0] == 2
+    assert invoke("count", "tc", "--d", "2", "--n", "5", "--k", "3",
+                  "--method", "genfun")[0] == 2
+    assert invoke("count", "tc", "--d", "4", "--n", "5", "--k", "1",
+                  "--method", "closedform")[0] == 2
+    assert invoke("count", "tc", "--d", "2", "--n", "5",
+                  "--method", "compgraph")[0] == 2
     assert invoke("nonsense")[0] == 2
+    # a verify suite that would check nothing is refused, not passed
+    assert invoke("verify", "--suite", "sackin", "--n-max", "0") == (2, "")
+    assert invoke("verify", "--suite", "cross-method", "--n-max", "-5") == (2, "")
+    assert invoke("verify", "--suite", "golden-tables", "--d", "9") == (2, "")
+    assert invoke("verify", "--suite", "golden-tables", "--n-max", "1") == (2, "")
 
 
 def test_word_ceiling_env_override(monkeypatch):

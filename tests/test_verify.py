@@ -33,6 +33,13 @@ def test_suite_dimension_filter():
     assert "d=3" in results[0].name
 
 
+def test_cross_method_counts_only_covered_routes():
+    # d = 4 has no closed form: genfun and the merged k = 2 series only
+    results = run_suite("cross-method", d=4, n_max=4)
+    series = [r for r in results if r.name == "series-and-closed-forms d=4"]
+    assert [r.details for r in series] == ["7 comparisons"]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("made-up")
