@@ -12,22 +12,20 @@ of which method covers which (d, n, k): the target's first method by
 default, or with `--method all` every route whose domain holds, which must
 all agree.  A method that does not cover the cell is a usage error.
 `asymp ratio` adds the word-route fields `tc_total_over_max_k` and
-`tc_ratio_reference` only for n up to TREECHILD_GENERAL_CEILING.
+`tc_ratio_reference` only for n up to the GENERAL ceiling.
 
 Exit codes: 0 success, 1 verification failure (including routes that
 disagree), 2 usage error.
 
-Environment variables override only the safety ceilings, never science
-parameters: TREECHILD_WORD_CEILING, TREECHILD_BLOWUP_N_CEILING,
-TREECHILD_BLOWUP_K_CEILING, TREECHILD_ONECOMP_CEILING,
-TREECHILD_GENERAL_CEILING.
+Environment variables override only the safety ceilings of
+`params.CEILINGS`, never science parameters; the README's "Safety
+ceilings" table lists them.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -44,19 +42,10 @@ from .asymptotics import (
     tc_envelope_ratio,
 )
 from .onecomp import count_otc
+from .params import ceiling
 
 VERIFY_FAILED = 1
 USAGE_ERROR = 2
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"environment variable {name} must be an integer, got {raw!r}")
 
 
 def _count(v: int) -> str:
@@ -103,9 +92,8 @@ def _record(command: str, parameters: dict, results: dict, method: str) -> dict:
 # count
 
 
-# built once: the routes read their ceilings from the environment each time
-# they run
-_COUNT_ROUTES = verify.count_routes(_env_int)
+# built once: the routes read their ceilings each time they run
+_COUNT_ROUTES = verify.count_routes()
 
 
 def _cmd_count(args, out) -> int:
@@ -122,7 +110,9 @@ def _cmd_count(args, out) -> int:
         if method in ("all", m) and covers(d, n, k)
     ]
     if not selected:
-        raise SystemExit(f"count {target} --method {method} does not cover d={d}, n={n}, k={k}")
+        # every route that refuses the total needs a reticulation count
+        why = "requires --k" if k is None else f"does not cover d={d}, n={n}, k={k}"
+        raise SystemExit(f"count {target} --method {method} {why}")
     pairs = [(m, routes[m][0](d, n, k)) for m in selected]
     values = {v for _, v in pairs}
     if len(values) > 1:
@@ -155,6 +145,8 @@ def _table_rows(target: str, d: int, n_max: int):
 
 
 def _cmd_table(args, out) -> int:
+    if args.d < 2 or args.n_max < 1:
+        raise SystemExit(f"table {args.target} requires --d >= 2 and --n-max >= 1")
     rows, method = _table_rows(args.target, args.d, args.n_max)
     if args.format == "csv":
         writer = csv.writer(out)
@@ -189,13 +181,7 @@ _TV_KEYS = {
 
 def _cmd_dist(args, out) -> int:
     family, d, n = args.family, args.d, args.n
-    pmf = distributions.ret_pmf(
-        family,
-        d,
-        n,
-        onecomp_ceiling=_env_int("TREECHILD_ONECOMP_CEILING", distributions.DEFAULT_ONECOMP_CEILING),
-        general_ceiling=_env_int("TREECHILD_GENERAL_CEILING", distributions.DEFAULT_GENERAL_CEILING),
-    )
+    pmf = distributions.ret_pmf(family, d, n)
     results: dict = {
         "support": list(pmf.support),
         "mass": {str(k): _ratio(pmf.p(k)) for k in pmf.support},
@@ -266,7 +252,7 @@ def _cmd_asymp(args, out) -> int:
             "otc_total_over_asymptotic": _float17(otc_asymptotic_ratio(d, n)),
             "otc_total_over_max_k": _ratio(otc_max_k_ratio(d, n)),
         }
-        if n <= _env_int("TREECHILD_GENERAL_CEILING", distributions.DEFAULT_GENERAL_CEILING):
+        if n <= ceiling("GENERAL"):
             results["tc_total_over_max_k"] = _ratio(ratio_sqrt_e(d, n))
             results["tc_ratio_reference"] = _float17(ratio_sqrt_e_reference(d))
         _emit(_record("asymp ratio", {"d": d, "n": n}, results, "closedform"), out)

@@ -30,11 +30,7 @@ from typing import Iterator
 
 from .logvalue import LogValue
 from .onecomp import _exact_div, double_factorial
-from .params import Params
-
-DEFAULT_GRAPH_CEILING = 4
-DEFAULT_BLOWUP_N_CEILING = 8
-DEFAULT_BLOWUP_K_CEILING = 3
+from .params import Params, ceiling
 
 
 @dataclass(frozen=True)
@@ -79,19 +75,18 @@ def _is_acyclic(m: int, mult) -> bool:
     return seen == m
 
 
-def enumerate_component_graphs(
-    d: int, m: int, ceiling: int = DEFAULT_GRAPH_CEILING
-) -> Iterator[ComponentGraph]:
+def enumerate_component_graphs(d: int, m: int) -> Iterator[ComponentGraph]:
     """Yield every component graph on m labeled nodes exactly once.
 
     Every choice of root and of a d-multiset of parents for each non-root
     node is generated; the acyclic ones survive.  Exponential in m, hence
-    the ceiling.
+    the ceiling m <= BLOWUP_K + 1, the graph size of the blow-up's largest k.
     """
     if d < 2 or m < 1:
         raise ValueError("need d >= 2 and m >= 1")
-    if m > ceiling:
-        raise ValueError(f"m={m} exceeds the enumeration ceiling {ceiling}")
+    limit = ceiling("BLOWUP_K") + 1
+    if m > limit:
+        raise ValueError(f"m={m} exceeds the enumeration ceiling {limit}")
     nodes = range(m)
     for root in nodes:
         others = [v for v in nodes if v != root]
@@ -167,11 +162,7 @@ def _partitions_by_rank(universe: list, blocks: int) -> Iterator[list]:
     yield from rec(0, [])
 
 
-def count_tc_compgraph(
-    p: Params,
-    n_ceiling: int = DEFAULT_BLOWUP_N_CEILING,
-    k_ceiling: int = DEFAULT_BLOWUP_K_CEILING,
-) -> int:
+def count_tc_compgraph(p: Params) -> int:
     """Tree-child networks counted by the blow-up over component graphs.
 
     Sum over partitions of the leaf set into k+1 blocks (block j hosting
@@ -185,12 +176,11 @@ def count_tc_compgraph(
     route; the test suite pins that.
     """
     d, n, k = p.d, p.n, p.k
-    if n > n_ceiling or k > k_ceiling:
-        raise ValueError(
-            f"(n={n}, k={k}) exceeds blow-up ceilings ({n_ceiling}, {k_ceiling})"
-        )
+    n_limit, k_limit = ceiling("BLOWUP_N"), ceiling("BLOWUP_K")
+    if n > n_limit or k > k_limit:
+        raise ValueError(f"(n={n}, k={k}) exceeds blow-up ceilings ({n_limit}, {k_limit})")
     m = k + 1
-    graphs = list(enumerate_component_graphs(d, m, ceiling=max(m, DEFAULT_GRAPH_CEILING)))
+    graphs = list(enumerate_component_graphs(d, m))
     # factor products depend on the partition only through block sizes
     cache: dict[tuple, int] = {}
     total = 0

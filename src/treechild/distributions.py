@@ -21,12 +21,10 @@ from fractions import Fraction
 from math import erfc, factorial, sqrt
 
 from .onecomp import count_otc
-from .params import Params
+from .params import Params, ceiling
 from .words import tc_row
 
 TAIL_BOUND = Fraction(1, 10**15)
-DEFAULT_ONECOMP_CEILING = 200
-DEFAULT_GENERAL_CEILING = 25
 
 
 @dataclass(frozen=True)
@@ -70,25 +68,21 @@ class Pmf:
         return Pmf(out)
 
 
-def ret_pmf(
-    family: str,
-    d: int,
-    n: int,
-    onecomp_ceiling: int = DEFAULT_ONECOMP_CEILING,
-    general_ceiling: int = DEFAULT_GENERAL_CEILING,
-) -> Pmf:
+def ret_pmf(family: str, d: int, n: int) -> Pmf:
     """Law of the reticulation count for a uniform network with n leaves.
 
-    family "onecomp" uses the closed-form counts (cheap, ceiling 200);
-    family "general" tabulates the word recurrence (ceiling 25)."""
+    family "onecomp" uses the closed-form counts (cheap, ceiling ONECOMP);
+    family "general" tabulates the word recurrence (ceiling GENERAL)."""
     if family == "onecomp":
-        if n > onecomp_ceiling:
-            raise ValueError(f"n={n} exceeds the one-component ceiling {onecomp_ceiling}")
+        limit = ceiling("ONECOMP")
+        if n > limit:
+            raise ValueError(f"n={n} exceeds the one-component ceiling {limit}")
         Params(d, n, 0)
         counts = [count_otc(d, n, k) for k in range(n)]
     elif family == "general":
-        if n > general_ceiling:
-            raise ValueError(f"n={n} exceeds the general-family ceiling {general_ceiling}")
+        limit = ceiling("GENERAL")
+        if n > limit:
+            raise ValueError(f"n={n} exceeds the general-family ceiling {limit}")
         Params(d, n, 0)
         counts = tc_row(d, n)
     else:
@@ -182,9 +176,7 @@ def normal_cdf(x: float) -> float:
     return erfc(-x / sqrt(2.0)) / 2
 
 
-def normal_cdf_diagnostic(
-    n: int, d: int = 2, onecomp_ceiling: int = DEFAULT_ONECOMP_CEILING
-) -> float:
+def normal_cdf_diagnostic(n: int, d: int = 2) -> float:
     """Sup-distance between the exact CDF of the standardized reticulation
     count (R_n - n + sqrt(n)) / (n/4)^(1/4) for the d = 2 one-component
     family and the standard normal CDF.
@@ -194,7 +186,7 @@ def normal_cdf_diagnostic(
     """
     if d != 2:
         raise ValueError("the normal limit is a d=2 statement")
-    pmf = ret_pmf("onecomp", 2, n, onecomp_ceiling=onecomp_ceiling)
+    pmf = ret_pmf("onecomp", 2, n)
     cum = Fraction(0)
     gap = 0.0
     scale = (n / 4) ** 0.25
@@ -208,14 +200,12 @@ def normal_cdf_diagnostic(
     return gap
 
 
-def twig_expectation_bound(
-    d: int, n: int, general_ceiling: int = DEFAULT_GENERAL_CEILING
-) -> Fraction:
+def twig_expectation_bound(d: int, n: int) -> Fraction:
     """E(n - 1 - T_n), exactly.
 
     Every tree node with no reticulation descendant sits in a pendant
     subtree, and the count of such nodes is bounded in expectation by this
     quantity; for d = 2 it drifts toward 1/2, for d >= 3 toward 0.
     """
-    pmf = ret_pmf("general", d, n, general_ceiling=general_ceiling)
+    pmf = ret_pmf("general", d, n)
     return Fraction(n - 1) - moment(pmf, 1)

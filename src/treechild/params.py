@@ -12,10 +12,39 @@ not a reticulation node) forces 0 <= k <= n - 1, so Params rejects k outside
 that range.  Counting routines that sum over k construct Params themselves
 and never go out of range; callers that want a zero instead of an error for
 out-of-range k can pass lenient=True to count_otc.
+
+The exponential routes refuse inputs above the safety ceilings of
+CEILINGS; `ceiling(name)` reads one at call time, and the environment
+variable TREECHILD_<name>_CEILING overrides its default.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+
+# default safety ceilings of the exponential routes: brute-force word
+# enumeration (n; the word length 2n+(d-1)k stays around 20), the
+# component-graph blow-up (n, and k, which also caps the graph enumeration
+# at k + 1 nodes), and the reticulation laws (n)
+CEILINGS = {"WORD": 5, "BLOWUP_N": 8, "BLOWUP_K": 3, "ONECOMP": 200, "GENERAL": 25}
+
+
+def ceiling(name: str) -> int:
+    """The safety ceiling `name` of CEILINGS: TREECHILD_<name>_CEILING when
+    that is set, otherwise the default.  Raises ValueError, naming the
+    variable, when the value is not a non-negative integer."""
+    default = CEILINGS[name]
+    var = f"TREECHILD_{name}_CEILING"
+    raw = os.environ.get(var)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"environment variable {var} must be a non-negative integer, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)

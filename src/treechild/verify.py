@@ -17,6 +17,9 @@ and exit nonzero on any failure:
 The frozen tables double as the package's regression fixtures: they were
 tabulated independently before the library existed.
 
+A check whose range holds no cell is left out rather than passed, and
+`run_suite` refuses a selection that leaves no check at all.
+
 `count_routes` is the one table of which route covers which (d, n, k); the
 cross-method suite and the command line's `count --method` both read it.
 """
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable
 
 from . import compgraphs, onecomp, words
 from .asymptotics import e_lower_bound
@@ -164,9 +166,10 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
                         got = route(dv, n, k)
                         if got != want:
                             bad.append((n, k, got, want))
-        results.append(
-            _result(f"series-and-closed-forms d={dv}", f"{checked} comparisons", bad)
-        )
+        if checked:
+            results.append(
+                _result(f"series-and-closed-forms d={dv}", f"{checked} comparisons", bad)
+            )
     return results
 
 
@@ -209,6 +212,8 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
     d_values = [d] if d is not None else [2, 3]
     for dv in d_values:
         top = n_max if n_max is not None else (25 if dv == 2 else 12)
+        if top < 2:
+            continue  # every check below starts at n = 2
         table = tc_table(dv, top)
         bad = []
         for n in range(2, top + 1):
@@ -281,20 +286,15 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
     return results
 
 
-def _default_ceiling(name: str, default: int) -> int:
-    return default
-
-
-def count_routes(ceiling: Callable[[str, int], int] = _default_ceiling) -> dict:
+def count_routes() -> dict:
     """Every route to a count, by `count` target and method.
 
     Returns ``{target: {method: (route, domain)}}``: ``route(d, n, k)``
     returns the count and ``domain(d, n, k)`` says whether the route covers
     the cell.  ``k is None`` asks for the total over k, and the first method
     of each target is its default.  A covered cell can still be refused by
-    a route's safety ceiling: the exponential routes look theirs up as
-    ``ceiling(name, default)`` each time they run, with ``name`` the
-    ceiling's environment variable.  Routes call through their module's
+    a route's safety ceiling (`params.ceiling`), which the exponential
+    routes read each time they run.  Routes call through their module's
     attribute, so a rebound or patched function is the one that runs.
     """
     def anywhere(d, n, k):
@@ -307,13 +307,6 @@ def count_routes(ceiling: Callable[[str, int], int] = _default_ceiling) -> dict:
         if k is None:
             return words.count_tc_total(d, n)
         return words.count_tc_words(Params(d, n, k))
-
-    def tc_compgraph(d, n, k):
-        return compgraphs.count_tc_compgraph(
-            Params(d, n, k),
-            n_ceiling=ceiling("TREECHILD_BLOWUP_N_CEILING", compgraphs.DEFAULT_BLOWUP_N_CEILING),
-            k_ceiling=ceiling("TREECHILD_BLOWUP_K_CEILING", compgraphs.DEFAULT_BLOWUP_K_CEILING),
-        )
 
     def tc_genfun(d, n, k):
         if k == 1:
@@ -330,11 +323,6 @@ def count_routes(ceiling: Callable[[str, int], int] = _default_ceiling) -> dict:
             return onecomp.count_otc_total(d, n)
         return onecomp.count_otc(d, n, k)
 
-    def words_bruteforce(d, n, k):
-        return words.count_words_direct(
-            d, n, k, ceiling=ceiling("TREECHILD_WORD_CEILING", words.DEFAULT_ENUM_CEILING)
-        )
-
     def component_graphs(d, n, k):
         if k is None:
             return compgraphs.count_component_graphs_total(d, n)
@@ -343,7 +331,7 @@ def count_routes(ceiling: Callable[[str, int], int] = _default_ceiling) -> dict:
     return {
         "tc": {
             "words": (tc_words, anywhere),
-            "compgraph": (tc_compgraph, with_k),
+            "compgraph": (lambda d, n, k: compgraphs.count_tc_compgraph(Params(d, n, k)), with_k),
             "genfun": (tc_genfun, lambda d, n, k: k in (1, 2)),
             "closedform": (tc_closedform, lambda d, n, k: k in (1, 2) and d in (2, 3)),
         },
@@ -353,7 +341,7 @@ def count_routes(ceiling: Callable[[str, int], int] = _default_ceiling) -> dict:
         },
         "words": {
             "words": (lambda d, n, k: words.count_words(d, n, k), with_k),
-            "bruteforce": (words_bruteforce, with_k),
+            "bruteforce": (lambda d, n, k: words.count_words_direct(d, n, k), with_k),
         },
         "compgraphs": {"compgraph": (component_graphs, anywhere)},
         "star": {

@@ -42,10 +42,7 @@ from operator import add, mul
 from typing import Iterator
 
 from .onecomp import _exact_div
-from .params import Params
-
-# word length 2n+(d-1)k stays around 20 below this ceiling
-DEFAULT_ENUM_CEILING = 5
+from .params import Params, ceiling
 
 
 @dataclass(frozen=True)
@@ -144,18 +141,17 @@ def _word_class_args(d: int, n: int, k: int):
         raise ValueError(f"need 0 <= k <= n, got k={k} with n={n}")
 
 
-def enumerate_words(
-    d: int, n: int, k: int, ceiling: int = DEFAULT_ENUM_CEILING
-) -> Iterator[Word]:
+def enumerate_words(d: int, n: int, k: int) -> Iterator[Word]:
     """Yield every valid word with n letters, k of them heavy, exactly once.
 
     Words come out grouped by heavy-letter subset, lexicographic within a
-    group.  Guarded by a ceiling because class sizes explode; raise it
-    deliberately if you mean it.
+    group.  Guarded by the WORD ceiling (`params.ceiling`) because class
+    sizes explode; raise it deliberately if you mean it.
     """
     _word_class_args(d, n, k)
-    if n > ceiling:
-        raise ValueError(f"n={n} exceeds the enumeration ceiling {ceiling}")
+    limit = ceiling("WORD")
+    if n > limit:
+        raise ValueError(f"n={n} exceeds the enumeration ceiling {limit}")
     length = 2 * n + (d - 1) * k
     for heavy in combinations(range(n), k):
         heavy_set = set(heavy)
@@ -180,9 +176,7 @@ def enumerate_words(
         yield from rec()
 
 
-def count_words_direct(
-    d: int, n: int, k: int, ceiling: int = DEFAULT_ENUM_CEILING
-) -> int:
+def count_words_direct(d: int, n: int, k: int) -> int:
     """Count valid words straight from the definition.
 
     Memoized on the per-letter occurrence vector within each heavy subset,
@@ -191,8 +185,9 @@ def count_words_direct(
     b-recurrence; this is the oracle the recurrence is tested against.
     """
     _word_class_args(d, n, k)
-    if n > ceiling:
-        raise ValueError(f"n={n} exceeds the enumeration ceiling {ceiling}")
+    limit = ceiling("WORD")
+    if n > limit:
+        raise ValueError(f"n={n} exceeds the enumeration ceiling {limit}")
     total = 0
     for heavy in combinations(range(n), k):
         heavy_set = set(heavy)

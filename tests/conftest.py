@@ -2,9 +2,14 @@
 
 Collects the outcome of each numbered acceptance test and prints a one-line
 pass/fail summary per criterion at the end of the run, so the gate status is
-readable without scrolling through the full pytest output.
+readable without scrolling through the full pytest output.  Every test
+starts from the default safety ceilings.
 """
 import re
+
+import pytest
+
+from treechild.params import CEILINGS
 
 CRITERIA = {
     1: "golden count tables reproduced exactly via the word recurrence",
@@ -22,6 +27,13 @@ CRITERIA = {
 _NODE_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 _outcomes: dict = {}
+
+
+@pytest.fixture(autouse=True)
+def default_ceilings(monkeypatch):
+    """Drop any TREECHILD_*_CEILING the calling shell exports."""
+    for name in CEILINGS:
+        monkeypatch.delenv(f"TREECHILD_{name}_CEILING", raising=False)
 
 
 def pytest_runtest_logreport(report):

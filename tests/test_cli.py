@@ -11,6 +11,7 @@ import pytest
 
 from treechild import GOLDEN_TC, compgraphs, count_otc, count_tc_words, Params, verify
 from treechild.cli import run
+from treechild.params import CEILINGS
 
 
 def invoke(*argv):
@@ -212,6 +213,35 @@ def test_usage_errors_exit_2():
     assert invoke("verify", "--suite", "cross-method", "--n-max", "-5") == (2, "")
     assert invoke("verify", "--suite", "golden-tables", "--d", "9") == (2, "")
     assert invoke("verify", "--suite", "golden-tables", "--n-max", "1") == (2, "")
+    assert invoke("verify", "--suite", "inequalities", "--n-max", "1") == (2, "")
+
+
+def test_verify_leaves_out_checks_that_compare_nothing():
+    code, text = invoke("verify", "--suite", "cross-method", "--n-max", "1")
+    assert code == 0
+    assert [r["results"]["check"] for r in records(text)] == [
+        "words-vs-compgraph d=2", "words-vs-compgraph d=3",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "words", "--d", "2", "--n", "3", "--method", "all"),
+    ("count", "star", "--d", "2", "--n", "3", "--method", "all"),
+    ("count", "tc", "--d", "2", "--n", "3", "--method", "compgraph"),
+])
+def test_count_without_k_names_the_missing_k(argv, capsys):
+    assert invoke(*argv) == (2, "")
+    err = capsys.readouterr().err
+    assert "requires --k" in err
+    assert "k=None" not in err
+
+
+@pytest.mark.parametrize("target", ["tc", "otc"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("d, n_max", [(2, 0), (0, -3), (1, 3)])
+def test_table_refuses_an_empty_range(target, fmt, d, n_max):
+    assert invoke("table", target, "--d", str(d), "--n-max", str(n_max),
+                  "--format", fmt) == (2, "")
 
 
 def test_word_ceiling_env_override(monkeypatch):
@@ -234,3 +264,41 @@ def test_records_round_trip_as_json_lines():
     for line in text.splitlines():
         rec = json.loads(line)
         assert set(rec) == {"command", "parameters", "results", "method"}
+
+
+# per ceiling: a cell the default admits, then the first cell above it
+CEILING_CELLS = {
+    "WORD": (["count", "words", "--d", "2", "--n", "5", "--k", "0", "--method", "bruteforce"],
+             ["count", "words", "--d", "2", "--n", "6", "--k", "0", "--method", "bruteforce"]),
+    "BLOWUP_N": (["count", "tc", "--d", "2", "--n", "8", "--k", "1", "--method", "compgraph"],
+                 ["count", "tc", "--d", "2", "--n", "9", "--k", "1", "--method", "compgraph"]),
+    "BLOWUP_K": (["count", "tc", "--d", "2", "--n", "4", "--k", "3", "--method", "compgraph"],
+                 ["count", "tc", "--d", "2", "--n", "6", "--k", "4", "--method", "compgraph"]),
+    # --compare normal recomputes the law, so it must see the raised ceiling too
+    "ONECOMP": (["dist", "ret", "--family", "onecomp", "--d", "2", "--n", "200",
+                 "--compare", "normal"],
+                ["dist", "ret", "--family", "onecomp", "--d", "2", "--n", "201",
+                 "--compare", "normal"]),
+    "GENERAL": (["dist", "ret", "--family", "general", "--d", "2", "--n", "25"],
+                ["dist", "ret", "--family", "general", "--d", "2", "--n", "26"]),
+}
+
+
+@pytest.mark.parametrize("name", list(CEILINGS))
+def test_ceiling_env_override(name, monkeypatch, capsys):
+    var = f"TREECHILD_{name}_CEILING"
+    at_default, above = CEILING_CELLS[name]
+    assert invoke(*at_default)[0] == 0
+    assert invoke(*above) == (2, "")
+    monkeypatch.setenv(var, str(CEILINGS[name] - 1))
+    assert invoke(*at_default) == (2, "")
+    assert "ceiling" in capsys.readouterr().err
+    monkeypatch.setenv(var, str(CEILINGS[name] + 1))
+    code, text = invoke(*above)
+    assert code == 0
+    (rec,) = records(text)
+    assert rec["command"] == " ".join(above[:2])
+    for bad in ("zebra", "-1", "2.5"):
+        monkeypatch.setenv(var, bad)
+        assert invoke(*at_default) == (2, "")
+        assert var in capsys.readouterr().err

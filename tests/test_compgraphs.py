@@ -90,12 +90,13 @@ def test_blowup_matches_word_count():
                 assert count_tc_compgraph(p) == count_tc_words(p), (d, n, k)
 
 
-def test_blowup_ceilings():
+def test_blowup_ceilings(monkeypatch):
     with pytest.raises(ValueError):
         count_tc_compgraph(Params(2, 9, 1))
     with pytest.raises(ValueError):
         count_tc_compgraph(Params(2, 8, 4))
-    assert count_tc_compgraph(Params(2, 6, 4), k_ceiling=5) == count_tc_words(
+    monkeypatch.setenv("TREECHILD_BLOWUP_K_CEILING", "5")
+    assert count_tc_compgraph(Params(2, 6, 4)) == count_tc_words(
         Params(2, 6, 4)
     )
 

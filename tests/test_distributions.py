@@ -61,14 +61,15 @@ def test_general_pmf_matches_tc_table():
                 assert pmf.p(k) == Fraction(v, total)
 
 
-def test_ret_pmf_argument_validation():
+def test_ret_pmf_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         ret_pmf("bogus", 2, 5)
     with pytest.raises(ValueError):
         ret_pmf("onecomp", 2, 300)
     with pytest.raises(ValueError):
         ret_pmf("general", 2, 30)
-    assert ret_pmf("general", 2, 30, general_ceiling=30).p(29) > 0
+    monkeypatch.setenv("TREECHILD_GENERAL_CEILING", "30")
+    assert ret_pmf("general", 2, 30).p(29) > 0
 
 
 def test_moment_values():

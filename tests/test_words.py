@@ -85,12 +85,13 @@ def test_count_words_direct_spot_values():
                 assert count_words_direct(d, n, k) == want, (d, n, k)
 
 
-def test_enumeration_ceiling_guard():
+def test_enumeration_ceiling_guard(monkeypatch):
     with pytest.raises(ValueError):
         list(enumerate_words(2, 6, 0))
     with pytest.raises(ValueError):
         count_words_direct(2, 6, 0)
-    assert count_words_direct(2, 6, 0, ceiling=6) == count_words(2, 6, 0)
+    monkeypatch.setenv("TREECHILD_WORD_CEILING", "6")
+    assert count_words_direct(2, 6, 0) == count_words(2, 6, 0)
 
 
 @settings(deadline=None)
