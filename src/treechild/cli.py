@@ -29,6 +29,7 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 from . import distributions, verify, words
 from .asymptotics import (
@@ -190,7 +191,7 @@ def _cmd_dist(args, out) -> int:
     if args.compare == "normal":
         if family != "onecomp" or d != 2:
             raise SystemExit("--compare normal applies to --family onecomp --d 2")
-        results["normal_sup_gap"] = _float17(distributions.normal_cdf_diagnostic(n))
+        results["normal_sup_gap"] = _float17(distributions.normal_sup_gap(pmf, n))
     elif args.compare:
         shifted = pmf.remap(lambda k: n - 1 - k)
         ref = distributions.reference_pmf(args.compare)
@@ -332,12 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args leaves it unchanged
+    return build_parser()
+
+
 def run(argv=None, out=None) -> int:
     """Parse argv and execute; returns the exit code."""
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

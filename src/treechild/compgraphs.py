@@ -15,17 +15,24 @@ This module implements that route end to end:
   count_tc_compgraph          the blow-up double sum
   count_star                  the sub-sum over star graphs only
 
+The blow-up enumerates the graphs on k+1 nodes literally, once per (d, k+1)
+per process, and groups them by the per-node signature its weight reads
+(out-degree and product of edge-multiplicity factorials); it never calls
+the recurrence.  The `oracle` verify suite still compares the literal
+enumeration against the recurrence.
+
 plus a generating-function route for k = 1 and k = 2 built on a small
 Laurent-polynomial calculus in X = sqrt(1-4z), its closed forms for
 d in {2, 3}, and the fixed-k first-order asymptotic.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, lgamma, log, pi
+from math import comb, factorial, lgamma, log, pi, prod
 from typing import Iterator
 
 from .logvalue import LogValue
@@ -79,7 +86,9 @@ def enumerate_component_graphs(d: int, m: int) -> Iterator[ComponentGraph]:
     """Yield every component graph on m labeled nodes exactly once.
 
     Every choice of root and of a d-multiset of parents for each non-root
-    node is generated; the acyclic ones survive.  Exponential in m, hence
+    node is generated; the acyclic ones survive.  Whether a choice is acyclic
+    depends only on each node's set of parents, so the choices are grouped
+    by those sets and each group is tested once.  Exponential in m, hence
     the ceiling m <= BLOWUP_K + 1, the graph size of the blow-up's largest k.
     """
     if d < 2 or m < 1:
@@ -90,16 +99,26 @@ def enumerate_component_graphs(d: int, m: int) -> Iterator[ComponentGraph]:
     nodes = range(m)
     for root in nodes:
         others = [v for v in nodes if v != root]
-        per_node = [
-            list(combinations_with_replacement([u for u in nodes if u != v], d))
-            for v in others
-        ]
-        for pick in product(*per_node):
-            mult = [[0] * m for _ in range(m)]
-            for v, parents in zip(others, pick):
-                for u in parents:
-                    mult[u][v] += 1
-            if _is_acyclic(m, mult):
+        per_node = []
+        for v in others:
+            by_parent_set: dict[frozenset, list] = {}
+            candidates = [u for u in nodes if u != v]
+            for parents in combinations_with_replacement(candidates, d):
+                by_parent_set.setdefault(frozenset(parents), []).append(parents)
+            per_node.append(by_parent_set)
+        for parent_sets in product(*per_node):
+            edges = [[0] * m for _ in range(m)]
+            for v, ps in zip(others, parent_sets):
+                for u in ps:
+                    edges[u][v] = 1
+            if not _is_acyclic(m, edges):
+                continue
+            picks = [groups[ps] for groups, ps in zip(per_node, parent_sets)]
+            for pick in product(*picks):
+                mult = [[0] * m for _ in range(m)]
+                for v, parents in zip(others, pick):
+                    for u in parents:
+                        mult[u][v] += 1
                 yield ComponentGraph(
                     m=m, root=root, mult=tuple(tuple(r) for r in mult)
                 )
@@ -162,6 +181,21 @@ def _partitions_by_rank(universe: list, blocks: int) -> Iterator[list]:
     yield from rec(0, [])
 
 
+@lru_cache(maxsize=None)
+def _graph_classes(d: int, m: int) -> tuple[tuple[tuple, int], ...]:
+    """The literal enumeration on m nodes, grouped by what the blow-up weight
+    reads of each node j: its out-degree g_j and prod_l g_{j,l}!.
+
+    Returns (signature, number of graphs) pairs, signature[j] = (g_j, w_j).
+    Built once per (d, m) per process, so a warm call never reaches the
+    enumeration's ceiling check: `count_tc_compgraph` checks its own first."""
+    classes = Counter(
+        tuple((g.out_degree(j), prod(map(factorial, g.mult[j]))) for j in range(m))
+        for g in enumerate_component_graphs(d, m)
+    )
+    return tuple(classes.items())
+
+
 def count_tc_compgraph(p: Params) -> int:
     """Tree-child networks counted by the blow-up over component graphs.
 
@@ -172,34 +206,38 @@ def count_tc_compgraph(p: Params) -> int:
         prod_j (2 b_j + g_j - 2)! / ((b_j - 1)! prod_l g_{j,l}!)
 
     with b_j the block size, g_{j,l} the edge multiplicity j -> l and g_j
-    the out-degree, all divided by 2^(n-k-1).  Must agree with the word
-    route; the test suite pins that.
+    the out-degree, all divided by 2^(n-k-1).  Graphs come from the cached
+    `_graph_classes`; partitions are counted per sorted block-size tuple.
+    Must agree with the word route; the test suite pins that.
     """
     d, n, k = p.d, p.n, p.k
     n_limit, k_limit = ceiling("BLOWUP_N"), ceiling("BLOWUP_K")
     if n > n_limit or k > k_limit:
         raise ValueError(f"(n={n}, k={k}) exceeds blow-up ceilings ({n_limit}, {k_limit})")
     m = k + 1
-    graphs = list(enumerate_component_graphs(d, m))
-    # factor products depend on the partition only through block sizes
-    cache: dict[tuple, int] = {}
+    classes = _graph_classes(d, m)
+    # the summand depends on a partition only through its block sizes, and
+    # only through their multiset: relabeling the nodes of a component graph
+    # gives another one, so the sum over graphs is symmetric in block order
+    shapes = Counter(
+        tuple(sorted(map(len, part)))
+        for part in _partitions_by_rank(list(range(1, n + 1)), m)
+    )
+    factors: dict[tuple[int, int, int], int] = {}
+
+    def node(b: int, g: int, w: int) -> int:
+        f = factors.get((b, g, w))
+        if f is None:
+            f = _exact_div(factorial(2 * b + g - 2), factorial(b - 1) * w)
+            factors[b, g, w] = f
+        return f
+
     total = 0
-    for part in _partitions_by_rank(list(range(1, n + 1)), m):
-        sizes = tuple(len(b) for b in part)
-        got = cache.get(sizes)
-        if got is None:
-            got = 0
-            for g in graphs:
-                prod = 1
-                for j in range(m):
-                    gj = g.out_degree(j)
-                    den = factorial(sizes[j] - 1)
-                    for l in range(m):
-                        den *= factorial(g.mult[j][l])
-                    prod *= _exact_div(factorial(2 * sizes[j] + gj - 2), den)
-                got += prod
-            cache[sizes] = got
-        total += got
+    for sizes, partitions in shapes.items():
+        total += partitions * sum(
+            graphs * prod(node(b, g, w) for b, (g, w) in zip(sizes, signature))
+            for signature, graphs in classes
+        )
     return _exact_div(total, 2 ** (n - k - 1))
 
 

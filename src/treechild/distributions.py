@@ -186,7 +186,12 @@ def normal_cdf_diagnostic(n: int, d: int = 2) -> float:
     """
     if d != 2:
         raise ValueError("the normal limit is a d=2 statement")
-    pmf = ret_pmf("onecomp", 2, n)
+    return normal_sup_gap(ret_pmf("onecomp", 2, n), n)
+
+
+def normal_sup_gap(pmf: Pmf, n: int) -> float:
+    """The sup-distance of `normal_cdf_diagnostic`, for a d = 2 one-component
+    law at n that the caller already holds."""
     cum = Fraction(0)
     gap = 0.0
     scale = (n / 4) ** 0.25

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treechild import GOLDEN_TC, compgraphs, count_otc, count_tc_words, Params, verify
+from treechild import GOLDEN_TC, cli, compgraphs, count_otc, count_tc_words, Params, verify
 from treechild.cli import run
 from treechild.params import CEILINGS
 
@@ -99,6 +99,27 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0, proc.stderr
     (rec,) = records(proc.stdout)
     assert rec["results"]["value"] == "8485564550400"
+
+
+def test_one_parser_serves_calls_back_to_back():
+    calls = [
+        ("count", "tc", "--d", "two", "--n", "4"),
+        ("count", "tc", "--d", "2", "--n", "4", "--k", "1"),
+        ("count", "tc", "--d", "2", "--n", "4"),
+        ("asymp", "params", "--d", "3"),
+        ("table", "otc", "--d", "2", "--n-max", "3", "--format", "csv"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(invoke(*argv))
+    cli._parser.cache_clear()
+    shared = [invoke(*argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _ in shared] == [2, 0, 0, 0, 0]
+    # the total does not inherit --k from the call before it
+    assert "k" not in records(shared[2][1])[-1]["parameters"]
 
 
 def test_count_tc_total_when_k_omitted():

@@ -1,6 +1,7 @@
 """Unit tests for component graphs, the blow-up count, series extraction,
 and the closed forms built on them."""
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from treechild import (
     tc_k2_closed_form,
     z_coefficient,
 )
-from treechild.compgraphs import _is_acyclic
+from treechild.compgraphs import _graph_classes, _is_acyclic
 from treechild.onecomp import count_phylo_trees, double_factorial
 
 # sink-stratified counts fixed from a hand enumeration of small cases
@@ -52,6 +53,29 @@ def test_enumeration_matches_counts():
                 by_sinks[len(g.sinks())] = by_sinks.get(len(g.sinks()), 0) + 1
             want = {s: v for s, v in enumerate(GRAPH_COUNTS[d][m], start=1)}
             assert by_sinks == want
+
+
+def test_enumeration_matches_plain_filter():
+    # every root and parent pick, kept when acyclic, with no grouping
+    for d in (2, 3):
+        for m in range(1, 5):
+            want = set()
+            for root in range(m):
+                others = [v for v in range(m) if v != root]
+                choices = [
+                    combinations_with_replacement([u for u in range(m) if u != v], d)
+                    for v in others
+                ]
+                for pick in product(*choices):
+                    mult = [[0] * m for _ in range(m)]
+                    for v, parents in zip(others, pick):
+                        for u in parents:
+                            mult[u][v] += 1
+                    if _is_acyclic(m, mult):
+                        want.add((root, tuple(map(tuple, mult))))
+            got = [(g.root, g.mult) for g in enumerate_component_graphs(d, m)]
+            assert len(got) == len(set(got))
+            assert set(got) == want
 
 
 def test_graph_accessors():
@@ -83,8 +107,9 @@ def test_enumeration_ceiling():
 
 
 def test_blowup_matches_word_count():
-    for d in (2, 3):
-        for n in range(1, 6):
+    # the whole default blow-up domain: n <= BLOWUP_N, k <= BLOWUP_K
+    for d in (2, 3, 4, 5):
+        for n in range(1, 9):
             for k in range(min(3, n - 1) + 1):
                 p = Params(d, n, k)
                 assert count_tc_compgraph(p) == count_tc_words(p), (d, n, k)
@@ -99,6 +124,37 @@ def test_blowup_ceilings(monkeypatch):
     assert count_tc_compgraph(Params(2, 6, 4)) == count_tc_words(
         Params(2, 6, 4)
     )
+
+
+def test_graph_classes_cover_every_graph():
+    # the cached, grouped enumeration against the independent recurrence
+    for d in (2, 3, 4, 5):
+        for m in range(1, 5):
+            classes = _graph_classes(d, m)
+            assert sum(size for _, size in classes) == count_component_graphs_total(d, m)
+            assert all(len(signature) == m for signature, _ in classes)
+
+
+def test_graph_classes_are_symmetric_under_relabeling():
+    # the blow-up sums over block-size multisets, which relies on this
+    for d in (2, 3, 4, 5):
+        for m in range(1, 5):
+            classes = dict(_graph_classes(d, m))
+            for order in permutations(range(m)):
+                relabeled = {
+                    tuple(signature[j] for j in order): size
+                    for signature, size in classes.items()
+                }
+                assert relabeled == classes
+
+
+def test_ceilings_hold_after_a_warm_call(monkeypatch):
+    assert count_tc_compgraph(Params(2, 4, 3)) == count_tc_words(Params(2, 4, 3))
+    monkeypatch.setenv("TREECHILD_BLOWUP_K_CEILING", "2")
+    with pytest.raises(ValueError):
+        count_tc_compgraph(Params(2, 4, 3))
+    with pytest.raises(ValueError):
+        list(enumerate_component_graphs(2, 4))
 
 
 def test_star_spot_values():
