@@ -26,7 +26,7 @@ Integer arithmetic is exact everywhere; expectations are rationals; floats
 only appear in asymptotic estimates and distances.
 """
 
-from .params import Params
+from .params import ExactnessError, Params
 from .onecomp import (
     NodeCensus,
     count_otc,
@@ -116,6 +116,7 @@ __all__ = [
     "CheckResult",
     "ComponentGraph",
     "ETable",
+    "ExactnessError",
     "GOLDEN_TC",
     "LaurentPoly",
     "LogValue",

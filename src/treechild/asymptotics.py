@@ -25,7 +25,7 @@ from math import exp, factorial, lgamma, log, pi, sqrt
 
 from .logvalue import LogValue
 from .onecomp import count_otc, count_otc_total
-from .words import b_max_table_binomial, tc_row
+from .words import _slice_rows, tc_row
 
 # principal root of the Airy function Ai, 15 significant digits
 AIRY_A1 = -2.338107410459767
@@ -157,19 +157,21 @@ def tc_envelope_ratio(d: int, n_values) -> dict[int, float]:
 
     The maximal-k count carries the total's growth order up to the
     polynomial factor absorbed in alpha, so this ratio sequence staying in
-    a fixed band is the testable face of the Theta-result.
+    a fixed band is the testable face of the Theta-result.  TC(n, n-1) is
+    n! times the sum of all-heavy slice row n-1; the slice is rolled one
+    row at a time up to the largest grid value, so memory stays at one row.
     """
-    n_values = sorted(n_values)
-    if not n_values:
+    grid = set(n_values)
+    if not grid:
         return {}
-    if n_values[0] < 2:
+    if min(grid) < 2:
         raise ValueError("grid values must be >= 2")
-    slice_table = b_max_table_binomial(d, max(n_values) - 1)
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
     out = {}
-    for n in n_values:
-        c = sum(slice_table.get((n - 1, m), 0) for m in range(1, n))
-        exact = factorial(n) * c
-        out[n] = tc_envelope(d, n).ratio_to(exact)
+    for n, row in zip(range(2, max(grid) + 1), _slice_rows(d)):
+        if n in grid:
+            out[n] = tc_envelope(d, n).ratio_to(factorial(n) * sum(row))
     return out
 
 

@@ -14,8 +14,9 @@ all agree.  A method that does not cover the cell is a usage error.
 `asymp ratio` adds the word-route fields `tc_total_over_max_k` and
 `tc_ratio_reference` only for n up to the GENERAL ceiling.
 
-Exit codes: 0 success, 1 verification failure (including routes that
-disagree), 2 usage error.
+Exit codes: 0 success, 1 verification failure (routes that disagree, or a
+failed exactness check: `params.ExactnessError`), 2 usage error (including
+any other ValueError or ArithmeticError, such as an OverflowError).
 
 Environment variables override only the safety ceilings of
 `params.CEILINGS`, never science parameters; the README's "Safety
@@ -43,7 +44,7 @@ from .asymptotics import (
     tc_envelope_ratio,
 )
 from .onecomp import count_otc
-from .params import ceiling
+from .params import ExactnessError, ceiling
 
 VERIFY_FAILED = 1
 USAGE_ERROR = 2
@@ -353,6 +354,9 @@ def run(argv=None, out=None) -> int:
             print(exc.code, file=sys.stderr)
             return USAGE_ERROR
         return exc.code if exc.code is not None else 0
+    except ExactnessError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return VERIFY_FAILED
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

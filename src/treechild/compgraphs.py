@@ -37,7 +37,7 @@ from typing import Iterator
 
 from .logvalue import LogValue
 from .onecomp import _exact_div, double_factorial
-from .params import Params, ceiling
+from .params import ExactnessError, Params, ceiling
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def count_star(p: Params) -> int:
         )
     v = Fraction(factorial(n), factorial(d) ** k * 2 ** (n - k - 1) * factorial(k - 1)) * s
     if v.denominator != 1:
-        raise ArithmeticError(f"star count not integral at {p}")
+        raise ExactnessError(f"star count not integral at {p}")
     return int(v)
 
 
@@ -364,7 +364,7 @@ def count_tc_genfun_k1(d: int, n: int) -> int:
         f_laurent(d) * f_laurent(0), n
     )
     if v.denominator != 1:
-        raise ArithmeticError(f"k=1 series count not integral at d={d}, n={n}")
+        raise ExactnessError(f"k=1 series count not integral at d={d}, n={n}")
     return int(v)
 
 
@@ -402,7 +402,7 @@ def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
     else:
         raise ValueError(f"unknown form {form!r}")
     if v.denominator != 1:
-        raise ArithmeticError(f"k=2 series count not integral at d={d}, n={n}")
+        raise ExactnessError(f"k=2 series count not integral at d={d}, n={n}")
     return int(v)
 
 
@@ -417,7 +417,7 @@ def tc_k1_closed_form(d: int, n: int) -> int:
             2 * n - 1
         ) - n * n * double_factorial(2 * n - 2)
         if v.denominator != 1:
-            raise ArithmeticError(f"closed form not integral at n={n}")
+            raise ExactnessError(f"closed form not integral at n={n}")
         return int(v)
     raise ValueError(f"no k=1 closed form implemented for d={d}")
 
@@ -439,7 +439,7 @@ def tc_k2_closed_form(d: int, n: int) -> int:
     else:
         raise ValueError(f"no k=2 closed form implemented for d={d}")
     if v.denominator != 1:
-        raise ArithmeticError(f"closed form not integral at n={n}")
+        raise ExactnessError(f"closed form not integral at n={n}")
     return int(v)
 
 

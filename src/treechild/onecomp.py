@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .params import Params
+from .params import ExactnessError, Params
 
 
 def double_factorial(m: int) -> int:
@@ -44,7 +44,7 @@ def count_phylo_trees(n: int) -> int:
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"division {num}/{den} is not exact")
+        raise ExactnessError(f"division {num}/{den} is not exact")
     return q
 
 

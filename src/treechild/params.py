@@ -47,6 +47,12 @@ def ceiling(name: str) -> int:
     return value
 
 
+class ExactnessError(ArithmeticError):
+    """A remainder, integrality or recurrence check failed: the arithmetic
+    went wrong, not the input.  The CLI reports it as a verification
+    failure (exit 1)."""
+
+
 @dataclass(frozen=True)
 class Params:
     d: int

@@ -3,12 +3,13 @@
 Collects the outcome of each numbered acceptance test and prints a one-line
 pass/fail summary per criterion at the end of the run, so the gate status is
 readable without scrolling through the full pytest output.  Every test
-starts from the default safety ceilings.
+starts from the default safety ceilings and an empty tc_row cache.
 """
 import re
 
 import pytest
 
+from treechild import words
 from treechild.params import CEILINGS
 
 CRITERIA = {
@@ -34,6 +35,13 @@ def default_ceilings(monkeypatch):
     """Drop any TREECHILD_*_CEILING the calling shell exports."""
     for name in CEILINGS:
         monkeypatch.delenv(f"TREECHILD_{name}_CEILING", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def cold_row_cache():
+    """Start from an empty per-process tc_row cache; only the tests written
+    for it exercise warm state."""
+    words._TC_ROWS.clear()
 
 
 def pytest_runtest_logreport(report):

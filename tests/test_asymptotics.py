@@ -4,6 +4,7 @@ scipy is the independent reference for Bessel values, the Airy zero, and the
 normal CDF; the library itself never imports it.
 """
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 from treechild import (
     AIRY_A1,
     AsymptoticParams,
+    b_max_table_binomial,
     bessel_I,
     count_otc_total,
     e_lower_bound,
@@ -95,6 +97,32 @@ def test_envelope_ratio_is_stable():
     assert max(values) / min(values) <= 3
     with pytest.raises(ValueError):
         tc_envelope_ratio(2, [1, 5])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_envelope_ratio_matches_the_slice_table(d):
+    grid = [200, 7, 2, 150, 7, 31, 200, 3]
+    slice_table = b_max_table_binomial(d, 199)
+    want = {
+        n: tc_envelope(d, n).ratio_to(
+            math.factorial(n) * sum(slice_table.get((n - 1, m), 0) for m in range(1, n))
+        )
+        for n in sorted(grid)
+    }
+    got = tc_envelope_ratio(d, grid)
+    assert list(got.items()) == list(want.items())
+    assert tc_envelope_ratio(d, iter(grid)) == want
+    assert tc_envelope_ratio(d, []) == {}
+
+
+def test_envelope_ratio_keeps_one_slice_row():
+    tracemalloc.start()
+    try:
+        tc_envelope_ratio(5, [200])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_envelope_value_is_finite_log():

@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from math import factorial
 from pathlib import Path
 
 import pytest
 
-from treechild import GOLDEN_TC, cli, compgraphs, count_otc, count_tc_words, Params, verify
+from treechild import (
+    GOLDEN_TC, ExactnessError, cli, compgraphs, count_otc, count_tc_words, Params, verify, words,
+)
 from treechild.cli import run
 from treechild.params import CEILINGS
 
@@ -57,6 +60,33 @@ def test_count_disagreement_is_a_verification_failure(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "methods disagree" in err
     assert f"compgraph={true + 1}" in err
+
+
+def test_exactness_failure_is_a_verification_failure(monkeypatch, capsys):
+    def broken(p):
+        raise ExactnessError(f"division at {p} is not exact")
+
+    monkeypatch.setattr(compgraphs, "count_tc_compgraph", broken)
+    code, text = invoke("count", "tc", "--d", "2", "--n", "4", "--k", "1",
+                        "--method", "compgraph")
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("verification failure: division at")
+    # a real remainder check failing inside the word route
+    monkeypatch.setattr(words, "factorial", lambda n: factorial(n) + 1)
+    code, text = invoke("count", "tc", "--d", "2", "--n", "6")
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("verification failure: division")
+
+
+def test_other_arithmetic_errors_stay_usage_errors(monkeypatch, capsys):
+    def overflow(p):
+        raise OverflowError("too large")
+
+    monkeypatch.setattr(compgraphs, "count_tc_compgraph", overflow)
+    code, text = invoke("count", "tc", "--d", "2", "--n", "4", "--k", "1",
+                        "--method", "compgraph")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: too large\n"
 
 
 @pytest.mark.parametrize("target", list(verify.count_routes()))

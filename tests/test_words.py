@@ -1,4 +1,7 @@
-"""Unit tests for word classes, the b-recurrence, and the rescaled slice."""
+"""Unit tests for word classes, the b-recurrence, the tc_row cache, and
+the rescaled slice."""
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from treechild import (
     BTable,
     ETable,
+    ExactnessError,
     Params,
     Word,
     b_max_table,
@@ -26,6 +30,9 @@ from treechild import (
     tc_row,
     tc_table,
 )
+from treechild.distributions import ret_pmf
+from treechild import words
+from treechild.words import _TC_ROWS, _nth_row, _tc_counts
 
 # spot values fixed before the recurrence implementation existed
 C_VALUES = {
@@ -152,6 +159,103 @@ def test_truncated_rows_match_closed_forms():
             assert count_tc_words(Params(d, n, 2)) == tc_k2_closed_form(d, n), (d, n)
 
 
+def _cold(d, n, k=None):
+    """tc_row(d, n), or its entry k, from a fresh truncated pass."""
+    if n == 1:
+        return [1] if k is None else 1
+    counts = _tc_counts(n, _nth_row(d, n - 1, n - 1 if k is None else k))
+    return counts if k is None else counts[k]
+
+
+_REQUEST = st.integers(min_value=2, max_value=5).flatmap(
+    lambda d: st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.just(d), st.just(n), st.none() | st.integers(min_value=0, max_value=n - 1)
+        )
+    )
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(_REQUEST, min_size=1, max_size=8))
+def test_warm_cache_answers_like_a_cold_pass(requests):
+    _TC_ROWS.clear()
+    for d, n, k in requests:
+        if k is None:
+            assert tc_row(d, n) == _cold(d, n), (d, n)
+            assert count_tc_total(d, n) == sum(_cold(d, n)), (d, n)
+        else:
+            assert count_tc_words(Params(d, n, k)) == _cold(d, n, k), (d, n, k)
+
+
+def test_cache_reaches_only_the_largest_n_asked_for():
+    count_tc_words(Params(3, 30, 2))
+    assert 3 not in _TC_ROWS  # a truncated pass leaves the cache alone
+    tc_row(3, 12)
+    tc_row(3, 7)
+    assert len(_TC_ROWS[3][1]) == 12
+    assert count_tc_words(Params(3, 12, 11)) == _cold(3, 12, 11)
+    assert count_tc_words(Params(3, 13, 12)) == _cold(3, 13, 12)
+    assert len(_TC_ROWS[3][1]) == 12
+
+
+def test_mutating_a_returned_row_leaves_the_cache_intact():
+    row = tc_row(2, 10)
+    row[0] = -1
+    row.append(5)
+    assert tc_row(2, 10) == _cold(2, 10)
+    assert count_tc_words(Params(2, 10, 0)) == _cold(2, 10, 0)
+    assert count_tc_total(2, 10) == sum(_cold(2, 10))
+
+
+def test_threads_sharing_the_cache_get_cold_values():
+    plan = [(d, n) for n in range(1, 31) for d in (2, 3)]
+    want = {(d, n): _cold(d, n) for d, n in plan}
+    start = threading.Barrier(4)
+    answers: list = []
+    errors: list = []
+
+    def ask(shift):
+        start.wait()
+        # each thread walks the plan from its own offset, interleaving n
+        asked = plan[shift::4] + plan[::-7]
+        try:
+            answers.extend(((d, n), tc_row(d, n)) for d, n in asked)
+        except Exception as exc:  # surfaced below; a thread cannot fail the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so races would show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(answers) == len(plan) + 4 * len(plan[::-7])
+    for cell, row in answers:
+        assert row == want[cell], cell
+
+
+def test_failed_advance_drops_the_pass(monkeypatch):
+    tc_row(2, 5)
+    monkeypatch.setattr(words, "factorial", lambda n: factorial(n) + 1)
+    with pytest.raises(ExactnessError):
+        tc_row(2, 9)
+    assert 2 not in _TC_ROWS
+    monkeypatch.undo()
+    assert tc_row(2, 9) == _cold(2, 9)
+
+
+def test_general_ceiling_holds_after_a_warm_cache():
+    tc_row(2, 100)
+    with pytest.raises(ValueError, match="general-family ceiling 25"):
+        ret_pmf("general", 2, 26)
+
+
 def test_all_heavy_slice_three_routes_agree():
     for d in (2, 3, 4):
         two_term = b_max_table(d, 10)
@@ -160,6 +264,8 @@ def test_all_heavy_slice_three_routes_agree():
         full = b_table(d, 10)
         for (n, m), v in two_term.items():
             assert full.b(n, n, m) == v
+    for d in (2, 3, 4, 5):
+        assert b_max_table(d, 30) == b_max_table_binomial(d, 30), d
 
 
 def test_lambda_factor_values():
