@@ -25,6 +25,13 @@ The network count follows as count_tc_words(d, n, k)
 the counts for every k at once, and the totals, the general reticulation
 law and the sqrt(e) ratio are built on it.
 
+The recurrence rolls prefix-sum rows S(n, k, m) = sum_{j<=m} b(n, k, j):
+each row advances straight from the previous row's prefix sums, so c(n, k)
+is the row's last entry with no second pass over the cells, and b_table
+recovers b by differencing.  The binomials binom(a, d-1) the recurrence
+multiplies by are computed only at the a a row reads, so a large d costs
+the size of those binomials and not a table of every a below them.
+
 tc_row reads a per-process cache: for each d, one resumable full-row pass
 and the rows [TC(n, 0), ..., TC(n, n-1)] it has produced so far, advanced
 under a lock only as far as the largest n asked for.  count_tc_words reads
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
 from math import comb, factorial
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterator
 
 from .onecomp import _exact_div
@@ -229,37 +236,44 @@ def count_words_direct(d: int, n: int, k: int) -> int:
 
 
 def _word_rows(d: int, k_max: int | None = None) -> Iterator[list[list[int]]]:
-    """Rows n = 1, 2, ... of the b-table: row[k][m-1] = b(n, k, m) for
+    """Prefix-sum rows n = 1, 2, ... of the b-table:
+    row[k][m-1] = S(n, k, m) = sum_{j<=m} b(n, k, j) for
     0 <= k <= min(n, k_max) and 1 <= m <= n; every k when k_max is None.
+    The word count c(n, k) is the row's last entry, row[k][-1].
 
-    b(n, k, m) = sum_{j<=min(m,n-1)} b(n-1, k, j)
-               + binom(n+m+k(d-1)-2, d-1) * sum_{j<=min(m,n-1)} b(n-1, k-1, j)
+    b(n, k, m) = P_k[m] + binom(n+m+k(d-1)-2, d-1) * P_{k-1}[m]  with
+    P_k[m] = S(n-1, k, min(m, n-1)),
 
-    The inner sums are running prefix sums, built one k at a time so the
-    working set stays at about two rows; a row costs O(n * k_max)
-    big-integer operations.
+    so each row is the running sum of the cells built from the previous
+    row's prefix sums, with the working set at about two rows and
+    O(n * k_max) big-integer operations a row.  A yielded row is never
+    mutated.  binom(a, d-1) is computed only for the a a row reads: the
+    window [lo, lo+n) with lo = n-1+k(d-1), whole for a new k and only its
+    two new end indices for a k the previous row had, so the cost does not
+    grow with d beyond the binomials' own size.
     """
     row = [[1], [1]] if k_max is None or k_max >= 1 else [[1]]
-    binoms: list[int] = []  # binoms[a] = binom(a, d-1)
+    binoms: list[int | None] = []  # binoms[a] = binom(a, d-1) once a row reads it
     n = 1
     while True:
         yield row
         n += 1
         top = n if k_max is None else min(n, k_max)
-        binoms.extend(
-            comb(a, d - 1) for a in range(len(binoms), 2 * n - 1 + top * (d - 1))
-        )
-        cur = []
-        for k in range(top + 1):
-            # prefix sums of the previous row at k, m = 1..n; zero at k = n
-            sums = list(accumulate(row[k])) if k < len(row) else [0] * (n - 1)
-            sums.append(sums[-1])
-            if k == 0:
-                cur.append(sums)
-            else:
-                lo = n - 1 + k * (d - 1)
-                cur.append(list(map(add, sums, map(mul, binoms[lo : lo + n], below))))
-            below = sums
+        binoms.extend([None] * (2 * n - 1 + top * (d - 1) - len(binoms)))
+        # P_k extends the previous row at k to m = n; a new list, pointers only
+        below = row[0] + row[0][-1:]
+        cur = [list(accumulate(below))]
+        for k in range(1, top + 1):
+            lo = n - 1 + k * (d - 1)
+            for a in range(lo if k >= len(row) else lo + n - 2, lo + n):
+                if binoms[a] is None:
+                    binoms[a] = comb(a, d - 1)
+            cells = map(mul, binoms[lo : lo + n], below)
+            if k < len(row):  # else k = n, where P_k is zero
+                same = row[k] + row[k][-1:]
+                cells = map(add, same, cells)
+                below = same
+            cur.append(list(accumulate(cells)))
         row = cur
 
 
@@ -268,10 +282,10 @@ def _nth_row(d: int, n: int, k_max: int) -> list[list[int]]:
 
 
 def _tc_counts(n: int, row: list[list[int]]) -> list[int]:
-    """TC(n, k) for each k of b-row n-1: n! * c(n-1, k) / 2^(n-k-1), the
-    division exact and checked."""
+    """TC(n, k) for each k of prefix-sum row n-1: n! * c(n-1, k) / 2^(n-k-1)
+    with c(n-1, k) = row[k][-1], the division exact and checked."""
     f = factorial(n)
-    return [_exact_div(f * sum(cells), 2 ** (n - k - 1)) for k, cells in enumerate(row)]
+    return [_exact_div(f * sums[-1], 2 ** (n - k - 1)) for k, sums in enumerate(row)]
 
 
 def _tc_rows(d: int) -> Iterator[list[int]]:
@@ -328,14 +342,15 @@ class BTable:
 
 
 def b_table(d: int, n_max: int, k_max: int | None = None) -> BTable:
-    """Materialized b-table; counting functions use rolling rows instead."""
+    """Materialized b-table, each cell the difference of consecutive prefix
+    sums; counting functions use rolling rows instead."""
     if d < 2 or n_max < 1:
         raise ValueError("need d >= 2 and n_max >= 1")
     entries = {
         (n, k, m): v
         for n, row in zip(range(1, n_max + 1), _word_rows(d, k_max))
-        for k, cells in enumerate(row)
-        for m, v in enumerate(cells, start=1)
+        for k, sums in enumerate(row)
+        for m, v in enumerate(map(sub, sums, [0, *sums]), start=1)
     }
     return BTable(d=d, n_max=n_max, entries=entries)
 
@@ -345,7 +360,7 @@ def count_words(d: int, n: int, k: int) -> int:
     _word_class_args(d, n, k)
     if n == 0:
         return 1 if k == 0 else 0
-    return sum(_nth_row(d, n, k)[k])
+    return _nth_row(d, n, k)[k][-1]
 
 
 def count_tc_words(p: Params) -> int:
@@ -360,7 +375,7 @@ def count_tc_words(p: Params) -> int:
     stored = _stored_tc_row(d, n, advance=False)
     if stored is not None:
         return stored[k]
-    return _tc_counts(n, _nth_row(d, n - 1, k))[k]
+    return _exact_div(factorial(n) * _nth_row(d, n - 1, k)[k][-1], 2 ** (n - k - 1))
 
 
 def tc_row(d: int, n: int) -> list[int]:

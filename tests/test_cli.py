@@ -117,6 +117,15 @@ def test_count_beyond_int_string_limit():
     assert Decimal(value) == count_otc(2, 1500, 1499)
 
 
+def test_count_tc_at_large_d_reads_only_the_binomials_it_needs():
+    code, text = invoke("count", "tc", "--d", "10000", "--n", "4", "--k", "3")
+    assert code == 0
+    (rec,) = records(text)
+    slice_ = words.b_max_table(10000, 3)
+    want = factorial(4) * sum(slice_[(3, m)] for m in (1, 2, 3))
+    assert Decimal(rec["results"]["value"]) == want
+
+
 def test_module_entry_point_runs():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -3,6 +3,7 @@ the rescaled slice."""
 import sys
 import threading
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -265,7 +266,28 @@ def test_all_heavy_slice_three_routes_agree():
         for (n, m), v in two_term.items():
             assert full.b(n, n, m) == v
     for d in (2, 3, 4, 5):
-        assert b_max_table(d, 30) == b_max_table_binomial(d, 30), d
+        binomial = b_max_table_binomial(d, 30)
+        assert b_max_table(d, 30) == binomial, d
+        full = b_table(d, 30)
+        diagonal = {(n, m): full.b(n, n, m) for n in range(1, 31) for m in range(1, n + 1)}
+        assert diagonal == binomial, d
+
+
+@pytest.mark.parametrize("d", [100, 1000, 10000])
+def test_large_d_cell_matches_the_two_term_slice(d):
+    # TC(4, 3) = 4! * c(3, 3) / 2^0, and c(3, 3) sums the all-heavy slice at n = 3
+    slice_ = b_max_table(d, 3)
+    assert count_tc_words(Params(d, 4, 3)) == factorial(4) * sum(slice_[(3, m)] for m in (1, 2, 3))
+
+
+@pytest.mark.parametrize("k_max", [None, 0, 1, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_yielded_rows_are_never_mutated(d, k_max):
+    for n in range(1, 9):
+        rows = words._word_rows(d, k_max)
+        held = next(islice(rows, n - 1, None))
+        next(rows)  # drawing row n + 1 must leave row n as it was
+        assert held == _nth_row(d, n, k_max), (n, k_max)
 
 
 def test_lambda_factor_values():
