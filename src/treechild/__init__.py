@@ -45,12 +45,10 @@ from .pathlength import (
     unary_binary_path_length,
 )
 from .words import (
-    BTable,
     ETable,
     Word,
     b_max_table,
     b_max_table_binomial,
-    b_table,
     count_tc_total,
     count_tc_words,
     count_words,
@@ -112,7 +110,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AIRY_A1",
     "AsymptoticParams",
-    "BTable",
     "CheckResult",
     "ComponentGraph",
     "ETable",
@@ -127,7 +124,6 @@ __all__ = [
     "asympt_tc_fixed_k",
     "b_max_table",
     "b_max_table_binomial",
-    "b_table",
     "bessel_I",
     "count_component_graphs",
     "count_component_graphs_total",

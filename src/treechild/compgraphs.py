@@ -7,6 +7,9 @@ reticulations).  Conversely every network arises by blowing the nodes of
 such a graph back up into small trees, which yields a second, completely
 independent algorithm for the network counts: sum over set partitions of
 the leaves and over component graphs of a product of per-node factors.
+The factors read a partition only through its block sizes, so the sum runs
+over block-size shapes, each weighted by its closed-form number of set
+partitions, n! / (prod_j b_j! prod_s r_s!).
 
 This module implements that route end to end:
 
@@ -156,29 +159,26 @@ def count_component_graphs_total(d: int, m: int) -> int:
     return sum(count_component_graphs(d, m, s) for s in range(1, max(m - 1, 1) + 1))
 
 
-def _partitions_by_rank(universe: list, blocks: int) -> Iterator[list]:
-    """Set partitions into a fixed block count, blocks ordered by smallest
-    element (elements are consumed in increasing order, so a block's
-    position equals the rank of its minimum)."""
-    n = len(universe)
+def _shapes(n: int, m: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """Block-size shapes: the non-decreasing tuples of m sizes, each at
+    least `least`, summing to n."""
+    if m == 1:
+        if n >= least:
+            yield (n,)
+        return
+    for b in range(least, n // m + 1):
+        for rest in _shapes(n - b, m - 1, b):
+            yield (b, *rest)
 
-    def rec(i: int, parts: list) -> Iterator[list]:
-        if i == n:
-            if len(parts) == blocks:
-                yield parts
-            return
-        if len(parts) + (n - i) < blocks:
-            return
-        for p in parts:
-            p.append(universe[i])
-            yield from rec(i + 1, parts)
-            p.pop()
-        if len(parts) < blocks:
-            parts.append([universe[i]])
-            yield from rec(i + 1, parts)
-            parts.pop()
 
-    yield from rec(0, [])
+def _partition_count(sizes: tuple[int, ...]) -> int:
+    """Set partitions of sum(sizes) labeled elements whose sorted block
+    sizes are `sizes`: n! / (prod_j b_j! * prod_s r_s!), with r_s the
+    number of blocks of size s."""
+    return _exact_div(
+        factorial(sum(sizes)),
+        prod(map(factorial, sizes)) * prod(map(factorial, Counter(sizes).values())),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -207,8 +207,10 @@ def count_tc_compgraph(p: Params) -> int:
 
     with b_j the block size, g_{j,l} the edge multiplicity j -> l and g_j
     the out-degree, all divided by 2^(n-k-1).  Graphs come from the cached
-    `_graph_classes`; partitions are counted per sorted block-size tuple.
-    Must agree with the word route; the test suite pins that.
+    `_graph_classes`.  The summand reads a partition only through its block
+    sizes, so the partitions are never walked: the sum runs over block-size
+    shapes, each weighted by its closed-form partition count.  Must agree
+    with the word route; the test suite pins that.
     """
     d, n, k = p.d, p.n, p.k
     n_limit, k_limit = ceiling("BLOWUP_N"), ceiling("BLOWUP_K")
@@ -216,13 +218,6 @@ def count_tc_compgraph(p: Params) -> int:
         raise ValueError(f"(n={n}, k={k}) exceeds blow-up ceilings ({n_limit}, {k_limit})")
     m = k + 1
     classes = _graph_classes(d, m)
-    # the summand depends on a partition only through its block sizes, and
-    # only through their multiset: relabeling the nodes of a component graph
-    # gives another one, so the sum over graphs is symmetric in block order
-    shapes = Counter(
-        tuple(sorted(map(len, part)))
-        for part in _partitions_by_rank(list(range(1, n + 1)), m)
-    )
     factors: dict[tuple[int, int, int], int] = {}
 
     def node(b: int, g: int, w: int) -> int:
@@ -232,9 +227,12 @@ def count_tc_compgraph(p: Params) -> int:
             factors[b, g, w] = f
         return f
 
+    # the summand depends on a partition only through its block sizes, and
+    # only through their multiset: relabeling the nodes of a component graph
+    # gives another one, so the sum over graphs is symmetric in block order
     total = 0
-    for sizes, partitions in shapes.items():
-        total += partitions * sum(
+    for sizes in _shapes(n, m):
+        total += _partition_count(sizes) * sum(
             graphs * prod(node(b, g, w) for b, (g, w) in zip(sizes, signature))
             for signature, graphs in classes
         )
@@ -308,17 +306,22 @@ class LaurentPoly:
         return f"LaurentPoly({{{terms}}})"
 
 
+def _f_sweep(top: int) -> list[LaurentPoly]:
+    """[f_0, ..., f_top] of the recurrence in `f_laurent`, in one pass."""
+    factor = LaurentPoly({-1: Fraction(-1), 1: Fraction(1)})
+    fs = [LaurentPoly({0: Fraction(1, 2), 1: Fraction(-1, 2)})]
+    for step in range(1, top + 1):
+        f = fs[-1]
+        fs.append(factor * f.derivative() + f.scale(step - 2))
+    return fs
+
+
 def f_laurent(d: int) -> LaurentPoly:
     """The d-th derived series f_d with f_0 = 1/2 - X/2 and
     f_d = (-1/X + X) f_{d-1}' + (d-2) f_{d-1}."""
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
-    f = LaurentPoly({0: Fraction(1, 2), 1: Fraction(-1, 2)})
-    for step in range(1, d + 1):
-        f = LaurentPoly({-1: Fraction(-1), 1: Fraction(1)}) * f.derivative() + f.scale(
-            step - 2
-        )
-    return f
+    return _f_sweep(d)[-1]
 
 
 def _coef_sqrt_power(e: int, n: int) -> Fraction:
@@ -360,8 +363,9 @@ def count_tc_genfun_k1(d: int, n: int) -> int:
     """TC(n, 1) = n!/(d! 2^(n-2)) [z^n] f_d f_0."""
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
+    fs = _f_sweep(d)
     v = Fraction(factorial(n), factorial(d) * 2 ** (n - 2)) * z_coefficient(
-        f_laurent(d) * f_laurent(0), n
+        fs[d] * fs[0], n
     )
     if v.denominator != 1:
         raise ExactnessError(f"k=1 series count not integral at d={d}, n={n}")
@@ -376,31 +380,29 @@ def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
         - n!/(d!^2 2^(n-2)) [z^n] f_{2d} f_0^2
     form="merged" folds the l = 0 term into the correction (the two are
     algebraically equal; both stay available so tests can pin that).
+    Both read one sweep f_0..f_2d and share the sum over l = 1..d.
     """
     if d < 2 or n < 3:
         raise ValueError("need d >= 2 and n >= 3")
-    f0 = f_laurent(0)
-    corr = z_coefficient(f_laurent(2 * d) * f0 * f0, n)
-    if form == "direct":
-        s = Fraction(0)
-        for l in range(0, d + 1):
-            s += Fraction(1, factorial(d - l) * factorial(l)) * z_coefficient(
-                f_laurent(2 * d - l) * f_laurent(l) * f0, n
-            )
-        v = Fraction(factorial(n), factorial(d) * 2 ** (n - 3)) * s - Fraction(
-            factorial(n), factorial(d) ** 2 * 2 ** (n - 2)
-        ) * corr
-    elif form == "merged":
-        s = Fraction(0)
-        for l in range(1, d + 1):
-            s += Fraction(1, factorial(d - l) * factorial(l)) * z_coefficient(
-                f_laurent(2 * d - l) * f_laurent(l) * f0, n
-            )
-        v = Fraction(factorial(n), factorial(d) * 2 ** (n - 3)) * s + Fraction(
-            factorial(n), factorial(d) ** 2 * 2 ** (n - 2)
-        ) * corr
-    else:
+    if form not in ("direct", "merged"):
         raise ValueError(f"unknown form {form!r}")
+    fs = _f_sweep(2 * d)
+    f0 = fs[0]
+
+    def term(l: int) -> Fraction:
+        return z_coefficient(fs[2 * d - l] * fs[l] * f0, n) / (
+            factorial(d - l) * factorial(l)
+        )
+
+    s = sum(map(term, range(1, d + 1)), Fraction(0))
+    corr = Fraction(factorial(n), factorial(d) ** 2 * 2 ** (n - 2)) * z_coefficient(
+        fs[2 * d] * f0 * f0, n
+    )
+    scale = Fraction(factorial(n), factorial(d) * 2 ** (n - 3))
+    if form == "direct":
+        v = scale * (term(0) + s) - corr
+    else:
+        v = scale * s + corr
     if v.denominator != 1:
         raise ExactnessError(f"k=2 series count not integral at d={d}, n={n}")
     return int(v)

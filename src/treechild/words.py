@@ -27,10 +27,10 @@ law and the sqrt(e) ratio are built on it.
 
 The recurrence rolls prefix-sum rows S(n, k, m) = sum_{j<=m} b(n, k, j):
 each row advances straight from the previous row's prefix sums, so c(n, k)
-is the row's last entry with no second pass over the cells, and b_table
-recovers b by differencing.  The binomials binom(a, d-1) the recurrence
-multiplies by are computed only at the a a row reads, so a large d costs
-the size of those binomials and not a table of every a below them.
+is the row's last entry with no second pass over the cells.  The binomials
+binom(a, d-1) the recurrence multiplies by are computed only at the a a
+row reads, so a large d costs the size of those binomials and not a table
+of every a below them.
 
 tc_row reads a per-process cache: for each d, one resumable full-row pass
 and the rows [TC(n, 0), ..., TC(n, n-1)] it has produced so far, advanced
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
 from math import comb, factorial
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterator
 
 from .onecomp import _exact_div
@@ -321,38 +321,6 @@ def _stored_tc_row(d: int, n: int, advance: bool) -> list[int] | None:
                 del _TC_ROWS[d]
                 raise
         return done[n - 1]
-
-
-@dataclass(frozen=True)
-class BTable:
-    """Full three-index table b(n, k, m) for 1 <= n <= n_max."""
-
-    d: int
-    n_max: int
-    entries: dict
-
-    def b(self, n: int, k: int, m: int) -> int:
-        return self.entries.get((n, k, m), 0)
-
-    def c(self, n: int, k: int) -> int:
-        """Row sum over m; the number of valid words."""
-        if n == 0:
-            return 1 if k == 0 else 0
-        return sum(self.b(n, k, m) for m in range(1, n + 1))
-
-
-def b_table(d: int, n_max: int, k_max: int | None = None) -> BTable:
-    """Materialized b-table, each cell the difference of consecutive prefix
-    sums; counting functions use rolling rows instead."""
-    if d < 2 or n_max < 1:
-        raise ValueError("need d >= 2 and n_max >= 1")
-    entries = {
-        (n, k, m): v
-        for n, row in zip(range(1, n_max + 1), _word_rows(d, k_max))
-        for k, sums in enumerate(row)
-        for m, v in enumerate(map(sub, sums, [0, *sums]), start=1)
-    }
-    return BTable(d=d, n_max=n_max, entries=entries)
 
 
 def count_words(d: int, n: int, k: int) -> int:

@@ -1,7 +1,9 @@
 """Unit tests for component graphs, the blow-up count, series extraction,
 and the closed forms built on them."""
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from treechild import (
     tc_k2_closed_form,
     z_coefficient,
 )
-from treechild.compgraphs import _graph_classes, _is_acyclic
+from treechild.compgraphs import _graph_classes, _is_acyclic, _partition_count, _shapes
 from treechild.onecomp import count_phylo_trees, double_factorial
 
 # sink-stratified counts fixed from a hand enumeration of small cases
@@ -113,6 +115,54 @@ def test_blowup_matches_word_count():
             for k in range(min(3, n - 1) + 1):
                 p = Params(d, n, k)
                 assert count_tc_compgraph(p) == count_tc_words(p), (d, n, k)
+
+
+def test_blowup_matches_word_count_past_its_default_ceiling(monkeypatch):
+    monkeypatch.setenv("TREECHILD_BLOWUP_N_CEILING", "20")
+    for d in (2, 3):
+        for n in range(1, 21):
+            for k in range(min(3, n - 1) + 1):
+                p = Params(d, n, k)
+                assert count_tc_compgraph(p) == count_tc_words(p), (d, n, k)
+
+
+# the literal set-partition walk the blow-up once summed over, kept as the
+# oracle for the closed-form shape counts
+def _partitions_by_rank(universe: list, blocks: int) -> Iterator[list]:
+    """Set partitions into a fixed block count, blocks ordered by smallest
+    element (elements are consumed in increasing order, so a block's
+    position equals the rank of its minimum)."""
+    n = len(universe)
+
+    def rec(i: int, parts: list) -> Iterator[list]:
+        if i == n:
+            if len(parts) == blocks:
+                yield parts
+            return
+        if len(parts) + (n - i) < blocks:
+            return
+        for p in parts:
+            p.append(universe[i])
+            yield from rec(i + 1, parts)
+            p.pop()
+        if len(parts) < blocks:
+            parts.append([universe[i]])
+            yield from rec(i + 1, parts)
+            parts.pop()
+
+    yield from rec(0, [])
+
+
+def test_shape_counts_match_the_partition_walk():
+    for n in range(1, 11):
+        for m in range(1, min(n, 4) + 1):
+            walked = Counter(
+                tuple(sorted(map(len, part)))
+                for part in _partitions_by_rank(list(range(1, n + 1)), m)
+            )
+            shapes = list(_shapes(n, m))
+            assert len(shapes) == len(set(shapes))
+            assert {sizes: _partition_count(sizes) for sizes in shapes} == walked, (n, m)
 
 
 def test_blowup_ceilings(monkeypatch):
@@ -249,6 +299,11 @@ def test_series_counts_match_golden_values():
     assert count_tc_genfun_k2(2, 5, form="merged") == 30300
     with pytest.raises(ValueError):
         count_tc_genfun_k2(2, 5, form="bogus")
+
+
+def test_series_counts_match_word_count_at_large_d():
+    assert count_tc_genfun_k1(30, 8) == count_tc_words(Params(30, 8, 1))
+    assert count_tc_genfun_k2(30, 8) == count_tc_words(Params(30, 8, 2))
 
 
 @settings(deadline=None)

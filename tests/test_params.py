@@ -1,4 +1,5 @@
-"""The safety-ceiling table and its one reader."""
+"""The safety-ceiling table and its one reader, and package hygiene."""
+import ast
 import re
 from pathlib import Path
 
@@ -40,3 +41,28 @@ def test_ceiling_policy_lives_in_params():
         text = path.read_text()
         assert "os.environ" not in text, path.name
         assert not constant.search(text), path.name
+
+
+def test_every_private_helper_is_used():
+    # a private module-level function or class that nothing else in the
+    # package names is dead code; a call from its own body does not count
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined = []  # (module, name, its top-level definition)
+    references = []  # (top-level statement, name it references)
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                name = stmt.name
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    references.append((stmt, node.id))
+                elif isinstance(node, ast.Attribute):
+                    references.append((stmt, node.attr))
+    assert defined
+    for module, name, definition in defined:
+        used = any(
+            ref == name and stmt is not definition for stmt, ref in references
+        )
+        assert used, f"{module}: {name} is never used"

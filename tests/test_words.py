@@ -5,19 +5,18 @@ import threading
 from fractions import Fraction
 from itertools import islice
 from math import factorial
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treechild import (
-    BTable,
     ETable,
     ExactnessError,
     Params,
     Word,
     b_max_table,
     b_max_table_binomial,
-    b_table,
     count_tc_total,
     count_tc_words,
     count_words,
@@ -119,21 +118,33 @@ def test_enumeration_streams_each_valid_word_once(d, n, data):
     assert len(seen) == count_words(d, n, k)
 
 
+def _b_cells(d, n, k_max=None):
+    """{(k, m): b(n, k, m)}: consecutive differences of the prefix sums of
+    row n, _nth_row(d, n, k_max)."""
+    return {
+        (k, m): v
+        for k, sums in enumerate(_nth_row(d, n, k_max))
+        for m, v in enumerate(map(sub, sums, [0, *sums]), start=1)
+    }
+
+
 def test_btable_accessors():
-    table = b_table(2, 4)
-    assert isinstance(table, BTable)
-    assert table.b(1, 0, 1) == 1
-    assert table.b(1, 1, 1) == 1
-    assert table.b(1, 0, 2) == 0
-    assert table.c(0, 0) == 1
-    assert table.c(0, 1) == 0
-    assert table.c(3, 2) == 106
+    assert _b_cells(2, 1) == {(0, 1): 1, (1, 1): 1}  # no cell b(1, 0, 2)
+    assert count_words(2, 0, 0) == 1
+    with pytest.raises(ValueError):
+        count_words(2, 0, 1)
+    assert count_words(2, 3, 2) == 106
+    assert sum(v for (k, _), v in _b_cells(2, 3).items() if k == 2) == 106
 
 
 def test_btable_k_max_restriction():
-    table = b_table(2, 5, k_max=1)
-    assert table.c(5, 1) == count_words(2, 5, 1)
-    assert table.c(4, 0) == count_words(2, 4, 0)
+    for n in range(1, 6):
+        full = _b_cells(2, n)
+        truncated = _b_cells(2, n, k_max=1)
+        assert truncated == {(k, m): v for (k, m), v in full.items() if k <= 1}, n
+        for k in range(min(n, 1) + 1):
+            c = sum(v for (j, _), v in truncated.items() if j == k)
+            assert c == count_words(2, n, k), (n, k)
 
 
 def test_tc_spot_values():
@@ -260,16 +271,16 @@ def test_general_ceiling_holds_after_a_warm_cache():
 def test_all_heavy_slice_three_routes_agree():
     for d in (2, 3, 4):
         two_term = b_max_table(d, 10)
-        binomial = b_max_table_binomial(d, 10)
-        assert two_term == binomial
-        full = b_table(d, 10)
-        for (n, m), v in two_term.items():
-            assert full.b(n, n, m) == v
+        assert two_term == b_max_table_binomial(d, 10)
     for d in (2, 3, 4, 5):
         binomial = b_max_table_binomial(d, 30)
         assert b_max_table(d, 30) == binomial, d
-        full = b_table(d, 30)
-        diagonal = {(n, m): full.b(n, n, m) for n in range(1, 31) for m in range(1, n + 1)}
+        diagonal = {
+            (n, m): v
+            for n in range(1, 31)
+            for (k, m), v in _b_cells(d, n).items()
+            if k == n
+        }
         assert diagonal == binomial, d
 
 
