@@ -35,6 +35,7 @@ from .onecomp import (
     count_phylo_trees,
     double_factorial,
     node_census,
+    otc_row,
 )
 from .pathlength import (
     expected_path_length,
@@ -158,6 +159,7 @@ __all__ = [
     "otc_asymptotic",
     "otc_asymptotic_ratio",
     "otc_max_k_ratio",
+    "otc_row",
     "params",
     "path_length_total",
     "path_length_total_recurrence",

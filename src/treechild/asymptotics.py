@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import exp, factorial, lgamma, log, pi, sqrt
 
 from .logvalue import LogValue
-from .onecomp import count_otc, count_otc_total
+from .onecomp import count_otc_total, otc_row
 from .words import _slice_rows, tc_row
 
 # principal root of the Airy function Ai, 15 significant digits
@@ -130,7 +130,8 @@ def otc_asymptotic_ratio(d: int, n: int) -> float:
 def otc_max_k_ratio(d: int, n: int) -> Fraction:
     """Exact OTC_n / OTC(n, n-1); tends to I_1(2) for d = 3 and to 1 for
     d >= 4 (for d = 2 it diverges, the mass sits away from k = n-1)."""
-    return Fraction(count_otc_total(d, n), count_otc(d, n, n - 1))
+    row = otc_row(d, n)
+    return Fraction(sum(row), row[-1])
 
 
 def tc_envelope(d: int, n: int) -> LogValue:

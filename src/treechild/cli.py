@@ -43,7 +43,7 @@ from .asymptotics import (
     tc_envelope,
     tc_envelope_ratio,
 )
-from .onecomp import count_otc
+from .onecomp import otc_row
 from .params import ExactnessError, ceiling
 
 VERIFY_FAILED = 1
@@ -136,20 +136,14 @@ def _cmd_count(args, out) -> int:
 # table
 
 
-def _table_rows(target: str, d: int, n_max: int):
-    if target == "tc":
-        table = words.tc_table(d, n_max)
-        return [(n, table[n]) for n in range(1, n_max + 1)], "words"
-    table = {
-        n: [count_otc(d, n, k) for k in range(n)] for n in range(1, n_max + 1)
-    }
-    return [(n, table[n]) for n in range(1, n_max + 1)], "closedform"
-
-
 def _cmd_table(args, out) -> int:
     if args.d < 2 or args.n_max < 1:
         raise SystemExit(f"table {args.target} requires --d >= 2 and --n-max >= 1")
-    rows, method = _table_rows(args.target, args.d, args.n_max)
+    if args.target == "tc":
+        rows, method = words.tc_table(args.d, args.n_max).items(), "words"
+    else:
+        rows = [(n, otc_row(args.d, n)) for n in range(1, args.n_max + 1)]
+        method = "closedform"
     if args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(["n"] + [f"k={k}" for k in range(args.n_max)])

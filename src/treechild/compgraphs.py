@@ -40,7 +40,7 @@ from typing import Iterator
 
 from .logvalue import LogValue
 from .onecomp import _exact_div, double_factorial
-from .params import ExactnessError, Params, ceiling
+from .params import ExactnessError, Params, within
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,7 @@ def enumerate_component_graphs(d: int, m: int) -> Iterator[ComponentGraph]:
     """
     if d < 2 or m < 1:
         raise ValueError("need d >= 2 and m >= 1")
-    limit = ceiling("BLOWUP_K") + 1
-    if m > limit:
-        raise ValueError(f"m={m} exceeds the enumeration ceiling {limit}")
+    within("BLOWUP_K", m - 1, "graph size m - 1")
     nodes = range(m)
     for root in nodes:
         others = [v for v in nodes if v != root]
@@ -213,9 +211,8 @@ def count_tc_compgraph(p: Params) -> int:
     with the word route; the test suite pins that.
     """
     d, n, k = p.d, p.n, p.k
-    n_limit, k_limit = ceiling("BLOWUP_N"), ceiling("BLOWUP_K")
-    if n > n_limit or k > k_limit:
-        raise ValueError(f"(n={n}, k={k}) exceeds blow-up ceilings ({n_limit}, {k_limit})")
+    within("BLOWUP_N", n, "n")
+    within("BLOWUP_K", k, "k")
     m = k + 1
     classes = _graph_classes(d, m)
     factors: dict[tuple[int, int, int], int] = {}

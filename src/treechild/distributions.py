@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import erfc, factorial, sqrt
 
-from .onecomp import count_otc
-from .params import Params, ceiling
+from .onecomp import otc_row
+from .params import Params, within
 from .words import tc_row
 
 TAIL_BOUND = Fraction(1, 10**15)
@@ -74,19 +74,14 @@ def ret_pmf(family: str, d: int, n: int) -> Pmf:
     family "onecomp" uses the closed-form counts (cheap, ceiling ONECOMP);
     family "general" tabulates the word recurrence (ceiling GENERAL)."""
     if family == "onecomp":
-        limit = ceiling("ONECOMP")
-        if n > limit:
-            raise ValueError(f"n={n} exceeds the one-component ceiling {limit}")
-        Params(d, n, 0)
-        counts = [count_otc(d, n, k) for k in range(n)]
+        name, row = "ONECOMP", otc_row
     elif family == "general":
-        limit = ceiling("GENERAL")
-        if n > limit:
-            raise ValueError(f"n={n} exceeds the general-family ceiling {limit}")
-        Params(d, n, 0)
-        counts = tc_row(d, n)
+        name, row = "GENERAL", tc_row
     else:
         raise ValueError(f"unknown family {family!r}")
+    within(name, n, "n")
+    Params(d, n, 0)
+    counts = row(d, n)
     total = sum(counts)
     return Pmf({k: Fraction(c, total) for k, c in enumerate(counts)})
 

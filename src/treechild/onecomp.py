@@ -9,7 +9,8 @@ one-component when the child of every reticulation node is a leaf.
 OTC(d, n, k) denotes the number of such one-component networks.  Two closed
 forms are implemented: a single factored formula (count_otc) and the
 direct-construction product (count_otc_direct).  They agree everywhere, and
-the test suite pins that equivalence.
+the test suite pins that equivalence.  otc_row gives count_otc for every k
+at once.
 
 All arithmetic is arbitrary-precision integer arithmetic.  Divisions inside
 the closed forms are exact; each one is guarded by an explicit remainder
@@ -48,16 +49,11 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def count_otc(d: int, n: int, k: int, lenient: bool = False) -> int:
+def count_otc(d: int, n: int, k: int) -> int:
     """One-component networks with n leaves and k reticulation nodes.
 
     Closed form: binom(n,k) (2n+(d-2)k-2)! / (d!^k 2^(n-k-1) (n-k-1)!).
-    With lenient=True an out-of-range k returns 0 instead of raising.
     """
-    if lenient and not 0 <= k <= n - 1:
-        if d < 2 or n < 1:
-            raise ValueError("d >= 2 and n >= 1 required")
-        return 0
     Params(d, n, k)
     num = comb(n, k) * factorial(2 * n + (d - 2) * k - 2)
     den = factorial(d) ** k * 2 ** (n - k - 1) * factorial(n - k - 1)
@@ -78,11 +74,17 @@ def count_otc_direct(d: int, n: int, k: int) -> int:
     return _exact_div(num, factorial(d) ** k)
 
 
-def count_otc_total(d: int, n: int) -> int:
-    """Sum of count_otc over k = 0..n-1."""
+def otc_row(d: int, n: int) -> list[int]:
+    """[OTC(n, 0), ..., OTC(n, n-1)], one-component networks with n leaves
+    by reticulation count."""
     if d < 2 or n < 1:
         raise ValueError("d >= 2 and n >= 1 required")
-    return sum(count_otc(d, n, k) for k in range(n))
+    return [count_otc(d, n, k) for k in range(n)]
+
+
+def count_otc_total(d: int, n: int) -> int:
+    """Sum of count_otc over k = 0..n-1."""
+    return sum(otc_row(d, n))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,13 @@ Conventions used throughout the package:
 
 The tree-child condition (every non-leaf node has at least one child that is
 not a reticulation node) forces 0 <= k <= n - 1, so Params rejects k outside
-that range.  Counting routines that sum over k construct Params themselves
-and never go out of range; callers that want a zero instead of an error for
-out-of-range k can pass lenient=True to count_otc.
+that range; counting routines that sum over k never leave it.
 
 The exponential routes refuse inputs above the safety ceilings of
 CEILINGS; `ceiling(name)` reads one at call time, and the environment
-variable TREECHILD_<name>_CEILING overrides its default.
+variable TREECHILD_<name>_CEILING overrides its default.  Every refusal
+goes through `within(name, value, what)` and reads alike, e.g. "n = 6
+exceeds the WORD ceiling 5 (set TREECHILD_WORD_CEILING to raise it)".
 """
 from __future__ import annotations
 
@@ -45,6 +45,17 @@ def ceiling(name: str) -> int:
     if value < 0:
         raise ValueError(f"environment variable {var} must be a non-negative integer, got {raw!r}")
     return value
+
+
+def within(name: str, value: int, what: str) -> None:
+    """Refuse `value` above the safety ceiling `name` with a ValueError that
+    names `what`, its value, the ceiling in force and its variable."""
+    limit = ceiling(name)
+    if value > limit:
+        raise ValueError(
+            f"{what} = {value} exceeds the {name} ceiling {limit} "
+            f"(set TREECHILD_{name}_CEILING to raise it)"
+        )
 
 
 class ExactnessError(ArithmeticError):

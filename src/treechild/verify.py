@@ -33,7 +33,7 @@ from . import compgraphs, onecomp, words
 from .asymptotics import e_lower_bound
 from .compgraphs import count_component_graphs_total, enumerate_component_graphs
 from .onecomp import _exact_div
-from .params import Params
+from .params import Params, ceiling
 from .pathlength import (
     expected_path_length,
     path_length_total,
@@ -131,9 +131,9 @@ def _genfun_k2_merged(d: int, n: int, k: int) -> int:
 
 
 def suite_cross_method(d: int | None = None, n_max: int | None = None):
-    """words == blow-up (n <= 6, k <= 3); series == closed forms == words
-    for k = 1, 2 up to n = 12, each route on its domain; both series forms
-    equal."""
+    """words == blow-up for n up to n_max (6 by default) and k, each up to
+    its blow-up ceiling; series == closed forms == words for k = 1, 2 up to
+    n = 12, each route on its domain; both series forms equal."""
     tc = count_routes()["tc"]
     by_words, by_compgraph = tc["words"][0], tc["compgraph"][0]
     # the merged k = 2 series is a second form of the genfun route, checked
@@ -141,18 +141,20 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
     series = [tc["genfun"], (_genfun_k2_merged, lambda d, n, k: k == 2), tc["closedform"]]
     results = []
     d_values = [d] if d is not None else [2, 3]
-    blow_n = 6 if n_max is None else min(n_max, 6)
+    blow_n = min(6 if n_max is None else n_max, ceiling("BLOWUP_N"))
+    m_top = ceiling("BLOWUP_K") + 1
     for dv in d_values:
         bad = []
         checked = 0
         for n in range(1, blow_n + 1):
-            for k in range(0, min(4, n)):
+            for k in range(0, min(m_top, n)):
                 checked += 1
                 a = by_words(dv, n, k)
                 b = by_compgraph(dv, n, k)
                 if a != b:
                     bad.append((n, k, a, b))
-        results.append(_result(f"words-vs-compgraph d={dv}", f"{checked} cells", bad))
+        if checked:
+            results.append(_result(f"words-vs-compgraph d={dv}", f"{checked} cells", bad))
     series_n = 12 if n_max is None else min(n_max, 12)
     for dv in d_values:
         bad = []
@@ -174,11 +176,13 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
 
 
 def suite_oracle(d: int | None = None, n_max: int | None = None):
-    """Definition-level counting against the recurrence, and the literal
-    graph enumeration against the graph recurrence."""
+    """Definition-level counting against the recurrence for n up to n_max
+    (5 by default) and the WORD ceiling, and the literal graph enumeration
+    against the graph recurrence up to the blow-up's graph size."""
     results = []
     d_values = [d] if d is not None else [2, 3, 4]
-    top = 5 if n_max is None else min(n_max, 5)
+    top = min(5 if n_max is None else n_max, ceiling("WORD"))
+    m_top = ceiling("BLOWUP_K") + 1
     for dv in d_values:
         bad = []
         checked = 0
@@ -189,19 +193,18 @@ def suite_oracle(d: int | None = None, n_max: int | None = None):
                 want = count_words(dv, n, k)
                 if got != want:
                     bad.append((n, k, got, want))
-        results.append(
-            _result(f"word-definition-vs-recurrence d={dv}", f"{checked} classes", bad)
-        )
-    for dv in d_values:
-        if dv > 3:
-            continue
+        if checked:
+            results.append(
+                _result(f"word-definition-vs-recurrence d={dv}", f"{checked} classes", bad)
+            )
+    for dv in [v for v in d_values if v <= 3]:
         bad = []
-        for m in range(1, 5):
+        for m in range(1, m_top + 1):
             got = sum(1 for _ in enumerate_component_graphs(dv, m))
             want = count_component_graphs_total(dv, m)
             if got != want:
                 bad.append((m, got, want))
-        results.append(_result(f"graph-enumeration-vs-recurrence d={dv}", "m <= 4", bad))
+        results.append(_result(f"graph-enumeration-vs-recurrence d={dv}", f"m <= {m_top}", bad))
     return results
 
 

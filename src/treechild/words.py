@@ -59,7 +59,7 @@ from operator import add, mul
 from typing import Iterator
 
 from .onecomp import _exact_div
-from .params import ExactnessError, Params, ceiling
+from .params import ExactnessError, Params, within
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,12 @@ class Word:
         return "".join(chr(ord("a") + i - 1) for i in self.letters)
 
 
-def _check_structure(d: int, w: Word) -> int:
-    """Well-formedness; returns the heavy letter count k."""
+def _check_structure(d: int, w: Word) -> None:
+    """Well-formedness: every multiplicity 2 or d+1, letter counts as profiled."""
     n = len(w.profile)
-    k = 0
     for j, mult in enumerate(w.profile, start=1):
-        if mult == d + 1:
-            k += 1
-        elif mult != 2:
-            raise ValueError(
-                f"letter {j} has profile multiplicity {mult}, need 2 or d+1={d + 1}"
-            )
+        if mult not in (2, d + 1):
+            raise ValueError(f"letter {j} has profile multiplicity {mult}, need 2 or d+1={d + 1}")
     counts = [0] * n
     for i in w.letters:
         if not 1 <= i <= n:
@@ -109,7 +104,6 @@ def _check_structure(d: int, w: Word) -> int:
         counts[i - 1] += 1
     if counts != list(w.profile):
         raise ValueError("letter counts do not match the profile")
-    return k
 
 
 def _append_ok(cnt, i: int, shift, d: int, n: int) -> bool:
@@ -158,22 +152,30 @@ def _word_class_args(d: int, n: int, k: int):
         raise ValueError(f"need 0 <= k <= n, got k={k} with n={n}")
 
 
+def _word_classes(d: int, n: int, k: int) -> Iterator[tuple[tuple, tuple]]:
+    """One (mult, shift) pair per heavy-letter subset of the (d, n, k) word
+    class, after the argument checks and the WORD gate: mult[i] is letter
+    i+1's multiplicity and shift[i] what its effective count adds to its
+    occurrence count."""
+    _word_class_args(d, n, k)
+    within("WORD", n, "n")
+    for heavy in combinations(range(n), k):
+        heavy_set = set(heavy)
+        yield (
+            tuple(d + 1 if i in heavy_set else 2 for i in range(n)),
+            tuple(0 if i in heavy_set else d - 1 for i in range(n)),
+        )
+
+
 def enumerate_words(d: int, n: int, k: int) -> Iterator[Word]:
     """Yield every valid word with n letters, k of them heavy, exactly once.
 
     Words come out grouped by heavy-letter subset, lexicographic within a
-    group.  Guarded by the WORD ceiling (`params.ceiling`) because class
+    group.  Guarded by the WORD ceiling (`params.within`) because class
     sizes explode; raise it deliberately if you mean it.
     """
-    _word_class_args(d, n, k)
-    limit = ceiling("WORD")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the enumeration ceiling {limit}")
     length = 2 * n + (d - 1) * k
-    for heavy in combinations(range(n), k):
-        heavy_set = set(heavy)
-        mult = tuple(d + 1 if i in heavy_set else 2 for i in range(n))
-        shift = tuple(0 if i in heavy_set else d - 1 for i in range(n))
+    for mult, shift in _word_classes(d, n, k):
         cnt = [0] * n
         prefix = []
 
@@ -201,15 +203,8 @@ def count_words_direct(d: int, n: int, k: int) -> int:
     validity only through the dominance predicate.  Independent of the
     b-recurrence; this is the oracle the recurrence is tested against.
     """
-    _word_class_args(d, n, k)
-    limit = ceiling("WORD")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the enumeration ceiling {limit}")
     total = 0
-    for heavy in combinations(range(n), k):
-        heavy_set = set(heavy)
-        mult = tuple(d + 1 if i in heavy_set else 2 for i in range(n))
-        shift = tuple(0 if i in heavy_set else d - 1 for i in range(n))
+    for mult, shift in _word_classes(d, n, k):
         memo: dict[tuple, int] = {}
 
         def rec(cnt: tuple) -> int:
@@ -447,8 +442,6 @@ class ETable:
     entries: dict
 
     def e(self, N: int, M: int) -> Fraction:
-        if M == -1:
-            return Fraction(0)
         if M < 0 or M > N or (N + M) % 2:
             return Fraction(0)
         if (N + M) // 2 > self.n_max:

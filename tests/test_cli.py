@@ -284,6 +284,59 @@ def test_verify_leaves_out_checks_that_compare_nothing():
     ]
 
 
+def _details(text: str, check: str) -> str:
+    (rec,) = [r for r in records(text) if r["results"]["check"] == check]
+    assert rec["results"]["passed"], rec
+    return rec["results"]["details"]
+
+
+def test_oracle_follows_n_max_up_to_the_word_ceiling(monkeypatch):
+    argv = ("verify", "--suite", "oracle", "--d", "2", "--n-max", "6")
+    words_check = "word-definition-vs-recurrence d=2"
+    graphs_check = "graph-enumeration-vs-recurrence d=2"
+    code, text = invoke(*argv)
+    assert code == 0
+    # n + 1 classes at each n: n <= 5 under the default WORD ceiling
+    assert _details(text, words_check) == "20 classes"
+    assert _details(text, graphs_check) == "m <= 4"
+    monkeypatch.setenv("TREECHILD_WORD_CEILING", "6")
+    code, text = invoke(*argv)
+    assert code == 0
+    assert _details(text, words_check) == "27 classes"
+    # the graph enumeration runs to the blow-up's graph size, BLOWUP_K + 1
+    monkeypatch.setenv("TREECHILD_BLOWUP_K_CEILING", "2")
+    code, text = invoke(*argv)
+    assert code == 0
+    assert _details(text, graphs_check) == "m <= 3"
+
+
+@pytest.mark.parametrize("n_max, env, cells", [
+    # k < min(BLOWUP_K + 1, n): 1 + 2 + 3 cells, then 4 at each n >= 4
+    (None, {}, 18),
+    ("8", {}, 26),
+    ("12", {}, 26),
+    ("10", {"TREECHILD_BLOWUP_N_CEILING": "10"}, 34),
+    (None, {"TREECHILD_BLOWUP_K_CEILING": "2"}, 15),
+    ("3", {"TREECHILD_BLOWUP_N_CEILING": "2"}, 3),
+])
+def test_cross_method_follows_n_max_up_to_the_blowup_ceilings(n_max, env, cells, monkeypatch):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    argv = ["verify", "--suite", "cross-method", "--d", "2"]
+    if n_max is not None:
+        argv += ["--n-max", n_max]
+    code, text = invoke(*argv)
+    assert code == 0
+    assert _details(text, "words-vs-compgraph d=2") == f"{cells} cells"
+
+
+def test_a_blowup_ceiling_of_zero_leaves_the_blowup_check_out(monkeypatch):
+    monkeypatch.setenv("TREECHILD_BLOWUP_N_CEILING", "0")
+    code, text = invoke("verify", "--suite", "cross-method", "--d", "2", "--n-max", "4")
+    assert code == 0
+    assert [r["results"]["check"] for r in records(text)] == ["series-and-closed-forms d=2"]
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "words", "--d", "2", "--n", "3", "--method", "all"),
     ("count", "star", "--d", "2", "--n", "3", "--method", "all"),
@@ -347,13 +400,22 @@ CEILING_CELLS = {
 @pytest.mark.parametrize("name", list(CEILINGS))
 def test_ceiling_env_override(name, monkeypatch, capsys):
     var = f"TREECHILD_{name}_CEILING"
+    default = CEILINGS[name]
     at_default, above = CEILING_CELLS[name]
     assert invoke(*at_default)[0] == 0
+    capsys.readouterr()
+    # each refusal names the refused value, the ceiling in force and the
+    # variable that raises it
     assert invoke(*above) == (2, "")
-    monkeypatch.setenv(var, str(CEILINGS[name] - 1))
+    err = capsys.readouterr().err
+    assert f" = {default + 1} exceeds the {name} ceiling {default} " in err
+    assert var in err
+    monkeypatch.setenv(var, str(default - 1))
     assert invoke(*at_default) == (2, "")
-    assert "ceiling" in capsys.readouterr().err
-    monkeypatch.setenv(var, str(CEILINGS[name] + 1))
+    err = capsys.readouterr().err
+    assert f" = {default} exceeds the {name} ceiling {default - 1} " in err
+    assert var in err
+    monkeypatch.setenv(var, str(default + 1))
     code, text = invoke(*above)
     assert code == 0
     (rec,) = records(text)

@@ -11,6 +11,7 @@ from treechild import (
     count_phylo_trees,
     double_factorial,
     node_census,
+    otc_row,
 )
 from treechild.onecomp import _exact_div
 
@@ -59,12 +60,21 @@ def test_otc_k_zero_is_tree_count():
 
 
 def test_otc_lenient_out_of_range():
-    assert count_otc(2, 3, 3, lenient=True) == 0
-    assert count_otc(2, 3, -1, lenient=True) == 0
     with pytest.raises(ValueError):
         count_otc(2, 3, 3)
     with pytest.raises(ValueError):
-        count_otc(1, 3, 0, lenient=True)
+        count_otc(2, 3, -1)
+    with pytest.raises(ValueError):
+        count_otc(1, 3, 0)
+
+
+def test_otc_row_lists_every_k():
+    for d in range(2, 6):
+        for n in range(1, 31):
+            assert otc_row(d, n) == [count_otc(d, n, k) for k in range(n)], (d, n)
+    for d, n in ((1, 3), (2, 0)):
+        with pytest.raises(ValueError):
+            otc_row(d, n)
 
 
 @given(

@@ -1,4 +1,5 @@
-"""The safety-ceiling table and its one reader, and package hygiene."""
+"""The safety-ceiling table, its one reader and its one gate, and package
+hygiene."""
 import ast
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import treechild
-from treechild.params import CEILINGS, ceiling
+from treechild.params import CEILINGS, ceiling, within
 
 SRC = Path(treechild.__file__).resolve().parent
 
@@ -31,16 +32,55 @@ def test_ceiling_reads_the_environment_at_call_time(monkeypatch):
         ceiling("NOPE")
 
 
+def test_within_names_the_value_the_ceiling_and_its_variable(monkeypatch):
+    within("WORD", 5, "n")  # at the ceiling: admitted
+    with pytest.raises(ValueError) as refused:
+        within("WORD", 6, "n")
+    assert str(refused.value) == (
+        "n = 6 exceeds the WORD ceiling 5 (set TREECHILD_WORD_CEILING to raise it)"
+    )
+    monkeypatch.setenv("TREECHILD_BLOWUP_K_CEILING", "1")
+    with pytest.raises(ValueError, match=r"^k = 2 exceeds the BLOWUP_K ceiling 1 "):
+        within("BLOWUP_K", 2, "k")
+    monkeypatch.setenv("TREECHILD_BLOWUP_K_CEILING", "x")
+    with pytest.raises(ValueError, match="TREECHILD_BLOWUP_K_CEILING must be"):
+        within("BLOWUP_K", 0, "k")
+
+
+def _raised_strings(tree: ast.AST):
+    """The string pieces of every raise statement in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            for part in ast.walk(node):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield part.value
+
+
 def test_ceiling_policy_lives_in_params():
     constant = re.compile(r"^\s*\w*_CEILING\s*[:=]", re.MULTILINE)
     modules = sorted(SRC.glob("*.py"))
     assert SRC / "params.py" in modules
+    readers = set()
     for path in modules:
         if path.name == "params.py":
             continue
         text = path.read_text()
         assert "os.environ" not in text, path.name
         assert not constant.search(text), path.name
+        tree = ast.parse(text)
+        # every refusal is formatted by params.within, nowhere else
+        for piece in _raised_strings(tree):
+            assert "ceiling" not in piece.lower(), (path.name, piece)
+            assert "exceeds" not in piece, (path.name, piece)
+        if any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ceiling"
+            for node in ast.walk(tree)
+        ):
+            readers.add(path.name)
+    # the suites size their loops by the ceilings, and `asymp ratio` adds its
+    # word-route fields only under GENERAL; every other route goes through
+    # the gate
+    assert readers == {"verify.py", "cli.py"}
 
 
 def test_every_private_helper_is_used():

@@ -264,7 +264,10 @@ def test_failed_advance_drops_the_pass(monkeypatch):
 
 def test_general_ceiling_holds_after_a_warm_cache():
     tc_row(2, 100)
-    with pytest.raises(ValueError, match="general-family ceiling 25"):
+    with pytest.raises(
+        ValueError,
+        match=r"^n = 26 exceeds the GENERAL ceiling 25 \(set TREECHILD_GENERAL_CEILING to raise it\)$",
+    ):
         ret_pmf("general", 2, 26)
 
 
