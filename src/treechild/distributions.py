@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import erfc, factorial, sqrt
 
 from .onecomp import otc_row
-from .params import Params, within
+from .params import within
 from .words import tc_row
 
 TAIL_BOUND = Fraction(1, 10**15)
@@ -80,8 +80,7 @@ def ret_pmf(family: str, d: int, n: int) -> Pmf:
     else:
         raise ValueError(f"unknown family {family!r}")
     within(name, n, "n")
-    Params(d, n, 0)
-    counts = row(d, n)
+    counts = row(d, n)  # checks d and n by Params' rule
     total = sum(counts)
     return Pmf({k: Fraction(c, total) for k, c in enumerate(counts)})
 

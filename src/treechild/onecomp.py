@@ -77,8 +77,7 @@ def count_otc_direct(d: int, n: int, k: int) -> int:
 def otc_row(d: int, n: int) -> list[int]:
     """[OTC(n, 0), ..., OTC(n, n-1)], one-component networks with n leaves
     by reticulation count."""
-    if d < 2 or n < 1:
-        raise ValueError("d >= 2 and n >= 1 required")
+    Params(d, n, 0)  # d and n by Params' rule
     return [count_otc(d, n, k) for k in range(n)]
 
 

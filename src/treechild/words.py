@@ -34,12 +34,17 @@ of every a below them.
 
 tc_row reads a per-process cache: for each d, one resumable full-row pass
 and the rows [TC(n, 0), ..., TC(n, n-1)] it has produced so far, advanced
-under a lock only as far as the largest n asked for.  count_tc_words reads
-the cache when it already reaches n and otherwise runs a pass truncated at
-its k, which is far cheaper than full rows at small k and leaves the cache
-alone.  tc_table and count_words stay single uncached passes: a table asks
-for each cell once, and keeping its rows would only hold memory.  For
-d = 2..5 up to n = 100 the cache holds about 9.6 MB (tracemalloc).
+under a lock only as far as the largest n asked for.  count_tc_words
+routes by cell count (_cells): it advances the shared pass to n unless a
+private pass truncated at its k computes fewer cells, with two fixed
+bounds.  When d has no pass yet, it starts one only if that costs no more
+cells than the truncated pass, so a one-shot call never computes more
+than before; when d has one, it extends it if that costs at most twice
+the truncated pass, so a call pays at most twice its own cells and every
+later call for d reuses the rows.  tc_table and count_words stay single
+uncached passes: a table asks for each cell once, and keeping its rows
+would only hold memory.  For d = 2..5 up to n = 100 the cache holds about
+9.6 MB (tracemalloc).
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
 two-term rational recurrence and an integer binomial form, both
@@ -276,6 +281,14 @@ def _nth_row(d: int, n: int, k_max: int) -> list[list[int]]:
     return next(islice(_word_rows(d, k_max), n - 1, None))
 
 
+def _cells(start: int, stop: int, k_max: int | None = None) -> int:
+    """Prefix-sum cells _word_rows(d, k_max) computes for its rows
+    start < n <= stop: row n holds n cells for each k <= min(n, k_max)."""
+    return sum(
+        n * (n + 1 if k_max is None else min(n, k_max) + 1) for n in range(start + 1, stop + 1)
+    )
+
+
 def _tc_counts(n: int, row: list[list[int]]) -> list[int]:
     """TC(n, k) for each k of prefix-sum row n-1: n! * c(n-1, k) / 2^(n-k-1)
     with c(n-1, k) = row[k][-1], the division exact and checked."""
@@ -295,20 +308,16 @@ _TC_ROWS: dict[int, tuple[Iterator[list[int]], list[list[int]]]] = {}
 _TC_ROWS_LOCK = threading.Lock()
 
 
-def _stored_tc_row(d: int, n: int, advance: bool) -> list[int] | None:
-    """Row n of d's cache, advancing the pass to n first when `advance`;
-    None when the cache does not reach n and `advance` is false.  The list
-    is the cache's own: callers must not mutate it or hand it out."""
+def _stored_tc_row(d: int, n: int) -> list[int]:
+    """Row n of d's cache, advancing d's pass to n first (starting it when
+    d has none).  The list is the cache's own: callers must not mutate it
+    or hand it out."""
     with _TC_ROWS_LOCK:
         state = _TC_ROWS.get(d)
         if state is None:
-            if not advance:
-                return None
             state = _TC_ROWS[d] = (_tc_rows(d), [])
         rows, done = state
         if len(done) < n:
-            if not advance:
-                return None
             try:
                 done.extend(islice(rows, n - len(done)))
             except BaseException:
@@ -316,6 +325,13 @@ def _stored_tc_row(d: int, n: int, advance: bool) -> list[int] | None:
                 del _TC_ROWS[d]
                 raise
         return done[n - 1]
+
+
+def _tc_rows_reached(d: int) -> int | None:
+    """How many rows d's cached pass has produced; None when d has none."""
+    with _TC_ROWS_LOCK:
+        state = _TC_ROWS.get(d)
+        return None if state is None else len(state[1])
 
 
 def count_words(d: int, n: int, k: int) -> int:
@@ -329,24 +345,32 @@ def count_words(d: int, n: int, k: int) -> int:
 def count_tc_words(p: Params) -> int:
     """Tree-child networks with n leaves and k reticulation nodes.
 
-    n! * c(n-1, k) / 2^(n-k-1); the division is exact and checked.  Read
-    from the tc_row cache when it reaches n, else from a pass truncated at k.
+    n! * c(n-1, k) / 2^(n-k-1); the division is exact and checked.  The
+    call takes whichever of two passes computes fewer cells, counted by
+    _cells: advancing d's shared full pass to n (`extend`, zero when it
+    already reaches n, a whole pass when d has none) or a private pass
+    truncated at k (`trunc`).  A cold d starts the shared pass only when
+    extend <= trunc, so a one-shot call never computes more cells than the
+    truncated pass; a warm d extends it when extend <= 2 * trunc, so a call
+    pays at most twice its own cells and later calls for d reuse the rows.
+    Both passes give the same integer; a stale extent only picks the other.
     """
     d, n, k = p.d, p.n, p.k
     if n == 1:
         return 1
-    stored = _stored_tc_row(d, n, advance=False)
-    if stored is not None:
-        return stored[k]
+    reached = _tc_rows_reached(d)
+    extend = _cells(max((reached or 0) - 1, 0), n - 1)
+    trunc = _cells(0, n - 1, k)
+    if extend <= (trunc if reached is None else 2 * trunc):
+        return _stored_tc_row(d, n)[k]
     return _exact_div(factorial(n) * _nth_row(d, n - 1, k)[k][-1], 2 ** (n - k - 1))
 
 
 def tc_row(d: int, n: int) -> list[int]:
     """[TC(n, 0), ..., TC(n, n-1)], tree-child networks with n leaves by
     reticulation count; a fresh copy of the per-process cache's row."""
-    if d < 2 or n < 1:
-        raise ValueError("d >= 2 and n >= 1 required")
-    return list(_stored_tc_row(d, n, advance=True))
+    Params(d, n, 0)  # d and n by Params' rule, before the cache is touched
+    return list(_stored_tc_row(d, n))
 
 
 def count_tc_total(d: int, n: int) -> int:
@@ -357,8 +381,7 @@ def count_tc_total(d: int, n: int) -> int:
 def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
     """{n: [TC(n,0), ..., TC(n,n-1)]} for n = 1..n_max, one rolling pass
     that bypasses the tc_row cache."""
-    if d < 2 or n_max < 1:
-        raise ValueError("d >= 2 and n_max >= 1 required")
+    Params(d, n_max, 0)
     return dict(zip(range(1, n_max + 1), _tc_rows(d)))
 
 

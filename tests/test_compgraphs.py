@@ -126,6 +126,14 @@ def test_blowup_matches_word_count_past_its_default_ceiling(monkeypatch):
                 assert count_tc_compgraph(p) == count_tc_words(p), (d, n, k)
 
 
+def test_blowup_matches_word_count_out_to_n_30(monkeypatch):
+    monkeypatch.setenv("TREECHILD_BLOWUP_N_CEILING", "30")
+    for n in range(21, 31):
+        for k in range(4):
+            p = Params(2, n, k)
+            assert count_tc_compgraph(p) == count_tc_words(p), (n, k)
+
+
 # the literal set-partition walk the blow-up once summed over, kept as the
 # oracle for the closed-form shape counts
 def _partitions_by_rank(universe: list, blocks: int) -> Iterator[list]:

@@ -72,7 +72,7 @@ def test_otc_row_lists_every_k():
     for d in range(2, 6):
         for n in range(1, 31):
             assert otc_row(d, n) == [count_otc(d, n, k) for k in range(n)], (d, n)
-    for d, n in ((1, 3), (2, 0)):
+    for d, n in ((1, 3), (2, 0), (2, 12.5), (2, True), (True, 3)):
         with pytest.raises(ValueError):
             otc_row(d, n)
 

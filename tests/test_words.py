@@ -208,7 +208,82 @@ def test_cache_reaches_only_the_largest_n_asked_for():
     assert len(_TC_ROWS[3][1]) == 12
     assert count_tc_words(Params(3, 12, 11)) == _cold(3, 12, 11)
     assert count_tc_words(Params(3, 13, 12)) == _cold(3, 13, 12)
-    assert len(_TC_ROWS[3][1]) == 12
+    # one more row of the warm pass costs fewer cells than a private pass at
+    # k = 12, so the call extends the cache
+    assert len(_TC_ROWS[3][1]) == 13
+
+
+@pytest.mark.parametrize("k_max", [None, 0, 1, 2, 5, 9])
+def test_cell_count_matches_the_rows_yielded(k_max):
+    for d in (2, 3):
+        sizes = [sum(map(len, row)) for row in islice(words._word_rows(d, k_max), 12)]
+        for start in range(12):
+            for stop in range(start, 13):
+                assert words._cells(start, stop, k_max) == sum(sizes[start:stop]), (start, stop)
+
+
+@pytest.fixture
+def cells_computed(monkeypatch):
+    """A list that collects the cells of every word row computed from here on."""
+    seen = []
+    plain = words._word_rows
+
+    def counted(d, k_max=None):
+        for row in plain(d, k_max):
+            seen.append(sum(map(len, row)))
+            yield row
+
+    monkeypatch.setattr(words, "_word_rows", counted)
+    return seen
+
+
+def test_cold_low_k_call_leaves_the_cache_alone(cells_computed):
+    assert count_tc_words(Params(2, 200, 1)) == tc_k1_closed_form(2, 200)
+    assert _TC_ROWS == {}
+    assert sum(cells_computed) == words._cells(0, 199, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cold_call_starts_the_pass_only_when_it_costs_no_more(d, cells_computed):
+    for n in range(2, 16):
+        for k in range(n):
+            _TC_ROWS.clear()
+            cells_computed.clear()
+            trunc = words._cells(0, n - 1, k)
+            starts = words._cells(0, n - 1) <= trunc
+            got = count_tc_words(Params(d, n, k))
+            assert sum(cells_computed) <= trunc, (n, k)
+            assert (d in _TC_ROWS) == starts, (n, k)
+            assert got == _cold(d, n, k), (n, k)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_warm_call_extends_the_pass_only_within_twice_its_cells(d, cells_computed):
+    outcomes = set()
+    for reached in (3, 10, 20):
+        for n in range(2, 26):
+            for k in range(0, n, 4):
+                _TC_ROWS.clear()
+                tc_row(d, reached)
+                cells_computed.clear()
+                trunc = words._cells(0, n - 1, k)
+                extends = words._cells(reached - 1, n - 1) <= 2 * trunc
+                got = count_tc_words(Params(d, n, k))
+                assert sum(cells_computed) <= 2 * trunc, (reached, n, k)
+                assert len(_TC_ROWS[d][1]) == (max(n, reached) if extends else reached)
+                assert got == _cold(d, n, k), (reached, n, k)
+                outcomes.add(extends and n > reached)
+    assert outcomes == {True, False}  # both routes were taken
+
+
+def test_rejected_arguments_leave_a_warm_cache_alone():
+    tc_row(2, 10)
+    for d, n in ((2, 12.5), (2, True), (True, 12), (2.0, 12), (1, 12), (2, 0), (2, -3)):
+        for call in (tc_row, count_tc_total, tc_table):
+            with pytest.raises(ValueError):
+                call(d, n)
+        assert len(_TC_ROWS[2][1]) == 10, (d, n)
+    assert tc_row(2, 10) == _cold(2, 10)
 
 
 def test_mutating_a_returned_row_leaves_the_cache_intact():
@@ -285,6 +360,15 @@ def test_all_heavy_slice_three_routes_agree():
             if k == n
         }
         assert diagonal == binomial, d
+
+
+def test_top_column_of_the_shared_pass_matches_the_slice():
+    # TC(n + 1, n) = (n + 1)! * c(n, n), and c(n, n) sums the all-heavy slice
+    for d in range(2, 6):
+        slice_ = b_max_table_binomial(d, 60)
+        for n in range(1, 61):
+            want = factorial(n + 1) * sum(slice_[(n, m)] for m in range(1, n + 1))
+            assert tc_row(d, n + 1)[n] == want, (d, n)
 
 
 @pytest.mark.parametrize("d", [100, 1000, 10000])
