@@ -25,6 +25,7 @@ from math import exp, factorial, lgamma, log, pi, sqrt
 
 from .logvalue import LogValue
 from .onecomp import count_otc_total, otc_row
+from .params import at_least
 from .words import _slice_rows, tc_row
 
 # principal root of the Airy function Ai, 15 significant digits
@@ -45,8 +46,7 @@ def params(d: int) -> AsymptoticParams:
     """alpha = -d(3d-1)/(2(d+1)), beta = ((d-1)/(d+1))^(2/3),
     gamma = 4(d+1)^(d-1)/(d-1)!.  beta is float with about 1e-12 accuracy;
     the others are exact."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    at_least(2, d=d)
     return AsymptoticParams(
         alpha=Fraction(-d * (3 * d - 1), 2 * (d + 1)),
         beta=((d - 1) / (d + 1)) ** (2.0 / 3.0),
@@ -57,14 +57,13 @@ def params(d: int) -> AsymptoticParams:
 def _bessel_I_exact(v: int, a, tol: Fraction = Fraction(1, 10**30)) -> Fraction:
     """Partial sum of I_v(a) = sum_k (a/2)^(2k+v)/(k!(k+v)!) with the tail
     geometrically bounded below tol."""
-    if v < 0:
-        raise ValueError(f"need v >= 0, got {v}")
+    at_least(0, v=v)
     a = Fraction(a)
     if a <= 0:
         # the k = 0 term is the whole story at a = 0
         if a == 0:
             return Fraction(1 if v == 0 else 0)
-        raise ValueError("series evaluated for a >= 0 only")
+        raise ValueError("series evaluated for non-negative a only")
     half = a / 2
     term = half**v / factorial(v)
     total = term
@@ -91,8 +90,7 @@ def otc_asymptotic(d: int, n: int) -> LogValue:
     d = 3:  (I_1(2) sqrt(3)/(9 pi)) (n!)^3 (9/2)^n n^(-3)
     d >= 4: (d!/(d^(d-1/2) (2 pi)^((d-1)/2))) (n!)^d (d^d/d!)^n n^(3(1-d)/2)
     """
-    if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
+    at_least(2, d=d, n=n)
     if d == 2:
         ln = (
             -log(4 * pi)
@@ -140,8 +138,7 @@ def tc_envelope(d: int, n: int) -> LogValue:
     No constant: the exact count over this envelope is bounded above and
     below by positive constants, which is all the growth analysis gives.
     """
-    if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
+    at_least(2, d=d, n=n)
     pr = params(d)
     ln_gamma_factor = log(4.0) + (d - 1) * log(d + 1.0) - lgamma(d)
     ln = (
@@ -162,15 +159,12 @@ def tc_envelope_ratio(d: int, n_values) -> dict[int, float]:
     n! times the sum of all-heavy slice row n-1; the slice is rolled one
     row at a time up to the largest grid value, so memory stays at one row.
     """
+    at_least(2, d=d)
     grid = set(n_values)
-    if not grid:
-        return {}
-    if min(grid) < 2:
-        raise ValueError("grid values must be >= 2")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    for n in grid:
+        at_least(2, n=n)
     out = {}
-    for n, row in zip(range(2, max(grid) + 1), _slice_rows(d)):
+    for n, row in zip(range(2, max(grid, default=1) + 1), _slice_rows(d)):
         if n in grid:
             out[n] = tc_envelope(d, n).ratio_to(factorial(n) * sum(row))
     return out
@@ -178,16 +172,14 @@ def tc_envelope_ratio(d: int, n_values) -> dict[int, float]:
 
 def ratio_sqrt_e(d: int, n: int) -> Fraction:
     """Exact TC_n / TC(n, n-1)."""
-    if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
+    at_least(2, d=d, n=n)
     counts = tc_row(d, n)
     return Fraction(sum(counts), counts[-1])
 
 
 def ratio_sqrt_e_reference(d: int) -> float:
     """Limit of ratio_sqrt_e: sqrt(e) in the binary case, else 1."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    at_least(2, d=d)
     return exp(0.5) if d == 2 else 1.0
 
 
@@ -197,6 +189,5 @@ def e_lower_bound(terms: int = 30) -> Fraction:
     ratio_sqrt_e(2, n)^2 <= this bound certifies ratio <= sqrt(e) in exact
     arithmetic without touching irrationals.
     """
-    if terms < 1:
-        raise ValueError("need at least one term")
+    at_least(1, terms=terms)
     return sum(Fraction(1, factorial(j)) for j in range(terms))

@@ -16,7 +16,9 @@ all agree.  A method that does not cover the cell is a usage error.
 
 Exit codes: 0 success, 1 verification failure (routes that disagree, or a
 failed exactness check: `params.ExactnessError`), 2 usage error (including
-any other ValueError or ArithmeticError, such as an OverflowError).
+any other ValueError or ArithmeticError, such as an OverflowError or an
+integer argument refused by `params.at_least`, and a RecursionError: an
+input too deep for Python's recursion limit).
 
 Environment variables override only the safety ceilings of
 `params.CEILINGS`, never science parameters; the README's "Safety
@@ -44,7 +46,7 @@ from .asymptotics import (
     tc_envelope_ratio,
 )
 from .onecomp import otc_row
-from .params import ExactnessError, ceiling
+from .params import ExactnessError, at_least, ceiling
 
 VERIFY_FAILED = 1
 USAGE_ERROR = 2
@@ -139,8 +141,8 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    if args.d < 2 or args.n_max < 1:
-        raise SystemExit(f"table {args.target} requires --d >= 2 and --n-max >= 1")
+    at_least(2, d=args.d)
+    at_least(1, n_max=args.n_max)
     if args.target == "tc":
         rows, method = words.tc_table(args.d, args.n_max).items(), "words"
     else:
@@ -355,6 +357,9 @@ def run(argv=None, out=None) -> int:
         return VERIFY_FAILED
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError as exc:
+        print(f"error: {exc} (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -40,7 +40,7 @@ from typing import Iterator
 
 from .logvalue import LogValue
 from .onecomp import _exact_div, double_factorial
-from .params import ExactnessError, Params, within
+from .params import ExactnessError, Params, at_least, within
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ def enumerate_component_graphs(d: int, m: int) -> Iterator[ComponentGraph]:
     by those sets and each group is tested once.  Exponential in m, hence
     the ceiling m <= BLOWUP_K + 1, the graph size of the blow-up's largest k.
     """
-    if d < 2 or m < 1:
-        raise ValueError("need d >= 2 and m >= 1")
+    at_least(2, d=d)
+    at_least(1, m=m)
     within("BLOWUP_K", m - 1, "graph size m - 1")
     nodes = range(m)
     for root in nodes:
@@ -145,15 +145,16 @@ def _count_graphs(d: int, m: int, s: int) -> int:
 
 def count_component_graphs(d: int, m: int, s: int) -> int:
     """Component graphs on m labeled nodes with exactly s sinks."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    if m < 1 or not 1 <= s <= max(m - 1, 1):
-        raise ValueError(f"need m >= 1 and 1 <= s <= max(m-1, 1), got m={m}, s={s}")
+    at_least(2, d=d)
+    at_least(1, m=m, s=s)
+    if s > max(m - 1, 1):
+        raise ValueError(f"need s <= max(m-1, 1), got m={m}, s={s}")
     return _count_graphs(d, m, s)
 
 
 def count_component_graphs_total(d: int, m: int) -> int:
     """All component graphs on m labeled nodes."""
+    at_least(1, m=m)
     return sum(count_component_graphs(d, m, s) for s in range(1, max(m - 1, 1) + 1))
 
 
@@ -246,8 +247,7 @@ def count_star(p: Params) -> int:
     Equals the full count for k = 1 and is a lower bound in general.
     """
     d, n, k = p.d, p.n, p.k
-    if k < 1:
-        raise ValueError("star counts need k >= 1")
+    at_least(1, k=k)
     s = Fraction(0)
     for j in range(1, n - k + 1):
         s += Fraction(
@@ -316,50 +316,26 @@ def _f_sweep(top: int) -> list[LaurentPoly]:
 def f_laurent(d: int) -> LaurentPoly:
     """The d-th derived series f_d with f_0 = 1/2 - X/2 and
     f_d = (-1/X + X) f_{d-1}' + (d-2) f_{d-1}."""
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
+    at_least(0, d=d)
     return _f_sweep(d)[-1]
 
 
-def _coef_sqrt_power(e: int, n: int) -> Fraction:
-    """[z^n] (1-4z)^(e/2) by the generalized binomial series."""
-    top = Fraction(e, 2)
-    b = Fraction(1)
-    for i in range(n):
-        b *= (top - i) / (i + 1)
-    return b * (-4) ** n
-
-
-def _coef_negative_odd(m: int, n: int) -> Fraction:
-    """[z^n] X^(-m) for odd m >= 1."""
-    h = (m - 1) // 2
-    return Fraction(comb(n + h, h) * comb(2 * n + m - 1, n + h), comb(m - 1, h))
-
-
-def _coef_negative_even(m: int, n: int) -> Fraction:
-    """[z^n] X^(-m) for even m >= 2."""
-    return Fraction(4**n * comb(n + (m - 2) // 2, (m - 2) // 2))
-
-
 def z_coefficient(poly: LaurentPoly, n: int) -> Fraction:
-    """[z^n] of the polynomial under X = sqrt(1-4z), exact."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    """[z^n] of the polynomial under X = sqrt(1-4z), exact.
+
+    For every integer e, [z^n] X^e = binom(e/2, n) (-4)^n
+    = prod_{i<n} 2(2i - e) / n!, an integer; the division is checked."""
+    at_least(0, n=n)
+    f = factorial(n)
     total = Fraction(0)
     for e, v in poly.coefficients.items():
-        if e >= 0:
-            total += v * _coef_sqrt_power(e, n)
-        elif e % 2:
-            total += v * _coef_negative_odd(-e, n)
-        else:
-            total += v * _coef_negative_even(-e, n)
+        total += v * _exact_div(prod(2 * (2 * i - e) for i in range(n)), f)
     return total
 
 
 def count_tc_genfun_k1(d: int, n: int) -> int:
     """TC(n, 1) = n!/(d! 2^(n-2)) [z^n] f_d f_0."""
-    if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
+    at_least(2, d=d, n=n)
     fs = _f_sweep(d)
     v = Fraction(factorial(n), factorial(d) * 2 ** (n - 2)) * z_coefficient(
         fs[d] * fs[0], n
@@ -379,8 +355,8 @@ def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
     algebraically equal; both stay available so tests can pin that).
     Both read one sweep f_0..f_2d and share the sum over l = 1..d.
     """
-    if d < 2 or n < 3:
-        raise ValueError("need d >= 2 and n >= 3")
+    at_least(2, d=d)
+    at_least(3, n=n)
     if form not in ("direct", "merged"):
         raise ValueError(f"unknown form {form!r}")
     fs = _f_sweep(2 * d)
@@ -407,8 +383,7 @@ def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
 
 def tc_k1_closed_form(d: int, n: int) -> int:
     """Closed forms for TC(n, 1), available for d in {2, 3}."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    at_least(2, d=d, n=n)
     if d == 2:
         return n * (double_factorial(2 * n - 1) - double_factorial(2 * n - 2))
     if d == 3:
@@ -423,8 +398,8 @@ def tc_k1_closed_form(d: int, n: int) -> int:
 
 def tc_k2_closed_form(d: int, n: int) -> int:
     """Closed forms for TC(n, 2), available for d in {2, 3}."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    at_least(2, d=d)
+    at_least(3, n=n)
     if d == 2:
         v = n * (n - 1) * (
             Fraction(3 * n + 2, 3) * double_factorial(2 * n - 1)
@@ -449,8 +424,7 @@ def structural_k1_polynomial(d: int) -> list[Fraction]:
     Fits p through d+1 sample points, checks the degree really is d-1, and
     verifies d+2 further points; any failure raises.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    at_least(2, d=d)
 
     def p_value(n: int) -> Fraction:
         return Fraction(
@@ -495,8 +469,9 @@ def structural_k1_polynomial(d: int) -> list[Fraction]:
 def asympt_tc_fixed_k(d: int, n: int, k: int) -> LogValue:
     """First-order count for fixed k as n grows:
     2^(dk-1)/((d!)^k k! sqrt(pi)) n! 2^n n^(dk-3/2), in log space."""
-    if d < 2 or k < 0 or n < 1:
-        raise ValueError("need d >= 2, k >= 0, n >= 1")
+    at_least(2, d=d)
+    at_least(1, n=n)
+    at_least(0, k=k)
     ln = (
         (d * k - 1) * log(2.0)
         - k * lgamma(d + 1)

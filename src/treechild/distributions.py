@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import erfc, factorial, sqrt
 
 from .onecomp import otc_row
-from .params import within
+from .params import at_least, within
 from .words import tc_row
 
 TAIL_BOUND = Fraction(1, 10**15)
@@ -87,8 +87,7 @@ def ret_pmf(family: str, d: int, n: int) -> Pmf:
 
 def moment(pmf: Pmf, r: int, about=0) -> Fraction:
     """Exact r-th moment of the law about the given center."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    at_least(1, r=r)
     center = Fraction(about)
     return sum((Fraction(k) - center) ** r * v for k, v in pmf.mass.items())
 
@@ -123,8 +122,7 @@ def reference_pmf(law: str, truncation: int = 40, **params) -> Pmf:
         if params:
             raise ValueError(f"unexpected parameters {sorted(params)}")
         return Pmf({int(point): Fraction(1)})
-    if truncation < 2:
-        raise ValueError("truncation too small to certify a tail")
+    at_least(2, truncation=truncation)
     if law == "poisson":
         alpha = Fraction(params.pop("alpha", Fraction(1, 2)))
         if params:
@@ -140,8 +138,9 @@ def reference_pmf(law: str, truncation: int = 40, **params) -> Pmf:
         a = Fraction(params.pop("a", 2))
         if params:
             raise ValueError(f"unexpected parameters {sorted(params)}")
-        if v < 0 or a <= 0:
-            raise ValueError("need v >= 0 and a > 0")
+        at_least(0, v=v)
+        if a <= 0:
+            raise ValueError("need a > 0")
         half_sq = (a / 2) ** 2
         weights = [
             (a / 2) ** (2 * k + v) / (factorial(k) * factorial(k + v))
@@ -186,6 +185,7 @@ def normal_cdf_diagnostic(n: int, d: int = 2) -> float:
 def normal_sup_gap(pmf: Pmf, n: int) -> float:
     """The sup-distance of `normal_cdf_diagnostic`, for a d = 2 one-component
     law at n that the caller already holds."""
+    at_least(1, n=n)
     cum = Fraction(0)
     gap = 0.0
     scale = (n / 4) ** 0.25

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .params import at_least
+
 
 @dataclass(frozen=True)
 class LogValue:
@@ -46,15 +48,13 @@ class LogValue:
 
     def ratio_to(self, exact: int) -> float:
         """exact / x as a float, usable when both overflow separately."""
-        if exact <= 0:
-            raise ValueError("ratio_to needs a positive integer")
+        at_least(1, exact=exact)
         return math.exp(log_of_int(exact) - self.ln)
 
 
 def log_of_int(value: int) -> float:
     """ln(value) for arbitrarily large positive ints."""
-    if value <= 0:
-        raise ValueError("log_of_int needs a positive integer")
+    at_least(1, value=value)
     if value.bit_length() <= 900:
         return math.log(value)
     shift = value.bit_length() - 900

@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .params import ExactnessError, Params
+from .params import ExactnessError, Params, at_least
 
 
 def double_factorial(m: int) -> int:
     """m!! = m (m-2) (m-4) ...; empty product 1 for m in {-1, 0, 1}."""
-    if m < -1:
-        raise ValueError(f"double factorial defined for m >= -1, got {m}")
+    at_least(-1, m=m)
     result = 1
     while m > 1:
         result *= m
@@ -37,8 +36,7 @@ def double_factorial(m: int) -> int:
 
 def count_phylo_trees(n: int) -> int:
     """Number of phylogenetic trees with n labeled leaves, (2n-3)!!."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    at_least(1, n=n)
     return double_factorial(2 * n - 3)
 
 

@@ -11,6 +11,13 @@ The tree-child condition (every non-leaf node has at least one child that is
 not a reticulation node) forces 0 <= k <= n - 1, so Params rejects k outside
 that range; counting routines that sum over k never leave it.
 
+Every integer argument of the package obeys one rule, `at_least(least,
+**values)`: a value that is not an int, is a bool, or lies below its least
+value is refused with a ValueError that reads alike everywhere, e.g. "n must
+be an int >= 2, got 1".  Bounds that tie two arguments together (k <= n - 1
+here, s <= max(m - 1, 1) for component graphs) are checked after it, where
+they arise.
+
 The exponential routes refuse inputs above the safety ceilings of
 CEILINGS; `ceiling(name)` reads one at call time, and the environment
 variable TREECHILD_<name>_CEILING overrides its default.  Every refusal
@@ -47,6 +54,16 @@ def ceiling(name: str) -> int:
     return value
 
 
+def at_least(least: int, **values) -> None:
+    """Refuse each named value that is not an int, is a bool, or is below
+    `least`, with a ValueError naming it: "n must be an int >= 2, got 1".
+    The type test is exact: a bool, like any other subclass of int, is
+    refused."""
+    for name, value in values.items():
+        if type(value) is not int or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def within(name: str, value: int, what: str) -> None:
     """Refuse `value` above the safety ceiling `name` with a ValueError that
     names `what`, its value, the ceiling in force and its variable."""
@@ -71,16 +88,13 @@ class Params:
     k: int
 
     def __post_init__(self):
-        for name in ("d", "n", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.d < 2:
-            raise ValueError(f"reticulation in-degree d must be >= 2, got {self.d}")
-        if self.n < 1:
-            raise ValueError(f"leaf count n must be >= 1, got {self.n}")
-        if not 0 <= self.k <= self.n - 1:
-            raise ValueError(
-                f"reticulation count k must satisfy 0 <= k <= n-1, got k={self.k} with n={self.n}"
-            )
+        d, n, k = self.d, self.n, self.k
+        # one test admits every valid triple: Params is built once per
+        # count, so the three calls below run only to name what is wrong
+        if type(d) is type(n) is type(k) is int and d >= 2 and 0 <= k < n:
+            return
+        at_least(2, d=d)
+        at_least(1, n=n)
+        at_least(0, k=k)
+        raise ValueError(f"reticulation count k must satisfy 0 <= k <= n-1, got k={k} with n={n}")
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .onecomp import count_otc_total, double_factorial, _exact_div
-from .params import Params
+from .params import Params, at_least
 
 
 def path_length_total(d: int, n: int, k: int) -> int:
@@ -54,10 +54,8 @@ def unary_binary_path_length(L: int, K: int) -> int:
     For L = n-k and K = dk this equals path_length_total(d, n, k) divided by
     the multinomial (dk)!/(d!)^k that distributes reticulation edge slots.
     """
-    if L < 1:
-        raise ValueError(f"need L >= 1, got {L}")
-    if K < 0:
-        raise ValueError(f"need K >= 0, got {K}")
+    at_least(1, L=L)
+    at_least(0, K=K)
     return (double_factorial(2 * L) - double_factorial(2 * L - 1)) * comb(2 * L + K, K)
 
 
@@ -68,8 +66,7 @@ def expected_path_length(d: int, n: int) -> Fraction:
     The numerator weights each class by binom(n,k) because the k leaf labels
     below reticulations can be chosen freely without changing P.
     """
-    if d < 2 or n < 2:
-        raise ValueError("d >= 2 and n >= 2 required")
+    at_least(2, d=d, n=n)
     num = sum(comb(n, k) * path_length_total(d, n, k) for k in range(n))
     return Fraction(num, count_otc_total(d, n))
 
@@ -80,8 +77,7 @@ def expected_path_length_reference(d: int) -> float:
 
     from .asymptotics import bessel_I
 
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    at_least(2, d=d)
     if d == 2:
         return 2 * sqrt(pi)
     if d == 3:

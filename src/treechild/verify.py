@@ -33,7 +33,7 @@ from . import compgraphs, onecomp, words
 from .asymptotics import e_lower_bound
 from .compgraphs import count_component_graphs_total, enumerate_component_graphs
 from .onecomp import _exact_div
-from .params import Params, ceiling
+from .params import Params, at_least, ceiling
 from .pathlength import (
     expected_path_length,
     path_length_total,
@@ -364,14 +364,17 @@ SUITES = {
 
 def run_suite(name: str, d: int | None = None, n_max: int | None = None):
     """Dispatch a suite by name; deterministic and idempotent.  Raises
-    ValueError when `n_max` is below 1 or the suite selects no check, so
-    a suite never passes on nothing."""
+    ValueError when `d` or `n_max` breaks the integer rule (`params.at_least`:
+    d >= 2, n_max >= 1) or the suite selects no check, so a suite never
+    passes on nothing."""
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if d is not None:
+        at_least(2, d=d)
+    if n_max is not None:
+        at_least(1, n_max=n_max)
     results = fn(d=d, n_max=n_max)
     if not results:
         raise ValueError(f"suite {name!r} selects no check for d={d}, n_max={n_max}")

@@ -64,7 +64,7 @@ from operator import add, mul
 from typing import Iterator
 
 from .onecomp import _exact_div
-from .params import ExactnessError, Params, within
+from .params import ExactnessError, Params, at_least, within
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def is_valid_word(d: int, w: Word) -> bool:
     effective count exceeds d-2 must dominate (have effective count >= that
     of) every later letter of the alphabet.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    at_least(2, d=d)
     _check_structure(d, w)
     n = len(w.profile)
     shift = [0 if w.profile[j] == d + 1 else d - 1 for j in range(n)]
@@ -148,21 +147,15 @@ def is_valid_word(d: int, w: Word) -> bool:
     return True
 
 
-def _word_class_args(d: int, n: int, k: int):
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k} with n={n}")
-
-
 def _word_classes(d: int, n: int, k: int) -> Iterator[tuple[tuple, tuple]]:
     """One (mult, shift) pair per heavy-letter subset of the (d, n, k) word
     class, after the argument checks and the WORD gate: mult[i] is letter
     i+1's multiplicity and shift[i] what its effective count adds to its
     occurrence count."""
-    _word_class_args(d, n, k)
+    at_least(2, d=d)
+    at_least(0, n=n, k=k)
+    if k > n:
+        raise ValueError(f"need k <= n, got k={k} with n={n}")
     within("WORD", n, "n")
     for heavy in combinations(range(n), k):
         heavy_set = set(heavy)
@@ -289,11 +282,12 @@ def _cells(start: int, stop: int, k_max: int | None = None) -> int:
     )
 
 
-def _tc_counts(n: int, row: list[list[int]]) -> list[int]:
-    """TC(n, k) for each k of prefix-sum row n-1: n! * c(n-1, k) / 2^(n-k-1)
-    with c(n-1, k) = row[k][-1], the division exact and checked."""
+def _tc_counts(n: int, row: list[list[int]], lo: int = 0) -> list[int]:
+    """TC(n, k) for k = lo, lo+1, ... up to the last k of prefix-sum row
+    n-1: n! * c(n-1, k) / 2^(n-k-1) with c(n-1, k) = row[k][-1], the
+    division exact and checked."""
     f = factorial(n)
-    return [_exact_div(f * sums[-1], 2 ** (n - k - 1)) for k, sums in enumerate(row)]
+    return [_exact_div(f * row[k][-1], 2 ** (n - k - 1)) for k in range(lo, len(row))]
 
 
 def _tc_rows(d: int) -> Iterator[list[int]]:
@@ -336,9 +330,12 @@ def _tc_rows_reached(d: int) -> int | None:
 
 def count_words(d: int, n: int, k: int) -> int:
     """c(n, k): valid words with n letters, k heavy, via the b-recurrence."""
-    _word_class_args(d, n, k)
+    at_least(2, d=d)
+    at_least(0, n=n, k=k)
+    if k > n:
+        raise ValueError(f"need k <= n, got k={k} with n={n}")
     if n == 0:
-        return 1 if k == 0 else 0
+        return 1  # the empty word, k = 0
     return _nth_row(d, n, k)[k][-1]
 
 
@@ -363,7 +360,7 @@ def count_tc_words(p: Params) -> int:
     trunc = _cells(0, n - 1, k)
     if extend <= (trunc if reached is None else 2 * trunc):
         return _stored_tc_row(d, n)[k]
-    return _exact_div(factorial(n) * _nth_row(d, n - 1, k)[k][-1], 2 ** (n - k - 1))
+    return _tc_counts(n, _nth_row(d, n - 1, k), k)[0]
 
 
 def tc_row(d: int, n: int) -> list[int]:
@@ -381,7 +378,8 @@ def count_tc_total(d: int, n: int) -> int:
 def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
     """{n: [TC(n,0), ..., TC(n,n-1)]} for n = 1..n_max, one rolling pass
     that bypasses the tc_row cache."""
-    Params(d, n_max, 0)
+    at_least(2, d=d)
+    at_least(1, n_max=n_max)
     return dict(zip(range(1, n_max + 1), _tc_rows(d)))
 
 
@@ -395,8 +393,8 @@ def b_max_table(d: int, n_max: int) -> dict:
     b(n, m) = (dn+m-2)/(dn+m-d-1) * b(n, m-1) + binom(dn+m-2, d-1) * b(n-1, m)
     with b(1, 1) = 1.  Individual terms are rationals; sums are integers.
     """
-    if d < 2 or n_max < 1:
-        raise ValueError("need d >= 2 and n_max >= 1")
+    at_least(2, d=d)
+    at_least(1, n_max=n_max)
     b: dict = {(1, 1): 1}
     for n in range(2, n_max + 1):
         for m in range(1, n + 1):
@@ -427,8 +425,8 @@ def _slice_rows(d: int) -> Iterator[list[int]]:
 
 def b_max_table_binomial(d: int, n_max: int) -> dict:
     """The slice of b_max_table by the binomial form of _slice_rows."""
-    if d < 2 or n_max < 1:
-        raise ValueError("need d >= 2 and n_max >= 1")
+    at_least(2, d=d)
+    at_least(1, n_max=n_max)
     return {
         (n, m): v
         for n, row in zip(range(1, n_max + 1), _slice_rows(d))
@@ -438,8 +436,7 @@ def b_max_table_binomial(d: int, n_max: int) -> dict:
 
 def lambda_factor(d: int) -> Fraction:
     """(d+1)^(d-1)/(d-1)!, the growth base of the all-heavy slice."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    at_least(2, d=d)
     return Fraction((d + 1) ** (d - 1), factorial(d - 1))
 
 
@@ -477,8 +474,7 @@ class ETable:
 
 def e_table(d: int, n_max: int) -> ETable:
     """Build and self-verify the rescaled slice up to (N+M)/2 = n_max."""
-    if d < 2 or n_max < 2:
-        raise ValueError("need d >= 2 and n_max >= 2")
+    at_least(2, d=d, n_max=n_max)
     b = b_max_table_binomial(d, n_max)
     lam = lambda_factor(d)
     entries: dict = {}

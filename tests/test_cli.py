@@ -78,6 +78,17 @@ def test_exactness_failure_is_a_verification_failure(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("verification failure: division")
 
 
+def test_recursion_too_deep_is_a_usage_error(capsys):
+    # a one-word class within the WORD ceiling whose memoized walk recurses
+    # once per letter, 2001 levels deep
+    code, text = invoke("count", "words", "--d", "2000", "--n", "1", "--k", "1",
+                        "--method", "bruteforce")
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "recursion depth" in err
+
+
 def test_other_arithmetic_errors_stay_usage_errors(monkeypatch, capsys):
     def overflow(p):
         raise OverflowError("too large")

@@ -292,6 +292,18 @@ def test_coefficient_extraction_consistent_across_routes(e, n):
     assert lhs == z_coefficient(LaurentPoly({e + 1: Fraction(1)}), n)
 
 
+def test_coefficient_extraction_matches_the_binomial_series():
+    # [z^n] (1-4z)^(e/2) = binom(e/2, n) (-4)^n, as a Fraction product, for
+    # negative e, both parities, and a few non-negative e
+    for e in range(-15, 4):
+        for n in range(25):
+            want = Fraction(1)
+            for i in range(n):
+                want *= (Fraction(e, 2) - i) / (i + 1)
+            want *= (-4) ** n
+            assert z_coefficient(LaurentPoly({e: Fraction(1)}), n) == want, (e, n)
+
+
 def test_coefficient_extraction_basics():
     x = LaurentPoly({1: Fraction(1)})
     assert z_coefficient(x, 0) == 1

@@ -1,13 +1,18 @@
-"""The safety-ceiling table, its one reader and its one gate, and package
-hygiene."""
+"""The integer-argument rule, the safety-ceiling table, its one reader and
+its one gate, and package hygiene."""
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import treechild
-from treechild.params import CEILINGS, ceiling, within
+from treechild import asymptotics, compgraphs, distributions, onecomp, pathlength, verify, words
+from treechild.compgraphs import LaurentPoly
+from treechild.distributions import Pmf
+from treechild.logvalue import LogValue, log_of_int
+from treechild.params import CEILINGS, Params, at_least, ceiling, within
 
 SRC = Path(treechild.__file__).resolve().parent
 
@@ -106,3 +111,193 @@ def test_every_private_helper_is_used():
             ref == name and stmt is not definition for stmt, ref in references
         )
         assert used, f"{module}: {name} is never used"
+
+
+def _star(d, n, k):
+    return compgraphs.count_star(Params(d, n, k))
+
+
+def _first_word(d, n, k):
+    return next(words.enumerate_words(d, n, k))
+
+
+def _first_graph(d, m):
+    return next(compgraphs.enumerate_component_graphs(d, m))
+
+
+def _bessel_law(v):
+    return distributions.reference_pmf("bessel", v=v)
+
+
+# (public function, valid arguments, integer parameter, its least value):
+# every public integer parameter of the package, by the name its signature
+# gives it
+INTEGER_ARGUMENTS = [
+    (Params, (2, 3, 1), "d", 2),
+    (Params, (2, 3, 1), "n", 1),
+    (Params, (2, 3, 1), "k", 0),
+    # onecomp
+    (onecomp.double_factorial, (5,), "m", -1),
+    (onecomp.count_phylo_trees, (3,), "n", 1),
+    (onecomp.otc_row, (2, 3), "d", 2),
+    (onecomp.otc_row, (2, 3), "n", 1),
+    (onecomp.count_otc_total, (2, 3), "n", 1),
+    (onecomp.count_otc, (2, 3, 1), "k", 0),
+    (onecomp.count_otc_direct, (2, 3, 1), "k", 0),
+    (onecomp.node_census, (2, 3, 1), "n", 1),
+    # pathlength
+    (pathlength.path_length_total, (2, 3, 1), "k", 0),
+    (pathlength.path_length_total_recurrence, (2, 3, 1), "n", 1),
+    (pathlength.unary_binary_path_length, (2, 1), "L", 1),
+    (pathlength.unary_binary_path_length, (2, 1), "K", 0),
+    (pathlength.expected_path_length, (2, 3), "d", 2),
+    (pathlength.expected_path_length, (2, 3), "n", 2),
+    (pathlength.expected_path_length_reference, (3,), "d", 2),
+    (pathlength.expected_path_length_trend, (2, [3]), "d", 2),
+    # words
+    (words.is_valid_word, (2, words.Word.from_string("aabb")), "d", 2),
+    (_first_word, (2, 3, 1), "d", 2),
+    (_first_word, (2, 3, 1), "n", 0),
+    (_first_word, (2, 3, 1), "k", 0),
+    (words.count_words_direct, (2, 3, 1), "n", 0),
+    (words.count_words_direct, (2, 3, 1), "k", 0),
+    (words.count_words, (2, 3, 1), "d", 2),
+    (words.count_words, (2, 3, 1), "n", 0),
+    (words.count_words, (2, 3, 1), "k", 0),
+    (words.tc_row, (2, 3), "d", 2),
+    (words.tc_row, (2, 3), "n", 1),
+    (words.count_tc_total, (2, 3), "n", 1),
+    (words.tc_table, (2, 3), "d", 2),
+    (words.tc_table, (2, 3), "n_max", 1),
+    (words.b_max_table, (2, 3), "d", 2),
+    (words.b_max_table, (2, 3), "n_max", 1),
+    (words.b_max_table_binomial, (2, 3), "d", 2),
+    (words.b_max_table_binomial, (2, 3), "n_max", 1),
+    (words.lambda_factor, (2,), "d", 2),
+    (words.e_table, (2, 3), "d", 2),
+    (words.e_table, (2, 3), "n_max", 2),
+    # compgraphs
+    (_first_graph, (2, 2), "d", 2),
+    (_first_graph, (2, 2), "m", 1),
+    (compgraphs.count_component_graphs, (2, 3, 1), "d", 2),
+    (compgraphs.count_component_graphs, (2, 3, 1), "m", 1),
+    (compgraphs.count_component_graphs, (2, 3, 1), "s", 1),
+    (compgraphs.count_component_graphs_total, (2, 3), "m", 1),
+    (_star, (2, 3, 1), "k", 1),
+    (compgraphs.f_laurent, (2,), "d", 0),
+    (compgraphs.z_coefficient, (LaurentPoly({1: 1}), 3), "n", 0),
+    (compgraphs.count_tc_genfun_k1, (2, 3), "d", 2),
+    (compgraphs.count_tc_genfun_k1, (2, 3), "n", 2),
+    (compgraphs.count_tc_genfun_k2, (2, 3), "d", 2),
+    (compgraphs.count_tc_genfun_k2, (2, 3), "n", 3),
+    (compgraphs.tc_k1_closed_form, (2, 3), "d", 2),
+    (compgraphs.tc_k1_closed_form, (2, 3), "n", 2),
+    (compgraphs.tc_k2_closed_form, (2, 3), "d", 2),
+    (compgraphs.tc_k2_closed_form, (2, 3), "n", 3),
+    (compgraphs.structural_k1_polynomial, (2,), "d", 2),
+    (compgraphs.asympt_tc_fixed_k, (2, 3, 1), "d", 2),
+    (compgraphs.asympt_tc_fixed_k, (2, 3, 1), "n", 1),
+    (compgraphs.asympt_tc_fixed_k, (2, 3, 1), "k", 0),
+    # distributions
+    (distributions.ret_pmf, ("general", 2, 3), "d", 2),
+    (distributions.ret_pmf, ("onecomp", 2, 3), "n", 1),
+    (distributions.twig_expectation_bound, (2, 3), "n", 1),
+    (distributions.normal_cdf_diagnostic, (3,), "n", 1),
+    (distributions.normal_sup_gap, (Pmf({0: 1}), 3), "n", 1),
+    (distributions.moment, (Pmf({0: 1}), 1), "r", 1),
+    (distributions.reference_pmf, ("poisson", 40), "truncation", 2),
+    (_bessel_law, (1,), "v", 0),
+    # asymptotics
+    (asymptotics.params, (2,), "d", 2),
+    (asymptotics.bessel_I, (1, 2), "v", 0),
+    (asymptotics.otc_asymptotic, (2, 10), "d", 2),
+    (asymptotics.otc_asymptotic, (2, 10), "n", 2),
+    (asymptotics.otc_asymptotic_ratio, (2, 10), "n", 2),
+    (asymptotics.otc_max_k_ratio, (2, 10), "n", 1),
+    (asymptotics.tc_envelope, (2, 10), "d", 2),
+    (asymptotics.tc_envelope, (2, 10), "n", 2),
+    (asymptotics.tc_envelope_ratio, (2, [3]), "d", 2),
+    (asymptotics.ratio_sqrt_e, (2, 3), "d", 2),
+    (asymptotics.ratio_sqrt_e, (2, 3), "n", 2),
+    (asymptotics.ratio_sqrt_e_reference, (2,), "d", 2),
+    (asymptotics.e_lower_bound, (3,), "terms", 1),
+    # logvalue
+    (log_of_int, (5,), "value", 1),
+    (LogValue(0.0).ratio_to, (5,), "exact", 1),
+    # verify
+    (verify.run_suite, ("golden-tables", 2, 2), "d", 2),
+    (verify.run_suite, ("golden-tables", 2, 2), "n_max", 1),
+]
+
+
+def _call_with(fn, args, name, value):
+    bound = inspect.signature(fn).bind(*args)
+    bound.arguments[name] = value
+    return fn(*bound.args, **bound.kwargs)
+
+
+@pytest.mark.parametrize(
+    "fn, args, name, least",
+    INTEGER_ARGUMENTS,
+    ids=[f"{fn.__qualname__}-{name}" for fn, _, name, _ in INTEGER_ARGUMENTS],
+)
+def test_every_integer_parameter_obeys_the_rule(fn, args, name, least):
+    valid = inspect.signature(fn).bind(*args).arguments[name]
+    _call_with(fn, args, name, valid)  # the valid arguments are admitted
+    with pytest.raises(ValueError) as refused:
+        _call_with(fn, args, name, least - 1)
+    assert str(refused.value) == f"{name} must be an int >= {least}, got {least - 1}"
+    for bad in (float(valid), valid + 0.5, True):
+        with pytest.raises(ValueError) as refused:
+            _call_with(fn, args, name, bad)
+        # a Params-taking route refuses a float or a bool by Params' bound,
+        # which can lie below the route's own
+        form = rf"{name} must be an int >= -?\d+, got {re.escape(repr(bad))}"
+        assert re.fullmatch(form, str(refused.value)), str(refused.value)
+
+
+def test_motivating_floats_and_bools_are_refused():
+    # each of these returned a number before the rule reached them
+    cases = [
+        (onecomp.double_factorial, (5.0,), "m must be an int >= -1, got 5.0"),
+        (onecomp.count_phylo_trees, (3.0,), "n must be an int >= 1, got 3.0"),
+        (compgraphs.tc_k1_closed_form, (2, 3.0), "n must be an int >= 2, got 3.0"),
+        (words.count_words, (2, 3, True), "k must be an int >= 0, got True"),
+        (compgraphs.count_component_graphs, (2, 3, True), "s must be an int >= 1, got True"),
+        (asymptotics.otc_asymptotic, (2.5, 10), "d must be an int >= 2, got 2.5"),
+    ]
+    for fn, args, message in cases:
+        with pytest.raises(ValueError) as refused:
+            fn(*args)
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("fn", [asymptotics.tc_envelope_ratio, pathlength.expected_path_length_trend])
+def test_grid_entries_obey_the_rule(fn):
+    for bad in (3.0, True, 1):
+        with pytest.raises(ValueError, match=rf"^n must be an int >= 2, got {bad!r}$"):
+            fn(2, [4, bad])
+
+
+def test_at_least():
+    at_least(0)
+    at_least(2, d=2, n=10**40)
+    at_least(-1, m=-1)
+    with pytest.raises(ValueError) as refused:
+        at_least(2, d=2, n=1)
+    assert str(refused.value) == "n must be an int >= 2, got 1"
+    for bad, shown in ((2.0, "2.0"), (False, "False"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(ValueError) as refused:
+            at_least(0, k=bad)
+        assert str(refused.value) == f"k must be an int >= 0, got {shown}"
+
+
+def test_integer_bounds_live_in_params():
+    # outside params only bounds that tie two arguments together are raised
+    # by hand: k <= n (words), s <= max(m-1, 1) (compgraphs)
+    bound = re.compile(r"(>=|must be at least|positive integer)")
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "params.py":
+            continue
+        for piece in _raised_strings(ast.parse(path.read_text())):
+            assert not bound.search(piece), (path.name, piece)
