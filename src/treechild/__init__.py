@@ -26,6 +26,8 @@ Integer arithmetic is exact everywhere; expectations are rationals; floats
 only appear in asymptotic estimates and distances.
 """
 
+from types import ModuleType as _ModuleType
+
 from .params import ExactnessError, Params
 from .onecomp import (
     NodeCensus,
@@ -108,76 +110,8 @@ from .verify import CheckResult, GOLDEN_TC, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AIRY_A1",
-    "AsymptoticParams",
-    "CheckResult",
-    "ComponentGraph",
-    "ETable",
-    "ExactnessError",
-    "GOLDEN_TC",
-    "LaurentPoly",
-    "LogValue",
-    "NodeCensus",
-    "Params",
-    "Pmf",
-    "Word",
-    "asympt_tc_fixed_k",
-    "b_max_table",
-    "b_max_table_binomial",
-    "bessel_I",
-    "count_component_graphs",
-    "count_component_graphs_total",
-    "count_otc",
-    "count_otc_direct",
-    "count_otc_total",
-    "count_phylo_trees",
-    "count_star",
-    "count_tc_compgraph",
-    "count_tc_genfun_k1",
-    "count_tc_genfun_k2",
-    "count_tc_total",
-    "count_tc_words",
-    "count_words",
-    "count_words_direct",
-    "double_factorial",
-    "e_lower_bound",
-    "e_table",
-    "enumerate_component_graphs",
-    "enumerate_words",
-    "expected_path_length",
-    "expected_path_length_reference",
-    "expected_path_length_trend",
-    "f_laurent",
-    "is_valid_word",
-    "lambda_factor",
-    "log_of_int",
-    "moment",
-    "node_census",
-    "normal_cdf",
-    "normal_cdf_diagnostic",
-    "otc_asymptotic",
-    "otc_asymptotic_ratio",
-    "otc_max_k_ratio",
-    "otc_row",
-    "params",
-    "path_length_total",
-    "path_length_total_recurrence",
-    "ratio_sqrt_e",
-    "ratio_sqrt_e_reference",
-    "reference_pmf",
-    "ret_pmf",
-    "run_suite",
-    "structural_k1_polynomial",
-    "tc_envelope",
-    "tc_envelope_ratio",
-    "tc_k1_closed_form",
-    "tc_k2_closed_form",
-    "tc_row",
-    "tc_table",
-    "total_variation",
-    "total_variation_exact",
-    "twig_expectation_bound",
-    "unary_binary_path_length",
-    "z_coefficient",
-]
+# every public name bound above, submodules aside
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

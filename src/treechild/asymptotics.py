@@ -54,9 +54,13 @@ def params(d: int) -> AsymptoticParams:
     )
 
 
-def _bessel_I_exact(v: int, a, tol: Fraction = Fraction(1, 10**30)) -> Fraction:
+# the tail bound at which _bessel_I_exact stops summing
+_BESSEL_TOL = Fraction(1, 10**30)
+
+
+def _bessel_I_exact(v: int, a) -> Fraction:
     """Partial sum of I_v(a) = sum_k (a/2)^(2k+v)/(k!(k+v)!) with the tail
-    geometrically bounded below tol."""
+    geometrically bounded below _BESSEL_TOL."""
     at_least(0, v=v)
     a = Fraction(a)
     if a <= 0:
@@ -73,7 +77,7 @@ def _bessel_I_exact(v: int, a, tol: Fraction = Fraction(1, 10**30)) -> Fraction:
         total += term
         k += 1
         ratio = half * half / ((k + 1) * (k + v + 1))
-        if ratio < 1 and term * ratio / (1 - ratio) < tol:
+        if ratio < 1 and term * ratio / (1 - ratio) < _BESSEL_TOL:
             return total
 
 

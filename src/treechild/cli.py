@@ -14,11 +14,15 @@ all agree.  A method that does not cover the cell is a usage error.
 `asymp ratio` adds the word-route fields `tc_total_over_max_k` and
 `tc_ratio_reference` only for n up to the GENERAL ceiling.
 
-Exit codes: 0 success, 1 verification failure (routes that disagree, or a
-failed exactness check: `params.ExactnessError`), 2 usage error (including
-any other ValueError or ArithmeticError, such as an OverflowError or an
-integer argument refused by `params.at_least`, and a RecursionError: an
-input too deep for Python's recursion limit).
+Handlers only write records or raise; `run` alone turns a failure into an
+exit code.  Exit codes: 0 success; 1 verification failure, printed as
+"verification failure: ..." (a `params.ExactnessError`: a failed exactness
+check, routes that disagree, or a verify suite with a failed check, raised
+after every record is written); 2 usage error, printed as "error: ..."
+(argparse's own errors aside: any other ValueError or ArithmeticError,
+such as an OverflowError or an integer argument refused by
+`params.at_least`, and a RecursionError: an input too deep for Python's
+recursion limit).
 
 Environment variables override only the safety ceilings of
 `params.CEILINGS`, never science parameters; the README's "Safety
@@ -78,20 +82,17 @@ def _logvalue(lv) -> dict:
     }
 
 
-def _emit(record: dict, out) -> None:
-    # a second write, not a concatenation: writing `table tc --d 2 --n-max 200`
-    # to a StringIO peaks at 44 MB this way and at 52 MB concatenated
-    out.write(json.dumps(record, separators=(",", ":")))
-    out.write("\n")
-
-
-def _record(command: str, parameters: dict, results: dict, method: str) -> dict:
-    return {
+def _emit(command: str, parameters: dict, results: dict, method: str, out) -> None:
+    record = {
         "command": command,
         "parameters": parameters,
         "results": results,
         "method": method,
     }
+    # a second write, not a concatenation: writing `table tc --d 2 --n-max 200`
+    # to a StringIO peaks at 44 MB this way and at 52 MB concatenated
+    out.write(json.dumps(record, separators=(",", ":")))
+    out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +103,12 @@ def _record(command: str, parameters: dict, results: dict, method: str) -> dict:
 _COUNT_ROUTES = verify.count_routes()
 
 
-def _cmd_count(args, out) -> int:
+def _cmd_count(args, out) -> None:
     d, n, k, target = args.d, args.n, args.k, args.target
     routes = _COUNT_ROUTES[target]
     method = args.method or next(iter(routes))
     if method != "all" and method not in routes:
-        raise SystemExit(
+        raise ValueError(
             f"unknown method {method!r} for count {target}; "
             f"choose from {', '.join(routes)} or all"
         )
@@ -118,29 +119,24 @@ def _cmd_count(args, out) -> int:
     if not selected:
         # every route that refuses the total needs a reticulation count
         why = "requires --k" if k is None else f"does not cover d={d}, n={n}, k={k}"
-        raise SystemExit(f"count {target} --method {method} {why}")
+        raise ValueError(f"count {target} --method {method} {why}")
     pairs = [(m, routes[m][0](d, n, k)) for m in selected]
     values = {v for _, v in pairs}
     if len(values) > 1:
         found = ", ".join(f"{tag}={_count(v)}" for tag, v in pairs)
-        print(f"methods disagree: {found}", file=sys.stderr)
-        return VERIFY_FAILED
+        raise ExactnessError(f"methods disagree: {found}")
     parameters = {"d": d, "n": n}
     if k is not None:
         parameters["k"] = k
     for tag, value in pairs:
-        _emit(
-            _record(f"count {target}", parameters, {"value": _count(value)}, tag),
-            out,
-        )
-    return 0
+        _emit(f"count {target}", parameters, {"value": _count(value)}, tag, out)
 
 
 # ---------------------------------------------------------------------------
 # table
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_table(args, out) -> None:
     at_least(2, d=args.d)
     at_least(1, n_max=args.n_max)
     if args.target == "tc":
@@ -156,15 +152,12 @@ def _cmd_table(args, out) -> int:
     else:
         for n, values in rows:
             _emit(
-                _record(
-                    f"table {args.target}",
-                    {"d": args.d, "n_max": args.n_max, "n": n},
-                    {"counts": [_count(v) for v in values]},
-                    method,
-                ),
+                f"table {args.target}",
+                {"d": args.d, "n_max": args.n_max, "n": n},
+                {"counts": [_count(v) for v in values]},
+                method,
                 out,
             )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +172,7 @@ _TV_KEYS = {
 }
 
 
-def _cmd_dist(args, out) -> int:
+def _cmd_dist(args, out) -> None:
     family, d, n = args.family, args.d, args.n
     pmf = distributions.ret_pmf(family, d, n)
     results: dict = {
@@ -189,7 +182,7 @@ def _cmd_dist(args, out) -> int:
     method = "closedform" if family == "onecomp" else "words"
     if args.compare == "normal":
         if family != "onecomp" or d != 2:
-            raise SystemExit("--compare normal applies to --family onecomp --d 2")
+            raise ValueError("--compare normal applies to --family onecomp --d 2")
         results["normal_sup_gap"] = _float17(distributions.normal_sup_gap(pmf, n))
     elif args.compare:
         shifted = pmf.remap(lambda k: n - 1 - k)
@@ -197,47 +190,39 @@ def _cmd_dist(args, out) -> int:
         results[_TV_KEYS[args.compare]] = _float17(
             distributions.total_variation(shifted, ref)
         )
-    _emit(
-        _record("dist ret", {"family": family, "d": d, "n": n}, results, method),
-        out,
-    )
-    return 0
+    _emit("dist ret", {"family": family, "d": d, "n": n}, results, method, out)
 
 
 # ---------------------------------------------------------------------------
 # asymp
 
 
-def _cmd_asymp(args, out) -> int:
+def _cmd_asymp(args, out) -> None:
     d = args.d
     if args.target == "params":
         pr = asymptotic_params(d)
         _emit(
-            _record(
-                "asymp params",
-                {"d": d},
-                {
-                    "alpha": _ratio(pr.alpha),
-                    "beta": _float17(pr.beta),
-                    "gamma": _ratio(pr.gamma),
-                    "airy_a1": _float17(pr.airy_a1),
-                },
-                "closedform",
-            ),
+            "asymp params",
+            {"d": d},
+            {
+                "alpha": _ratio(pr.alpha),
+                "beta": _float17(pr.beta),
+                "gamma": _ratio(pr.gamma),
+                "airy_a1": _float17(pr.airy_a1),
+            },
+            "closedform",
             out,
         )
-        return 0
+        return
     if args.n is None:
-        raise SystemExit(f"asymp {args.target} requires --n")
+        raise ValueError(f"asymp {args.target} requires --n")
     n = args.n
     if args.target == "otc":
         _emit(
-            _record(
-                "asymp otc",
-                {"d": d, "n": n},
-                {"estimate": _logvalue(otc_asymptotic(d, n))},
-                "closedform",
-            ),
+            "asymp otc",
+            {"d": d, "n": n},
+            {"estimate": _logvalue(otc_asymptotic(d, n))},
+            "closedform",
             out,
         )
     elif args.target == "tc-envelope":
@@ -246,7 +231,7 @@ def _cmd_asymp(args, out) -> int:
             results["max_k_count_over_envelope"] = _float17(
                 tc_envelope_ratio(d, [n])[n]
             )
-        _emit(_record("asymp tc-envelope", {"d": d, "n": n}, results, "words"), out)
+        _emit("asymp tc-envelope", {"d": d, "n": n}, results, "words", out)
     elif args.target == "ratio":
         results = {
             "otc_total_over_asymptotic": _float17(otc_asymptotic_ratio(d, n)),
@@ -255,35 +240,36 @@ def _cmd_asymp(args, out) -> int:
         if n <= ceiling("GENERAL"):
             results["tc_total_over_max_k"] = _ratio(ratio_sqrt_e(d, n))
             results["tc_ratio_reference"] = _float17(ratio_sqrt_e_reference(d))
-        _emit(_record("asymp ratio", {"d": d, "n": n}, results, "closedform"), out)
-    return 0
+        _emit("asymp ratio", {"d": d, "n": n}, results, "closedform", out)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args, out) -> None:
     results = verify.run_suite(args.suite, d=args.d, n_max=args.n_max)
-    failed = 0
     for r in results:
         _emit(
-            _record(
-                f"verify {args.suite}",
-                {"d": args.d, "n_max": args.n_max},
-                {"check": r.name, "passed": r.passed, "details": r.details},
-                "words",
-            ),
+            f"verify {args.suite}",
+            {"d": args.d, "n_max": args.n_max},
+            {"check": r.name, "passed": r.passed, "details": r.details},
+            "words",
             out,
         )
-        failed += not r.passed
-    return VERIFY_FAILED if failed else 0
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        raise ExactnessError(
+            f"{len(failed)} of {len(results)} checks failed: {', '.join(failed)}"
+        )
 
 
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="treechild",
         description="Exact enumeration of d-combining tree-child networks",
@@ -332,26 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import; parse_args leaves it unchanged
-    return build_parser()
-
-
 def run(argv=None, out=None) -> int:
-    """Parse argv and execute; returns the exit code."""
+    """Parse argv and execute; returns the exit code.  The one place that
+    turns a failure into an exit code: ExactnessError is 1, any other
+    ValueError or ArithmeticError and a RecursionError are 2."""
     out = out or sys.stdout
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.run(args, out)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return USAGE_ERROR
-        return exc.code if exc.code is not None else 0
+        args.run(args, out)
     except ExactnessError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFY_FAILED
@@ -361,6 +338,7 @@ def run(argv=None, out=None) -> int:
     except RecursionError as exc:
         print(f"error: {exc} (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return USAGE_ERROR
+    return 0
 
 
 def main() -> None:

@@ -39,8 +39,8 @@ from math import comb, factorial, lgamma, log, pi, prod
 from typing import Iterator
 
 from .logvalue import LogValue
-from .onecomp import _exact_div, double_factorial
-from .params import ExactnessError, Params, at_least, within
+from .onecomp import double_factorial
+from .params import ExactnessError, Params, at_least, exact_div, integral, within
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def _partition_count(sizes: tuple[int, ...]) -> int:
     """Set partitions of sum(sizes) labeled elements whose sorted block
     sizes are `sizes`: n! / (prod_j b_j! * prod_s r_s!), with r_s the
     number of blocks of size s."""
-    return _exact_div(
+    return exact_div(
         factorial(sum(sizes)),
         prod(map(factorial, sizes)) * prod(map(factorial, Counter(sizes).values())),
     )
@@ -221,7 +221,7 @@ def count_tc_compgraph(p: Params) -> int:
     def node(b: int, g: int, w: int) -> int:
         f = factors.get((b, g, w))
         if f is None:
-            f = _exact_div(factorial(2 * b + g - 2), factorial(b - 1) * w)
+            f = exact_div(factorial(2 * b + g - 2), factorial(b - 1) * w)
             factors[b, g, w] = f
         return f
 
@@ -234,7 +234,7 @@ def count_tc_compgraph(p: Params) -> int:
             graphs * prod(node(b, g, w) for b, (g, w) in zip(sizes, signature))
             for signature, graphs in classes
         )
-    return _exact_div(total, 2 ** (n - k - 1))
+    return exact_div(total, 2 ** (n - k - 1))
 
 
 def count_star(p: Params) -> int:
@@ -256,9 +256,7 @@ def count_star(p: Params) -> int:
             factorial(2 * n - k - 2 * j - 1), factorial(n - k - j) * factorial(n - j)
         )
     v = Fraction(factorial(n), factorial(d) ** k * 2 ** (n - k - 1) * factorial(k - 1)) * s
-    if v.denominator != 1:
-        raise ExactnessError(f"star count not integral at {p}")
-    return int(v)
+    return integral(v, f"star count at d={d}, n={n}, k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +327,7 @@ def z_coefficient(poly: LaurentPoly, n: int) -> Fraction:
     f = factorial(n)
     total = Fraction(0)
     for e, v in poly.coefficients.items():
-        total += v * _exact_div(prod(2 * (2 * i - e) for i in range(n)), f)
+        total += v * exact_div(prod(2 * (2 * i - e) for i in range(n)), f)
     return total
 
 
@@ -340,9 +338,7 @@ def count_tc_genfun_k1(d: int, n: int) -> int:
     v = Fraction(factorial(n), factorial(d) * 2 ** (n - 2)) * z_coefficient(
         fs[d] * fs[0], n
     )
-    if v.denominator != 1:
-        raise ExactnessError(f"k=1 series count not integral at d={d}, n={n}")
-    return int(v)
+    return integral(v, f"k=1 series count at d={d}, n={n}")
 
 
 def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
@@ -376,9 +372,7 @@ def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
         v = scale * (term(0) + s) - corr
     else:
         v = scale * s + corr
-    if v.denominator != 1:
-        raise ExactnessError(f"k=2 series count not integral at d={d}, n={n}")
-    return int(v)
+    return integral(v, f"k=2 series count at d={d}, n={n}")
 
 
 def tc_k1_closed_form(d: int, n: int) -> int:
@@ -390,9 +384,7 @@ def tc_k1_closed_form(d: int, n: int) -> int:
         v = Fraction(n * (2 * n + 1), 3) * double_factorial(
             2 * n - 1
         ) - n * n * double_factorial(2 * n - 2)
-        if v.denominator != 1:
-            raise ExactnessError(f"closed form not integral at n={n}")
-        return int(v)
+        return integral(v, f"k=1 closed form at d=3, n={n}")
     raise ValueError(f"no k=1 closed form implemented for d={d}")
 
 
@@ -412,9 +404,7 @@ def tc_k2_closed_form(d: int, n: int) -> int:
         )
     else:
         raise ValueError(f"no k=2 closed form implemented for d={d}")
-    if v.denominator != 1:
-        raise ExactnessError(f"closed form not integral at n={n}")
-    return int(v)
+    return integral(v, f"k=2 closed form at d={d}, n={n}")
 
 
 def structural_k1_polynomial(d: int) -> list[Fraction]:
@@ -451,7 +441,7 @@ def structural_k1_polynomial(d: int) -> list[Fraction]:
         for t, c in enumerate(basis):
             coeffs[t] += yi * c / denom
     if coeffs[-1] != 0:
-        raise ArithmeticError(f"fitted polynomial has degree {d}, expected {d - 1}")
+        raise ExactnessError(f"fitted polynomial has degree {d}, expected {d - 1}")
     coeffs = coeffs[:-1]
 
     def evaluate(x: int) -> Fraction:
@@ -462,7 +452,7 @@ def structural_k1_polynomial(d: int) -> list[Fraction]:
 
     for n in range(2 + d + 1, 2 + d + 1 + d + 2):
         if evaluate(n) != p_value(n):
-            raise ArithmeticError(f"polynomial fails to extrapolate at n={n}")
+            raise ExactnessError(f"polynomial fails to extrapolate at n={n}")
     return coeffs
 
 

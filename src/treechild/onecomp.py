@@ -13,15 +13,15 @@ the test suite pins that equivalence.  otc_row gives count_otc for every k
 at once.
 
 All arithmetic is arbitrary-precision integer arithmetic.  Divisions inside
-the closed forms are exact; each one is guarded by an explicit remainder
-check, so a wrong intermediate would raise instead of silently truncating.
+the closed forms are exact; each one goes through `params.exact_div`, so a
+wrong intermediate raises instead of silently truncating.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .params import ExactnessError, Params, at_least
+from .params import Params, at_least, exact_div
 
 
 def double_factorial(m: int) -> int:
@@ -40,13 +40,6 @@ def count_phylo_trees(n: int) -> int:
     return double_factorial(2 * n - 3)
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ExactnessError(f"division {num}/{den} is not exact")
-    return q
-
-
 def count_otc(d: int, n: int, k: int) -> int:
     """One-component networks with n leaves and k reticulation nodes.
 
@@ -55,7 +48,7 @@ def count_otc(d: int, n: int, k: int) -> int:
     Params(d, n, k)
     num = comb(n, k) * factorial(2 * n + (d - 2) * k - 2)
     den = factorial(d) ** k * 2 ** (n - k - 1) * factorial(n - k - 1)
-    return _exact_div(num, den)
+    return exact_div(num, den)
 
 
 def count_otc_direct(d: int, n: int, k: int) -> int:
@@ -69,7 +62,7 @@ def count_otc_direct(d: int, n: int, k: int) -> int:
     Params(d, n, k)
     trees = count_phylo_trees(n - k)
     num = trees * comb(2 * (n - k) + d * k - 2, d * k) * factorial(d * k) * comb(n, k)
-    return _exact_div(num, factorial(d) ** k)
+    return exact_div(num, factorial(d) ** k)
 
 
 def otc_row(d: int, n: int) -> list[int]:

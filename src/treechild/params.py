@@ -23,11 +23,18 @@ CEILINGS; `ceiling(name)` reads one at call time, and the environment
 variable TREECHILD_<name>_CEILING overrides its default.  Every refusal
 goes through `within(name, value, what)` and reads alike, e.g. "n = 6
 exceeds the WORD ceiling 5 (set TREECHILD_WORD_CEILING to raise it)".
+
+Every exact division of the package goes through `exact_div(num, den)`,
+and every rational that must be an integer through `integral(value,
+what)`; both raise ExactnessError on a remainder.  Their messages name the
+operands by bit length only, so building one never fails, however large
+the count.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 # default safety ceilings of the exponential routes: brute-force word
 # enumeration (n; the word length 2n+(d-1)k stays around 20), the
@@ -76,9 +83,31 @@ def within(name: str, value: int, what: str) -> None:
 
 
 class ExactnessError(ArithmeticError):
-    """A remainder, integrality or recurrence check failed: the arithmetic
-    went wrong, not the input.  The CLI reports it as a verification
-    failure (exit 1)."""
+    """A remainder, integrality or recurrence check failed, or two routes
+    to the same value disagree, or a verify suite caught a failure: the
+    arithmetic went wrong, not the input.  The CLI reports it as a
+    verification failure (exit 1).  Its messages never print a large operand
+    through str(), so building one cannot fail, whatever the count's size."""
+
+
+def exact_div(num: int, den: int) -> int:
+    """num // den, refused with ExactnessError when the remainder is not
+    zero: "division of a 12-bit integer by a 4-bit integer is not exact"."""
+    q, r = divmod(num, den)
+    if r:
+        raise ExactnessError(
+            f"division of a {num.bit_length()}-bit integer by a "
+            f"{den.bit_length()}-bit integer is not exact"
+        )
+    return q
+
+
+def integral(value: Fraction, what: str) -> int:
+    """The rational `value` as an int, refused with ExactnessError naming
+    `what` when it is not one: "k=1 series count at d=2, n=4 not integral"."""
+    if value.denominator != 1:
+        raise ExactnessError(f"{what} not integral")
+    return value.numerator
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .onecomp import count_otc_total, double_factorial, _exact_div
-from .params import Params, at_least
+from .onecomp import count_otc_total, double_factorial
+from .params import Params, at_least, exact_div
 
 
 def path_length_total(d: int, n: int, k: int) -> int:
@@ -26,7 +26,7 @@ def path_length_total(d: int, n: int, k: int) -> int:
     Always >= 1; the minimum 1 is the single root-leaf edge at n = 1, k = 0.
     """
     Params(d, n, k)
-    prefactor = _exact_div(
+    prefactor = exact_div(
         factorial(2 * n + (d - 2) * k),
         factorial(d) ** k * factorial(2 * n - 2 * k),
     )

@@ -32,8 +32,7 @@ from math import factorial
 from . import compgraphs, onecomp, words
 from .asymptotics import e_lower_bound
 from .compgraphs import count_component_graphs_total, enumerate_component_graphs
-from .onecomp import _exact_div
-from .params import Params, at_least, ceiling
+from .params import Params, at_least, ceiling, exact_div
 from .pathlength import (
     expected_path_length,
     path_length_total,
@@ -268,9 +267,7 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
                 if closed != path_length_total_recurrence(dv, n, k):
                     bad.append(("recurrence", n, k))
                     continue
-                multinomial = _exact_div(
-                    factorial(dv * k), factorial(dv) ** k
-                )
+                multinomial = exact_div(factorial(dv * k), factorial(dv) ** k)
                 if closed != multinomial * unary_binary_path_length(n - k, dv * k):
                     bad.append(("factorization", n, k))
         results.append(

@@ -63,8 +63,7 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Iterator
 
-from .onecomp import _exact_div
-from .params import ExactnessError, Params, at_least, within
+from .params import ExactnessError, Params, at_least, exact_div, integral, within
 
 
 @dataclass(frozen=True)
@@ -287,7 +286,7 @@ def _tc_counts(n: int, row: list[list[int]], lo: int = 0) -> list[int]:
     n-1: n! * c(n-1, k) / 2^(n-k-1) with c(n-1, k) = row[k][-1], the
     division exact and checked."""
     f = factorial(n)
-    return [_exact_div(f * row[k][-1], 2 ** (n - k - 1)) for k in range(lo, len(row))]
+    return [exact_div(f * row[k][-1], 2 ** (n - k - 1)) for k in range(lo, len(row))]
 
 
 def _tc_rows(d: int) -> Iterator[list[int]]:
@@ -401,10 +400,8 @@ def b_max_table(d: int, n_max: int) -> dict:
             v = Fraction(comb(d * n + m - 2, d - 1) * b.get((n - 1, m), 0))
             if m >= 2:
                 v += Fraction(d * n + m - 2, d * n + m - d - 1) * b.get((n, m - 1), 0)
-            if v.denominator != 1:
-                raise ExactnessError(f"non-integer slice cell at n={n}, m={m}")
             if v:
-                b[(n, m)] = int(v)
+                b[(n, m)] = integral(v, f"slice cell at n={n}, m={m}")
     return b
 
 
@@ -496,8 +493,5 @@ def e_table(d: int, n_max: int) -> ETable:
                 nu *= 1 - Fraction(2 * (M + i), (d + 1) * (N + M))
             want = mu * table.e(N - 1, M + 1) + nu * table.e(N - 1, M - 1)
             if table.e(N, M) != want:
-                raise ExactnessError(
-                    f"rescaled slice recurrence fails at N={N}, M={M}: "
-                    f"{table.e(N, M)} != {want}"
-                )
+                raise ExactnessError(f"rescaled slice recurrence fails at N={N}, M={M}")
     return table

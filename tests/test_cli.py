@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from treechild import (
-    GOLDEN_TC, ExactnessError, cli, compgraphs, count_otc, count_tc_words, Params, verify, words,
+    GOLDEN_TC, ExactnessError, cli, compgraphs, count_otc, count_tc_words, onecomp, Params, verify,
+    words,
 )
 from treechild.cli import run
 from treechild.params import CEILINGS
@@ -76,6 +77,35 @@ def test_exactness_failure_is_a_verification_failure(monkeypatch, capsys):
     code, text = invoke("count", "tc", "--d", "2", "--n", "6")
     assert (code, text) == (1, "")
     assert capsys.readouterr().err.startswith("verification failure: division")
+
+
+def test_exactness_failure_on_a_count_beyond_the_int_string_limit(monkeypatch, capsys):
+    # both operands run past 4300 digits; the message names them by bit
+    # length, so building it cannot fail and the exit stays 1
+    monkeypatch.setattr(onecomp, "factorial", lambda n: factorial(n) + 1)
+    code, text = invoke("count", "otc", "--d", "2", "--n", "1500", "--k", "3")
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("verification failure: division")
+
+
+def test_usage_errors_inside_a_command_print_error(capsys):
+    assert invoke("count", "tc", "--d", "2", "--n", "4", "--method", "bogus") == (2, "")
+    assert capsys.readouterr().err.startswith("error: unknown method 'bogus'")
+    assert invoke("asymp", "otc", "--d", "2") == (2, "")
+    assert capsys.readouterr().err == "error: asymp otc requires --n\n"
+
+
+def test_a_failed_verify_check_exits_1_after_every_record(monkeypatch, capsys):
+    original = compgraphs.count_tc_compgraph
+    monkeypatch.setattr(compgraphs, "count_tc_compgraph", lambda p: original(p) + 1)
+    code, text = invoke("verify", "--suite", "cross-method", "--d", "2", "--n-max", "3")
+    assert code == 1
+    results = {r["results"]["check"]: r["results"] for r in records(text)}
+    blowup = results["words-vs-compgraph d=2"]
+    assert blowup["passed"] is False
+    assert "first mismatch" in blowup["details"]
+    assert results["series-and-closed-forms d=2"]["passed"] is True
+    assert capsys.readouterr().err.startswith("verification failure:")
 
 
 def test_recursion_too_deep_is_a_usage_error(capsys):

@@ -13,7 +13,7 @@ from treechild import (
     node_census,
     otc_row,
 )
-from treechild.onecomp import _exact_div
+from treechild.params import ExactnessError, exact_div
 
 
 def test_double_factorial_small_values():
@@ -40,9 +40,9 @@ def test_phylo_trees_match_double_factorial(n):
 
 
 def test_exact_div_guards_remainder():
-    assert _exact_div(12, 4) == 3
-    with pytest.raises(ArithmeticError):
-        _exact_div(13, 4)
+    assert exact_div(12, 4) == 3
+    with pytest.raises(ExactnessError):
+        exact_div(13, 4)
 
 
 def test_otc_spot_values():

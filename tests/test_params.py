@@ -1,9 +1,11 @@
 """The integer-argument rule, the safety-ceiling table, its one reader and
-its one gate, and package hygiene."""
+its one gate, the exactness helpers, and package hygiene."""
 import ast
 import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -12,7 +14,9 @@ from treechild import asymptotics, compgraphs, distributions, onecomp, pathlengt
 from treechild.compgraphs import LaurentPoly
 from treechild.distributions import Pmf
 from treechild.logvalue import LogValue, log_of_int
-from treechild.params import CEILINGS, Params, at_least, ceiling, within
+from treechild.params import (
+    CEILINGS, ExactnessError, Params, at_least, ceiling, exact_div, integral, within,
+)
 
 SRC = Path(treechild.__file__).resolve().parent
 
@@ -301,3 +305,64 @@ def test_integer_bounds_live_in_params():
             continue
         for piece in _raised_strings(ast.parse(path.read_text())):
             assert not bound.search(piece), (path.name, piece)
+
+
+def test_exact_div_names_its_operands_by_bit_length():
+    assert exact_div(10**5000, 10) == 10**4999
+    with pytest.raises(ExactnessError) as refused:
+        exact_div(13, 4)
+    assert str(refused.value) == (
+        "division of a 4-bit integer by a 3-bit integer is not exact"
+    )
+    # past the interpreter's int-to-string limit the message still builds
+    with pytest.raises(ExactnessError, match="^division of a 16610-bit integer by a 4-bit"):
+        exact_div(10**5000 + 1, 10)
+
+
+def test_integral():
+    assert integral(Fraction(12, 4), "x") == 3
+    assert type(integral(Fraction(12, 4), "x")) is int
+    with pytest.raises(ExactnessError) as refused:
+        integral(Fraction(10**5000 + 1, 10), "star count at d=2, n=3, k=1")
+    assert str(refused.value) == "star count at d=2, n=3, k=1 not integral"
+
+
+def test_exactness_checks_live_in_params():
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "_exact_div" not in text, path.name
+        if path.name != "params.py":
+            assert "denominator != 1" not in text, path.name
+            assert "divmod" not in text, path.name
+            # a failed check is an ExactnessError, never a bare ArithmeticError
+            assert "raise ArithmeticError" not in text, path.name
+
+
+def test_only_cli_run_chooses_an_exit_code():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {
+        stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+    }
+    for name, fn in functions.items():
+        names = {
+            node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+        }
+        if name not in ("run", "main"):
+            assert not names & {"SystemExit", "VERIFY_FAILED"}, name
+        if name.startswith("_cmd_"):
+            returns = [node for node in ast.walk(fn) if isinstance(node, ast.Return)]
+            assert all(node.value is None for node in returns), name
+    assert {"_cmd_count", "_cmd_table", "_cmd_dist", "_cmd_asymp", "_cmd_verify"} <= set(functions)
+
+
+def test_all_lists_every_public_name_once():
+    public = {
+        name for name, value in vars(treechild).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert treechild.__all__ == sorted(public)
+    assert len(treechild.__all__) == 71
+    namespace: dict = {}
+    exec("from treechild import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == public
+    assert all(namespace[name] is getattr(treechild, name) for name in public)

@@ -13,7 +13,7 @@ from treechild import (
     path_length_total_recurrence,
     unary_binary_path_length,
 )
-from treechild.onecomp import _exact_div
+from treechild.params import exact_div
 
 
 def test_anchored_values():
@@ -41,7 +41,7 @@ def test_closed_form_equals_recurrence(d, n, data):
 )
 def test_factorization_into_multinomial_and_chain_count(d, n, data):
     k = data.draw(st.integers(min_value=0, max_value=n - 1))
-    multinomial = _exact_div(factorial(d * k), factorial(d) ** k)
+    multinomial = exact_div(factorial(d * k), factorial(d) ** k)
     assert path_length_total(d, n, k) == multinomial * unary_binary_path_length(
         n - k, d * k
     )

@@ -1,7 +1,7 @@
 """Unit tests for the verification suites and frozen fixtures."""
 import pytest
 
-from treechild import CheckResult, GOLDEN_TC, run_suite
+from treechild import CheckResult, GOLDEN_TC, run_suite, verify
 
 
 def test_golden_fixture_spot_values():
@@ -43,3 +43,36 @@ def test_cross_method_counts_only_covered_routes():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("made-up")
+
+
+def _answer(route, d, n, k):
+    """('value', v) when the route returns, ('refused', message) when it
+    raises a ValueError."""
+    try:
+        return "value", route(d, n, k)
+    except ValueError as refused:
+        return "refused", str(refused)
+
+
+def test_every_covering_route_agrees_on_the_small_grid():
+    # no hand-written route list: every target and method of the registry,
+    # on every cell it claims to cover
+    checked = 0
+    for target, routes in verify.count_routes().items():
+        for d in (2, 3, 4):
+            for n in range(1, 7):
+                for k in (None, *range(n + 1)):
+                    answers = {
+                        method: _answer(route, d, n, k)
+                        for method, (route, covers) in routes.items()
+                        if covers(d, n, k)
+                    }
+                    values = {v for kind, v in answers.values() if kind == "value"}
+                    assert len(values) <= 1, (target, d, n, k, answers)
+                    if values:
+                        checked += 1
+                        # a cell one route answers is refused by another
+                        # only at a safety ceiling
+                        for kind, v in answers.values():
+                            assert kind == "value" or "ceiling" in v, (target, d, n, k, answers)
+    assert checked > 300
