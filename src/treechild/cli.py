@@ -41,8 +41,6 @@ from functools import cache
 from . import distributions, verify, words
 from .asymptotics import (
     otc_asymptotic,
-    otc_asymptotic_ratio,
-    otc_max_k_ratio,
     params as asymptotic_params,
     ratio_sqrt_e,
     ratio_sqrt_e_reference,
@@ -233,9 +231,13 @@ def _cmd_asymp(args, out) -> None:
             )
         _emit("asymp tc-envelope", {"d": d, "n": n}, results, "words", out)
     elif args.target == "ratio":
+        # otc_asymptotic_ratio and otc_max_k_ratio from one row, not one each
+        estimate = otc_asymptotic(d, n)
+        row = otc_row(d, n)
+        total = sum(row)
         results = {
-            "otc_total_over_asymptotic": _float17(otc_asymptotic_ratio(d, n)),
-            "otc_total_over_max_k": _ratio(otc_max_k_ratio(d, n)),
+            "otc_total_over_asymptotic": _float17(estimate.ratio_to(total)),
+            "otc_total_over_max_k": _ratio(Fraction(total, row[-1])),
         }
         if n <= ceiling("GENERAL"):
             results["tc_total_over_max_k"] = _ratio(ratio_sqrt_e(d, n))

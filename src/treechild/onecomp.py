@@ -6,20 +6,25 @@ and whose reticulation nodes have in-degree d and out-degree 1, such that
 every non-leaf node has at least one non-reticulation child.  It is
 one-component when the child of every reticulation node is a leaf.
 
-OTC(d, n, k) denotes the number of such one-component networks.  Two closed
-forms are implemented: a single factored formula (count_otc) and the
-direct-construction product (count_otc_direct).  They agree everywhere, and
-the test suite pins that equivalence.  otc_row gives count_otc for every k
-at once.
+OTC(d, n, k) denotes the number of such one-component networks.  Two
+per-cell closed forms are implemented: a single factored formula
+(count_otc) and the direct-construction product (count_otc_direct).  They
+agree everywhere, and the test suite pins that equivalence.  otc_row gives
+the whole row k = 0..n-1 by a third route, the rolling ratio: it starts at
+OTC(n, 0) = (2n-3)!! and takes each next entry from the previous one by the
+exact ratio OTC(n, k+1) / OTC(n, k) of count_otc's formula, so a row costs n
+small-factor products instead of n closed forms of about four factorials
+each.  The tests pin the row against both per-cell forms.
 
 All arithmetic is arbitrary-precision integer arithmetic.  Divisions inside
-the closed forms are exact; each one goes through `params.exact_div`, so a
-wrong intermediate raises instead of silently truncating.
+the closed forms and the rolling ratio are exact; each one goes through
+`params.exact_div`, so a wrong intermediate raises instead of silently
+truncating.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .params import Params, at_least, exact_div
 
@@ -67,9 +72,19 @@ def count_otc_direct(d: int, n: int, k: int) -> int:
 
 def otc_row(d: int, n: int) -> list[int]:
     """[OTC(n, 0), ..., OTC(n, n-1)], one-component networks with n leaves
-    by reticulation count."""
+    by reticulation count.
+
+    Rolled from OTC(n, 0) = (2n-3)!! by the exact ratio of count_otc's
+    closed form: OTC(n, k+1) = OTC(n, k) 2(n-k)(n-k-1)
+    (2n+(d-2)(k+1)-2)! / ((2n+(d-2)k-2)! (k+1) d!).
+    """
     Params(d, n, 0)  # d and n by Params' rule
-    return [count_otc(d, n, k) for k in range(n)]
+    d_fact = factorial(d)
+    row = [count_phylo_trees(n)]
+    for k in range(n - 1):
+        step = 2 * (n - k) * (n - k - 1) * perm(2 * n + (d - 2) * (k + 1) - 2, d - 2)
+        row.append(exact_div(row[-1] * step, (k + 1) * d_fact))
+    return row
 
 
 def count_otc_total(d: int, n: int) -> int:

@@ -18,13 +18,17 @@ The frozen tables double as the package's regression fixtures: they were
 tabulated independently before the library existed.
 
 A check whose range holds no cell is left out rather than passed, and
-`run_suite` refuses a selection that leaves no check at all.
+`run_suite` refuses a selection that leaves no check at all.  A cell whose
+route raises `params.ExactnessError` fails its check, with the cell and the
+message in the details, instead of aborting the suite, so every other check
+still reports.
 
 `count_routes` is the one table of which route covers which (d, n, k); the
 cross-method suite and the command line's `count --method` both read it.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -32,7 +36,7 @@ from math import factorial
 from . import compgraphs, onecomp, words
 from .asymptotics import e_lower_bound
 from .compgraphs import count_component_graphs_total, enumerate_component_graphs
-from .params import Params, at_least, ceiling, exact_div
+from .params import ExactnessError, Params, at_least, ceiling, exact_div
 from .pathlength import (
     expected_path_length,
     path_length_total,
@@ -57,6 +61,16 @@ def _result(name: str, summary: str, bad: list, word: str = "mismatch") -> Check
         passed=not bad,
         details=summary + (f"; first {word} {bad[0]}" if bad else ""),
     )
+
+
+@contextmanager
+def _cell(bad: list, *cell):
+    """Record an ExactnessError raised in the block as the entry (*cell,
+    message) of `bad`, so the cell fails its check and the suite goes on."""
+    try:
+        yield
+    except ExactnessError as exc:
+        bad.append((*cell, f"raised {exc}"))
 
 
 # Frozen regression fixtures: rows n -> [count at k = 0, 1, ..., n-1].
@@ -113,14 +127,14 @@ def suite_golden_tables(d: int | None = None, n_max: int | None = None):
         rows = {n: v for n, v in table.items() if n_max is None or n <= n_max}
         if not rows:
             continue
-        computed = tc_table(dv, max(rows))
         bad = []
-        checked = 0
-        for n, wants in sorted(rows.items()):
-            for k, want in enumerate(wants):
-                checked += 1
-                if computed[n][k] != want:
-                    bad.append((n, k, computed[n][k], want))
+        checked = sum(map(len, rows.values()))
+        with _cell(bad, "n_max", max(rows)):
+            computed = tc_table(dv, max(rows))
+            for n, wants in sorted(rows.items()):
+                for k, want in enumerate(wants):
+                    if computed[n][k] != want:
+                        bad.append((n, k, computed[n][k], want))
         results.append(_result(f"golden-tables d={dv}", f"{checked} entries", bad))
     return results
 
@@ -148,10 +162,11 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
         for n in range(1, blow_n + 1):
             for k in range(0, min(m_top, n)):
                 checked += 1
-                a = by_words(dv, n, k)
-                b = by_compgraph(dv, n, k)
-                if a != b:
-                    bad.append((n, k, a, b))
+                with _cell(bad, n, k):
+                    a = by_words(dv, n, k)
+                    b = by_compgraph(dv, n, k)
+                    if a != b:
+                        bad.append((n, k, a, b))
         if checked:
             results.append(_result(f"words-vs-compgraph d={dv}", f"{checked} cells", bad))
     series_n = 12 if n_max is None else min(n_max, 12)
@@ -160,10 +175,11 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
         checked = 0
         for k in (1, 2):
             for n in range(k + 1, series_n + 1):
-                want = by_words(dv, n, k)
-                for route, covers in series:
-                    if covers(dv, n, k):
-                        checked += 1
+                covering = [route for route, covers in series if covers(dv, n, k)]
+                checked += len(covering)
+                with _cell(bad, n, k):
+                    want = by_words(dv, n, k)
+                    for route in covering:
                         got = route(dv, n, k)
                         if got != want:
                             bad.append((n, k, got, want))
@@ -188,10 +204,11 @@ def suite_oracle(d: int | None = None, n_max: int | None = None):
         for n in range(1, top + 1):
             for k in range(0, n + 1):
                 checked += 1
-                got = count_words_direct(dv, n, k)
-                want = count_words(dv, n, k)
-                if got != want:
-                    bad.append((n, k, got, want))
+                with _cell(bad, n, k):
+                    got = count_words_direct(dv, n, k)
+                    want = count_words(dv, n, k)
+                    if got != want:
+                        bad.append((n, k, got, want))
         if checked:
             results.append(
                 _result(f"word-definition-vs-recurrence d={dv}", f"{checked} classes", bad)
@@ -199,10 +216,11 @@ def suite_oracle(d: int | None = None, n_max: int | None = None):
     for dv in [v for v in d_values if v <= 3]:
         bad = []
         for m in range(1, m_top + 1):
-            got = sum(1 for _ in enumerate_component_graphs(dv, m))
-            want = count_component_graphs_total(dv, m)
-            if got != want:
-                bad.append((m, got, want))
+            with _cell(bad, m):
+                got = sum(1 for _ in enumerate_component_graphs(dv, m))
+                want = count_component_graphs_total(dv, m)
+                if got != want:
+                    bad.append((m, got, want))
         results.append(_result(f"graph-enumeration-vs-recurrence d={dv}", f"m <= {m_top}", bad))
     return results
 
@@ -216,9 +234,14 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
         top = n_max if n_max is not None else (25 if dv == 2 else 12)
         if top < 2:
             continue  # every check below starts at n = 2
-        table = tc_table(dv, top)
-        bad = []
-        for n in range(2, top + 1):
+        # a table that raised fails every check that reads it (built = 0 rows)
+        raised = []
+        table = {}
+        with _cell(raised, "n_max", top):
+            table = tc_table(dv, top)
+        built = len(table)
+        bad = list(raised)
+        for n in range(2, built + 1):
             row = table[n]
             for k in range(n - 1):
                 if row[k] * 2 * (n - k - 1) > row[k + 1]:
@@ -228,8 +251,8 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
         results.append(_result(f"interlacing-chain d={dv}", f"n <= {top}", bad, "failure"))
         if dv == 2:
             sandwich_top = min(top, 12)
-            bad = []
-            for n in range(2, sandwich_top + 1):
+            bad = list(raised)
+            for n in range(2, min(built, sandwich_top) + 1):
                 row = table[n]
                 for k in range(1, n):
                     lower = Fraction(n - k, k * (3 * n - k - 3)) * row[n - k]
@@ -240,8 +263,8 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
                 _result("two-sided-sandwich d=2", f"n <= {sandwich_top}", bad, "failure")
             )
             e_lo = e_lower_bound()
-            bad = []
-            for n in range(2, top + 1):
+            bad = list(raised)
+            for n in range(2, built + 1):
                 r = Fraction(sum(table[n]), table[n][n - 1])
                 if not (1 <= r and r * r <= e_lo):
                     bad.append((n, r))
@@ -263,26 +286,29 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
         for n in range(1, top + 1):
             for k in range(n):
                 checked += 1
-                closed = path_length_total(dv, n, k)
-                if closed != path_length_total_recurrence(dv, n, k):
-                    bad.append(("recurrence", n, k))
-                    continue
-                multinomial = exact_div(factorial(dv * k), factorial(dv) ** k)
-                if closed != multinomial * unary_binary_path_length(n - k, dv * k):
-                    bad.append(("factorization", n, k))
+                with _cell(bad, n, k):
+                    closed = path_length_total(dv, n, k)
+                    if closed != path_length_total_recurrence(dv, n, k):
+                        bad.append(("recurrence", n, k))
+                        continue
+                    multinomial = exact_div(factorial(dv * k), factorial(dv) ** k)
+                    if closed != multinomial * unary_binary_path_length(n - k, dv * k):
+                        bad.append(("factorization", n, k))
         results.append(
             _result(f"path-length identities d={dv}", f"{checked} cells", bad, "failure")
         )
     anchors = [
-        ("path_length_total(2,2,0) == 5", path_length_total(2, 2, 0) == 5),
-        ("unary_binary_path_length(2,0) == 5", unary_binary_path_length(2, 0) == 5),
-        (
-            "expected_path_length(2,2) == 17/3",
-            expected_path_length(2, 2) == Fraction(17, 3),
-        ),
+        (path_length_total, (2, 2, 0), 5),
+        (unary_binary_path_length, (2, 0), 5),
+        (expected_path_length, (2, 2), Fraction(17, 3)),
     ]
-    for name, ok in anchors:
-        results.append(CheckResult(name=name, passed=bool(ok)))
+    for fn, args, want in anchors:
+        name = f"{fn.__name__}({','.join(map(str, args))}) == {want}"
+        raised = []
+        with _cell(raised, *args):
+            results.append(CheckResult(name=name, passed=fn(*args) == want))
+        if raised:
+            results.append(_result(name, "anchor", raised, "failure"))
     return results
 
 

@@ -1,18 +1,21 @@
 """End-to-end tests of the command-line interface through run()."""
+import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
 
 from treechild import (
-    GOLDEN_TC, ExactnessError, cli, compgraphs, count_otc, count_tc_words, onecomp, Params, verify,
-    words,
+    GOLDEN_TC, ExactnessError, asymptotics, cli, compgraphs, count_otc, count_tc_words, onecomp,
+    otc_asymptotic_ratio, otc_max_k_ratio, Params, verify, words,
 )
 from treechild.cli import run
 from treechild.params import CEILINGS
@@ -106,6 +109,22 @@ def test_a_failed_verify_check_exits_1_after_every_record(monkeypatch, capsys):
     assert "first mismatch" in blowup["details"]
     assert results["series-and-closed-forms d=2"]["passed"] is True
     assert capsys.readouterr().err.startswith("verification failure:")
+
+
+def test_an_exactness_failure_in_a_verify_cell_fails_only_its_check(monkeypatch, capsys):
+    # the word route's remainder check raises in every cell that reads it;
+    # each check still writes its record, naming the cell and the message
+    monkeypatch.setattr(words, "factorial", lambda n: factorial(n) + 1)
+    code, text = invoke("verify", "--suite", "cross-method", "--d", "2", "--n-max", "3")
+    assert code == 1
+    checks = {r["results"]["check"]: r["results"] for r in records(text)}
+    assert set(checks) == {"words-vs-compgraph d=2", "series-and-closed-forms d=2"}
+    assert not any(r["passed"] for r in checks.values())
+    assert checks["words-vs-compgraph d=2"]["details"] == (
+        "6 cells; first mismatch (2, 0, 'raised division of a 2-bit integer "
+        "by a 2-bit integer is not exact')"
+    )
+    assert capsys.readouterr().err.startswith("verification failure: 2 of 2 checks failed")
 
 
 def test_recursion_too_deep_is_a_usage_error(capsys):
@@ -281,6 +300,60 @@ def test_asymp_estimate_has_magnitude_fields():
     est = rec["results"]["estimate"]
     assert set(est) == {"ln", "log10", "mantissa", "exponent10"}
     assert 1 <= est["mantissa"] < 10
+
+
+def test_asymp_ratio_builds_the_one_component_row_once(monkeypatch):
+    built = []
+    original = onecomp.otc_row
+
+    def counted(d, n):
+        built.append((d, n))
+        return original(d, n)
+
+    # every binding a route could reach the row through
+    for module in (cli, asymptotics, onecomp):
+        monkeypatch.setattr(module, "otc_row", counted)
+    code, text = invoke("asymp", "ratio", "--d", "5", "--n", "40")
+    assert code == 0
+    assert built == [(5, 40)]
+    (rec,) = records(text)
+    assert rec["results"]["otc_total_over_asymptotic"] == otc_asymptotic_ratio(5, 40)
+    assert Fraction(*map(int, rec["results"]["otc_total_over_max_k"].values())) == (
+        otc_max_k_ratio(5, 40)
+    )
+
+
+# sha256 of the canonical JSON of each command's integer and rational
+# fields, recorded before the one-component row was rolled by its ratio;
+# floats are left out, so the digests do not depend on the platform's libm
+ONECOMP_RECORD_DIGESTS = {
+    ("table", "otc", "--d", "5", "--n-max", "40", "--format", "csv"):
+        "c32d030fe63f193c8ce3bb174f8d31093b7f5b1ce4f6177431a7eb2d4aafd82a",
+    ("table", "otc", "--d", "5", "--n-max", "40"):
+        "5b47a65cc588a6fb2af39e39ce79bd3832ddf24f5765e0cec861a1c2ee3c73f2",
+    ("dist", "ret", "--family", "onecomp", "--d", "3", "--n", "120"):
+        "f01526169e376a9e2f68384f368f3a390c2f4077d4f25d60a9132aa3f914d750",
+    ("count", "otc", "--d", "7", "--n", "150"):
+        "2494ae777fc73b10fcdba794550690f7335ebee1edb514fee8aa8ddebacd1819",
+    ("asymp", "ratio", "--d", "5", "--n", "200"):
+        "3cbbe998e87cb5f3afc6f934fd4372e337844496337854190a566ac9fce3a2be",
+}
+
+
+def _exact_fields(argv, text):
+    if "csv" in argv:
+        return list(csv.reader(io.StringIO(text)))
+    field = {"table": "counts", "dist": "mass", "count": "value",
+             "asymp": "otc_total_over_max_k"}[argv[0]]
+    return [r["results"][field] for r in records(text)]
+
+
+@pytest.mark.parametrize("argv", list(ONECOMP_RECORD_DIGESTS), ids=" ".join)
+def test_one_component_records_keep_their_exact_fields(argv):
+    code, text = invoke(*argv)
+    assert code == 0
+    canonical = json.dumps(_exact_fields(argv, text), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ONECOMP_RECORD_DIGESTS[argv]
 
 
 def test_asymp_requires_n_for_estimates():

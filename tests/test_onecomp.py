@@ -1,4 +1,6 @@
 """Unit tests for one-component network counts and node bookkeeping."""
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from treechild import (
     count_phylo_trees,
     double_factorial,
     node_census,
+    onecomp,
     otc_row,
 )
 from treechild.params import ExactnessError, exact_div
@@ -75,6 +78,37 @@ def test_otc_row_lists_every_k():
     for d, n in ((1, 3), (2, 0), (2, 12.5), (2, True), (True, 3)):
         with pytest.raises(ValueError):
             otc_row(d, n)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[(d, n) for d in range(2, 9) for n in range(1, 61)], [(50, 200), (1000, 40)]],
+    ids=["d2-8_n1-60", "large_d"],
+)
+def test_rolled_row_matches_both_closed_forms(cells):
+    # the row rolls by the ratio of consecutive count_otc values; each
+    # per-cell closed form checks it independently
+    for d, n in cells:
+        row = otc_row(d, n)
+        assert row == [count_otc(d, n, k) for k in range(n)], (d, n)
+        assert row == [count_otc_direct(d, n, k) for k in range(n)], (d, n)
+
+
+def test_otc_row_factorial_calls_do_not_grow_with_n(monkeypatch):
+    # a row is n small-factor steps, not n closed forms of four factorials
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return factorial(m)
+
+    monkeypatch.setattr(onecomp, "factorial", counted)
+    made = {}
+    for n in (2, 50, 200):
+        calls.clear()
+        otc_row(5, n)
+        made[n] = len(calls)
+    assert made[200] == made[50] == made[2] <= 2, made
 
 
 @given(
