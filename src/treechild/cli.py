@@ -4,8 +4,8 @@ Counts, tables, distributions, asymptotic diagnostics and verification
 suites, as JSON Lines on stdout (one record per line) or RFC-4180 CSV for
 tables.  Serialization rules: integer counts are decimal strings (never
 floats), exact rationals are numerator/denominator string pairs, floats
-carry full double precision (17 significant digits survive the round
-trip), and every record names the method that produced it.
+are written as Python's shortest round-trip repr (full double precision),
+and every record names the method that produced it.
 
 `count TARGET --method M` runs one route of `verify.count_routes`, the table
 of which method covers which (d, n, k): the target's first method by
@@ -65,17 +65,12 @@ def _ratio(fr) -> dict:
     return {"numerator": _count(fr.numerator), "denominator": _count(fr.denominator)}
 
 
-def _float17(x: float) -> float:
-    # normalizing through 17 significant digits keeps the full double
-    return float(f"{x:.17g}")
-
-
 def _logvalue(lv) -> dict:
     m, e = lv.to_mantissa_exponent()
     return {
-        "ln": _float17(lv.ln),
-        "log10": _float17(lv.log10),
-        "mantissa": _float17(m),
+        "ln": lv.ln,
+        "log10": lv.log10,
+        "mantissa": m,
         "exponent10": e,
     }
 
@@ -181,13 +176,11 @@ def _cmd_dist(args, out) -> None:
     if args.compare == "normal":
         if family != "onecomp" or d != 2:
             raise ValueError("--compare normal applies to --family onecomp --d 2")
-        results["normal_sup_gap"] = _float17(distributions.normal_sup_gap(pmf, n))
+        results["normal_sup_gap"] = distributions.normal_sup_gap(pmf, n)
     elif args.compare:
         shifted = pmf.remap(lambda k: n - 1 - k)
         ref = distributions.reference_pmf(args.compare)
-        results[_TV_KEYS[args.compare]] = _float17(
-            distributions.total_variation(shifted, ref)
-        )
+        results[_TV_KEYS[args.compare]] = distributions.total_variation(shifted, ref)
     _emit("dist ret", {"family": family, "d": d, "n": n}, results, method, out)
 
 
@@ -204,9 +197,9 @@ def _cmd_asymp(args, out) -> None:
             {"d": d},
             {
                 "alpha": _ratio(pr.alpha),
-                "beta": _float17(pr.beta),
+                "beta": pr.beta,
                 "gamma": _ratio(pr.gamma),
-                "airy_a1": _float17(pr.airy_a1),
+                "airy_a1": pr.airy_a1,
             },
             "closedform",
             out,
@@ -226,9 +219,7 @@ def _cmd_asymp(args, out) -> None:
     elif args.target == "tc-envelope":
         results = {"envelope": _logvalue(tc_envelope(d, n))}
         if n <= 200:
-            results["max_k_count_over_envelope"] = _float17(
-                tc_envelope_ratio(d, [n])[n]
-            )
+            results["max_k_count_over_envelope"] = tc_envelope_ratio(d, [n])[n]
         _emit("asymp tc-envelope", {"d": d, "n": n}, results, "words", out)
     elif args.target == "ratio":
         # otc_asymptotic_ratio and otc_max_k_ratio from one row, not one each
@@ -236,12 +227,12 @@ def _cmd_asymp(args, out) -> None:
         row = otc_row(d, n)
         total = sum(row)
         results = {
-            "otc_total_over_asymptotic": _float17(estimate.ratio_to(total)),
+            "otc_total_over_asymptotic": estimate.ratio_to(total),
             "otc_total_over_max_k": _ratio(Fraction(total, row[-1])),
         }
         if n <= ceiling("GENERAL"):
             results["tc_total_over_max_k"] = _ratio(ratio_sqrt_e(d, n))
-            results["tc_ratio_reference"] = _float17(ratio_sqrt_e_reference(d))
+            results["tc_ratio_reference"] = ratio_sqrt_e_reference(d)
         _emit("asymp ratio", {"d": d, "n": n}, results, "closedform", out)
 
 

@@ -13,8 +13,9 @@ kept as an exact rational; floats appear only in the trend diagnostics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, cosh, factorial, pi, sqrt
 
+from .asymptotics import bessel_I
 from .onecomp import count_otc_total, double_factorial
 from .params import Params, at_least, exact_div
 
@@ -73,10 +74,6 @@ def expected_path_length(d: int, n: int) -> Fraction:
 
 def expected_path_length_reference(d: int) -> float:
     """Limit constant of the normalization used in expected_path_length_trend."""
-    from math import cosh, pi, sqrt
-
-    from .asymptotics import bessel_I
-
     at_least(2, d=d)
     if d == 2:
         return 2 * sqrt(pi)

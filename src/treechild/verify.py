@@ -17,20 +17,26 @@ and exit nonzero on any failure:
 The frozen tables double as the package's regression fixtures: they were
 tabulated independently before the library existed.
 
-A check whose range holds no cell is left out rather than passed, and
-`run_suite` refuses a selection that leaves no check at all.  A cell whose
-route raises `params.ExactnessError` fails its check, with the cell and the
-message in the details, instead of aborting the suite, so every other check
-still reports.
+Every check runs through one runner, `_check`, over a list of cells, and
+the runner alone holds three rules:
+
+- a check whose range holds no cell is left out rather than passed, and
+  `run_suite` refuses a selection that leaves no check at all;
+- a cell whose route raises `params.ExactnessError` fails only its own
+  check, with the failure entry (*cell, "raised <message>"), so every other
+  cell and check still runs and reports;
+- a check's details are its summary (a cell count or a range), followed
+  by "; first mismatch <entry>" ("first failure" for the inequality and
+  path-length checks) naming its first failure entry when it failed.
 
 `count_routes` is the one table of which route covers which (d, n, k); the
 cross-method suite and the command line's `count --method` both read it.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import factorial
 
 from . import compgraphs, onecomp, words
@@ -53,24 +59,32 @@ class CheckResult:
     details: str = ""
 
 
-def _result(name: str, summary: str, bad: list, word: str = "mismatch") -> CheckResult:
-    """A check that passes when `bad` is empty; the details name the first
-    entry of `bad` otherwise."""
-    return CheckResult(
-        name=name,
-        passed=not bad,
-        details=summary + (f"; first {word} {bad[0]}" if bad else ""),
-    )
+def _check(name: str, summary: str, cells: list, compare, word="mismatch") -> list[CheckResult]:
+    """The check `name` over `cells`: [] when there is no cell, otherwise
+    one CheckResult.  `compare(*cell)` returns the cell's failure entries;
+    a cell that raises ExactnessError gets the one entry (*cell, "raised
+    <message>") and the next cell runs.  The details append the first
+    entry, if any, to `summary`."""
+    if not cells:
+        return []
+    bad = []
+    for cell in cells:
+        try:
+            bad += compare(*cell)
+        except ExactnessError as exc:
+            bad.append((*cell, f"raised {exc}"))
+    if bad:
+        summary += ("; " if summary else "") + f"first {word} {bad[0]}"
+    return [CheckResult(name=name, passed=not bad, details=summary)]
 
 
-@contextmanager
-def _cell(bad: list, *cell):
-    """Record an ExactnessError raised in the block as the entry (*cell,
-    message) of `bad`, so the cell fails its check and the suite goes on."""
-    try:
-        yield
-    except ExactnessError as exc:
-        bad.append((*cell, f"raised {exc}"))
+def _same(first, second):
+    """A `_check` compare whose entry is (*cell, a, b) when a = first(*cell)
+    differs from b = second(*cell)."""
+    def compare(*cell):
+        a, b = first(*cell), second(*cell)
+        return [] if a == b else [(*cell, a, b)]
+    return compare
 
 
 # Frozen regression fixtures: rows n -> [count at k = 0, 1, ..., n-1].
@@ -122,20 +136,17 @@ def suite_golden_tables(d: int | None = None, n_max: int | None = None):
     """Word-recurrence counts against every frozen table entry."""
     results = []
     for dv, table in sorted(GOLDEN_TC.items()):
-        if d is not None and dv != d:
-            continue
         rows = {n: v for n, v in table.items() if n_max is None or n <= n_max}
-        if not rows:
+        if d not in (None, dv) or not rows:
             continue
-        bad = []
-        checked = sum(map(len, rows.values()))
-        with _cell(bad, "n_max", max(rows)):
-            computed = tc_table(dv, max(rows))
-            for n, wants in sorted(rows.items()):
-                for k, want in enumerate(wants):
-                    if computed[n][k] != want:
-                        bad.append((n, k, computed[n][k], want))
-        results.append(_result(f"golden-tables d={dv}", f"{checked} entries", bad))
+
+        def compare(_, top):
+            computed = tc_table(dv, top)
+            return [(n, k, computed[n][k], want) for n, wants in sorted(rows.items())
+                    for k, want in enumerate(wants) if computed[n][k] != want]
+
+        entries = f"{sum(map(len, rows.values()))} entries"
+        results += _check(f"golden-tables d={dv}", entries, [("n_max", max(rows))], compare)
     return results
 
 
@@ -157,36 +168,23 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
     blow_n = min(6 if n_max is None else n_max, ceiling("BLOWUP_N"))
     m_top = ceiling("BLOWUP_K") + 1
     for dv in d_values:
-        bad = []
-        checked = 0
-        for n in range(1, blow_n + 1):
-            for k in range(0, min(m_top, n)):
-                checked += 1
-                with _cell(bad, n, k):
-                    a = by_words(dv, n, k)
-                    b = by_compgraph(dv, n, k)
-                    if a != b:
-                        bad.append((n, k, a, b))
-        if checked:
-            results.append(_result(f"words-vs-compgraph d={dv}", f"{checked} cells", bad))
+        cells = [(n, k) for n in range(1, blow_n + 1) for k in range(min(m_top, n))]
+        compare = _same(partial(by_words, dv), partial(by_compgraph, dv))
+        results += _check(f"words-vs-compgraph d={dv}", f"{len(cells)} cells", cells, compare)
     series_n = 12 if n_max is None else min(n_max, 12)
     for dv in d_values:
-        bad = []
-        checked = 0
-        for k in (1, 2):
-            for n in range(k + 1, series_n + 1):
-                covering = [route for route, covers in series if covers(dv, n, k)]
-                checked += len(covering)
-                with _cell(bad, n, k):
-                    want = by_words(dv, n, k)
-                    for route in covering:
-                        got = route(dv, n, k)
-                        if got != want:
-                            bad.append((n, k, got, want))
-        if checked:
-            results.append(
-                _result(f"series-and-closed-forms d={dv}", f"{checked} comparisons", bad)
-            )
+        cells = [(n, k) for k in (1, 2) for n in range(k + 1, series_n + 1)]
+
+        def covering(n, k):
+            return [route for route, covers in series if covers(dv, n, k)]
+
+        def compare(n, k):
+            want = by_words(dv, n, k)
+            got = [route(dv, n, k) for route in covering(n, k)]
+            return [(n, k, g, want) for g in got if g != want]
+
+        comparisons = f"{sum(len(covering(n, k)) for n, k in cells)} comparisons"
+        results += _check(f"series-and-closed-forms d={dv}", comparisons, cells, compare)
     return results
 
 
@@ -199,29 +197,18 @@ def suite_oracle(d: int | None = None, n_max: int | None = None):
     top = min(5 if n_max is None else n_max, ceiling("WORD"))
     m_top = ceiling("BLOWUP_K") + 1
     for dv in d_values:
-        bad = []
-        checked = 0
-        for n in range(1, top + 1):
-            for k in range(0, n + 1):
-                checked += 1
-                with _cell(bad, n, k):
-                    got = count_words_direct(dv, n, k)
-                    want = count_words(dv, n, k)
-                    if got != want:
-                        bad.append((n, k, got, want))
-        if checked:
-            results.append(
-                _result(f"word-definition-vs-recurrence d={dv}", f"{checked} classes", bad)
-            )
+        cells = [(n, k) for n in range(1, top + 1) for k in range(n + 1)]
+        compare = _same(partial(count_words_direct, dv), partial(count_words, dv))
+        results += _check(
+            f"word-definition-vs-recurrence d={dv}", f"{len(cells)} classes", cells, compare
+        )
     for dv in [v for v in d_values if v <= 3]:
-        bad = []
-        for m in range(1, m_top + 1):
-            with _cell(bad, m):
-                got = sum(1 for _ in enumerate_component_graphs(dv, m))
-                want = count_component_graphs_total(dv, m)
-                if got != want:
-                    bad.append((m, got, want))
-        results.append(_result(f"graph-enumeration-vs-recurrence d={dv}", f"m <= {m_top}", bad))
+        cells = [(m,) for m in range(1, m_top + 1)]
+        compare = _same(lambda m: sum(1 for _ in enumerate_component_graphs(dv, m)),
+                        partial(count_component_graphs_total, dv))
+        results += _check(
+            f"graph-enumeration-vs-recurrence d={dv}", f"m <= {m_top}", cells, compare
+        )
     return results
 
 
@@ -234,43 +221,37 @@ def suite_inequalities(d: int | None = None, n_max: int | None = None):
         top = n_max if n_max is not None else (25 if dv == 2 else 12)
         if top < 2:
             continue  # every check below starts at n = 2
-        # a table that raised fails every check that reads it (built = 0 rows)
-        raised = []
-        table = {}
-        with _cell(raised, "n_max", top):
-            table = tc_table(dv, top)
-        built = len(table)
-        bad = list(raised)
-        for n in range(2, built + 1):
-            row = table[n]
-            for k in range(n - 1):
-                if row[k] * 2 * (n - k - 1) > row[k + 1]:
-                    bad.append(("chain", n, k))
-            if dv == 2 and n >= 3 and row[n - 2] * 2 != row[n - 1]:
-                bad.append(("equality", n, n - 2))
-        results.append(_result(f"interlacing-chain d={dv}", f"n <= {top}", bad, "failure"))
-        if dv == 2:
-            sandwich_top = min(top, 12)
-            bad = list(raised)
-            for n in range(2, min(built, sandwich_top) + 1):
-                row = table[n]
-                for k in range(1, n):
-                    lower = Fraction(n - k, k * (3 * n - k - 3)) * row[n - k]
-                    upper = Fraction(row[n - k], 2 * k)
-                    if not lower <= row[n - 1 - k] <= upper:
-                        bad.append((n, k))
-            results.append(
-                _result("two-sided-sandwich d=2", f"n <= {sandwich_top}", bad, "failure")
-            )
+        # each check reads the table through its one cell ("n_max", top): a
+        # passing run builds it once, and a build that raises fails each check
+        table = cache(partial(tc_table, dv))
+
+        def chain(_, top):
+            rows, failures = table(top), []
+            for n in range(2, top + 1):
+                row = rows[n]
+                failures += [("chain", n, k) for k in range(n - 1)
+                             if row[k] * 2 * (n - k - 1) > row[k + 1]]
+                if dv == 2 and n >= 3 and row[n - 2] * 2 != row[n - 1]:
+                    failures.append(("equality", n, n - 2))
+            return failures
+
+        def sandwich(_, top):
+            rows = table(top)
+            return [(n, k) for n in range(2, min(top, 12) + 1) for k in range(1, n)
+                    if not (Fraction(n - k, k * (3 * n - k - 3)) * rows[n][n - k]
+                            <= rows[n][n - 1 - k] <= Fraction(rows[n][n - k], 2 * k))]
+
+        def ratio(_, top):
             e_lo = e_lower_bound()
-            bad = list(raised)
-            for n in range(2, built + 1):
-                r = Fraction(sum(table[n]), table[n][n - 1])
-                if not (1 <= r and r * r <= e_lo):
-                    bad.append((n, r))
-            results.append(
-                _result("total-over-max-ratio in [1, sqrt(e)] d=2", f"n <= {top}", bad, "failure")
-            )
+            ratios = [(n, Fraction(sum(row), row[-1])) for n, row in table(top).items() if n >= 2]
+            return [(n, r) for n, r in ratios if not (1 <= r and r * r <= e_lo)]
+
+        checks = [(f"interlacing-chain d={dv}", f"n <= {top}", chain)]
+        if dv == 2:
+            checks += [("two-sided-sandwich d=2", f"n <= {min(top, 12)}", sandwich),
+                       ("total-over-max-ratio in [1, sqrt(e)] d=2", f"n <= {top}", ratio)]
+        for name, summary, compare in checks:
+            results += _check(name, summary, [("n_max", top)], compare, "failure")
     return results
 
 
@@ -281,21 +262,19 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
     d_values = [d] if d is not None else [2, 3, 4, 5, 6]
     top = 25 if n_max is None else min(n_max, 25)
     for dv in d_values:
-        bad = []
-        checked = 0
-        for n in range(1, top + 1):
-            for k in range(n):
-                checked += 1
-                with _cell(bad, n, k):
-                    closed = path_length_total(dv, n, k)
-                    if closed != path_length_total_recurrence(dv, n, k):
-                        bad.append(("recurrence", n, k))
-                        continue
-                    multinomial = exact_div(factorial(dv * k), factorial(dv) ** k)
-                    if closed != multinomial * unary_binary_path_length(n - k, dv * k):
-                        bad.append(("factorization", n, k))
-        results.append(
-            _result(f"path-length identities d={dv}", f"{checked} cells", bad, "failure")
+        cells = [(n, k) for n in range(1, top + 1) for k in range(n)]
+
+        def identities(n, k):
+            closed = path_length_total(dv, n, k)
+            if closed != path_length_total_recurrence(dv, n, k):
+                return [("recurrence", n, k)]
+            multinomial = exact_div(factorial(dv * k), factorial(dv) ** k)
+            if closed != multinomial * unary_binary_path_length(n - k, dv * k):
+                return [("factorization", n, k)]
+            return []
+
+        results += _check(
+            f"path-length identities d={dv}", f"{len(cells)} cells", cells, identities, "failure"
         )
     anchors = [
         (path_length_total, (2, 2, 0), 5),
@@ -304,11 +283,7 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
     ]
     for fn, args, want in anchors:
         name = f"{fn.__name__}({','.join(map(str, args))}) == {want}"
-        raised = []
-        with _cell(raised, *args):
-            results.append(CheckResult(name=name, passed=fn(*args) == want))
-        if raised:
-            results.append(_result(name, "anchor", raised, "failure"))
+        results += _check(name, "", [args], _same(fn, lambda *_: want), "failure")
     return results
 
 

@@ -127,6 +127,81 @@ def test_an_exactness_failure_in_a_verify_cell_fails_only_its_check(monkeypatch,
     assert capsys.readouterr().err.startswith("verification failure: 2 of 2 checks failed")
 
 
+# sha256 of the stdout of `verify --suite X` at default size; the records
+# hold integers and strings only, so the bytes do not depend on the platform
+SUITE_DIGESTS = {
+    "golden-tables": "b6d48130212993bb7d660f621ecc085aa85dd8aed3b4f57f26a75004750b9180",
+    "cross-method": "d201e83e788441307bbe34d1937ba506cc9fee3ba347b9015f0b8600d0315f67",
+    "oracle": "c0704289342d01a424b92c5b9e6b6fbc705f7c87b5752aea3aff8673ed8a2497",
+    "inequalities": "e7c3e631b5a2507fc0ee026cc41ec16e088aac3ac4b846888747dcba56331466",
+    "sackin": "4dc08aa78d59eebc7f451619fd157d56b32f6fe33d6019bdd75481fce7590ad0",
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_DIGESTS))
+def test_verify_suites_keep_their_default_size_bytes(suite):
+    code, text = invoke("verify", "--suite", suite)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[suite]
+
+
+RAISED = "'raised division of a 2-bit integer by a 2-bit integer is not exact'"
+
+
+def test_a_table_that_raises_fails_every_check_that_reads_it(monkeypatch, capsys):
+    monkeypatch.setattr(words, "factorial", lambda n: factorial(n) + 1)
+    code, text = invoke("verify", "--suite", "golden-tables", "--d", "2", "--n-max", "4")
+    assert code == 1
+    (rec,) = records(text)
+    assert rec["results"]["details"] == f"9 entries; first mismatch ('n_max', 4, {RAISED})"
+    assert capsys.readouterr().err.startswith("verification failure: 1 of 1 checks failed")
+    code, text = invoke("verify", "--suite", "inequalities", "--d", "2", "--n-max", "4")
+    assert code == 1
+    assert [(r["results"]["check"], r["results"]["passed"], r["results"]["details"])
+            for r in records(text)] == [
+        (check, False, f"n <= 4; first failure ('n_max', 4, {RAISED})")
+        for check in ("interlacing-chain d=2", "two-sided-sandwich d=2",
+                      "total-over-max-ratio in [1, sqrt(e)] d=2")
+    ]
+    assert capsys.readouterr().err.startswith("verification failure: 3 of 3 checks failed")
+
+
+def _anchors(text: str) -> dict:
+    return {r["results"]["check"]: (r["results"]["passed"], r["results"]["details"])
+            for r in records(text) if "==" in r["results"]["check"]}
+
+
+def test_sackin_anchors_name_their_failure_and_pass_with_empty_details(monkeypatch):
+    from treechild import pathlength
+
+    argv = ("verify", "--suite", "sackin", "--d", "2", "--n-max", "2")
+    comb = pathlength.comb
+    monkeypatch.setattr(pathlength, "comb", lambda a, b: comb(a, b) + 1)
+    code, text = invoke(*argv)
+    assert code == 1
+    assert _anchors(text) == {
+        "path_length_total(2,2,0) == 5": (True, ""),
+        "unary_binary_path_length(2,0) == 5": (False, "first failure (2, 0, 10, 5)"),
+        "expected_path_length(2,2) == 17/3": (
+            False, "first failure (2, 2, Fraction(28, 3), Fraction(17, 3))"),
+    }
+    monkeypatch.setattr(pathlength, "comb", comb)
+
+    def inexact(num, den):
+        raise ExactnessError("division is not exact")
+
+    monkeypatch.setattr(pathlength, "exact_div", inexact)
+    code, text = invoke(*argv)
+    assert code == 1
+    assert _anchors(text) == {
+        "path_length_total(2,2,0) == 5": (
+            False, "first failure (2, 2, 0, 'raised division is not exact')"),
+        "unary_binary_path_length(2,0) == 5": (True, ""),
+        "expected_path_length(2,2) == 17/3": (
+            False, "first failure (2, 2, 'raised division is not exact')"),
+    }
+
+
 def test_recursion_too_deep_is_a_usage_error(capsys):
     # a one-word class within the WORD ceiling whose memoized walk recurses
     # once per letter, 2001 levels deep

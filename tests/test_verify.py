@@ -1,7 +1,7 @@
 """Unit tests for the verification suites and frozen fixtures."""
 import pytest
 
-from treechild import CheckResult, GOLDEN_TC, run_suite, verify
+from treechild import CheckResult, GOLDEN_TC, ExactnessError, run_suite, verify
 
 
 def test_golden_fixture_spot_values():
@@ -38,6 +38,23 @@ def test_cross_method_counts_only_covered_routes():
     results = run_suite("cross-method", d=4, n_max=4)
     series = [r for r in results if r.name == "series-and-closed-forms d=4"]
     assert [r.details for r in series] == ["7 comparisons"]
+
+
+def test_the_check_runner_holds_its_three_rules():
+    def compare(n):
+        if n == 2:
+            raise ExactnessError("inexact")
+        return [] if n != 3 else [(n, "odd")]
+
+    # no cell, no check
+    assert verify._check("empty", "0 cells", [], compare) == []
+    assert verify._check("fine", "1 cell", [(1,)], compare) == [
+        CheckResult("fine", True, "1 cell")]
+    # a raising cell is one failure entry; the cells after it still run
+    (result,) = verify._check("raising", "3 cells", [(1,), (2,), (3,)], compare, "failure")
+    assert result == CheckResult("raising", False, "3 cells; first failure (2, 'raised inexact')")
+    (result,) = verify._check("late", "", [(1,), (3,)], compare)
+    assert result == CheckResult("late", False, "first mismatch (3, 'odd')")
 
 
 def test_unknown_suite_rejected():
