@@ -49,7 +49,7 @@ from .pathlength import (
     path_length_total_recurrence,
     unary_binary_path_length,
 )
-from .words import count_words, count_words_direct, tc_table
+from .words import _direct_row, count_words, tc_table
 
 
 @dataclass(frozen=True)
@@ -191,14 +191,20 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
 def suite_oracle(d: int | None = None, n_max: int | None = None):
     """Definition-level counting against the recurrence for n up to n_max
     (5 by default) and the WORD ceiling, and the literal graph enumeration
-    against the graph recurrence up to the blow-up's graph size."""
+    against the graph recurrence up to the blow-up's graph size.
+
+    The definition side reads one row per (d, n), `words._direct_row`,
+    cached for the run: the oracle's memo of completions to (d+1, ..., d+1)
+    depends on the effective-count vector alone, so one memo serves every
+    heavy subset and every k of that n."""
     results = []
     d_values = [d] if d is not None else [2, 3, 4]
     top = min(5 if n_max is None else n_max, ceiling("WORD"))
     m_top = ceiling("BLOWUP_K") + 1
     for dv in d_values:
         cells = [(n, k) for n in range(1, top + 1) for k in range(n + 1)]
-        compare = _same(partial(count_words_direct, dv), partial(count_words, dv))
+        row = cache(partial(_direct_row, dv))
+        compare = _same(lambda n, k: row(n)[k], partial(count_words, dv))
         results += _check(
             f"word-definition-vs-recurrence d={dv}", f"{len(cells)} classes", cells, compare
         )

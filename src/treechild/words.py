@@ -13,8 +13,8 @@ Counting valid words is done three ways, which the test suite plays against
 each other:
 
   count_words_direct  exhaustive evaluation of the definition, memoized on
-                      prefix occurrence vectors (the slow, assumption-free
-                      oracle)
+                      prefix effective-count vectors (the slow,
+                      assumption-free oracle)
   count_words         a three-index recurrence b(n, k, m), where m tracks
                       how many letters currently sit at the top occurrence
                       level, summed over m
@@ -24,6 +24,13 @@ The network count follows as count_tc_words(d, n, k)
 = n! * c(n-1, k) / 2^(n-k-1) with c(n, k) = sum_m b(n, k, m); tc_row gives
 the counts for every k at once, and the totals, the general reticulation
 law and the sqrt(e) ratio are built on it.
+
+The dominance condition reads effective counts only, and every letter ends
+at effective count d+1: a heavy letter climbs from 0, a light one from
+d-1.  So the number of valid ways to finish a prefix depends on its
+effective-count vector alone, not on which letters are heavy, and one memo
+per (d, n) of those completion counts (_completions) serves every heavy
+subset and every k; a subset only picks the start vector.
 
 The recurrence rolls prefix-sum rows S(n, k, m) = sum_{j<=m} b(n, k, j):
 each row advances straight from the previous row's prefix sums, so c(n, k)
@@ -61,7 +68,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, islice
 from math import comb, factorial
 from operator import add, mul
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .params import ExactnessError, Params, at_least, exact_div, integral, within
 
@@ -110,17 +117,16 @@ def _check_structure(d: int, w: Word) -> None:
         raise ValueError("letter counts do not match the profile")
 
 
-def _append_ok(cnt, i: int, shift, d: int, n: int) -> bool:
-    # dominance pairs involving letter i, right after cnt[i] was bumped;
+def _append_ok(eff, i: int, d: int, n: int) -> bool:
+    # dominance pairs involving letter i, right after eff[i] was bumped;
     # pairs not involving i were checked at an earlier step and unchanged
-    vi = cnt[i] + shift[i]
+    vi = eff[i]
     for a in range(i):
-        va = cnt[a] + shift[a]
-        if va > d - 2 and va < vi:
+        if d - 2 < eff[a] < vi:
             return False
     if vi > d - 2:
         for b in range(i + 1, n):
-            if cnt[b] + shift[b] > vi:
+            if eff[b] > vi:
                 return False
     return True
 
@@ -135,33 +141,30 @@ def is_valid_word(d: int, w: Word) -> bool:
     """
     at_least(2, d=d)
     _check_structure(d, w)
-    n = len(w.profile)
-    shift = [0 if w.profile[j] == d + 1 else d - 1 for j in range(n)]
-    cnt = [0] * n
+    eff = [0 if mult == d + 1 else d - 1 for mult in w.profile]
     for letter in w.letters:
         i = letter - 1
-        cnt[i] += 1
-        if not _append_ok(cnt, i, shift, d, n):
+        eff[i] += 1
+        if not _append_ok(eff, i, d, len(eff)):
             return False
     return True
 
 
 def _word_classes(d: int, n: int, k: int) -> Iterator[tuple[tuple, tuple]]:
-    """One (mult, shift) pair per heavy-letter subset of the (d, n, k) word
-    class, after the argument checks and the WORD gate: mult[i] is letter
-    i+1's multiplicity and shift[i] what its effective count adds to its
-    occurrence count."""
+    """One (mult, start) pair per heavy-letter subset of the (d, n, k) word
+    class: mult[i] is letter i+1's multiplicity and start[i] its effective
+    count before its first occurrence (0 heavy, d-1 light).  The argument
+    checks and the WORD gate run at the call, before any pair is made."""
     at_least(2, d=d)
     at_least(0, n=n, k=k)
     if k > n:
         raise ValueError(f"need k <= n, got k={k} with n={n}")
     within("WORD", n, "n")
-    for heavy in combinations(range(n), k):
-        heavy_set = set(heavy)
-        yield (
-            tuple(d + 1 if i in heavy_set else 2 for i in range(n)),
-            tuple(0 if i in heavy_set else d - 1 for i in range(n)),
-        )
+    return (
+        (tuple(d + 1 if i in heavy else 2 for i in range(n)),
+         tuple(0 if i in heavy else d - 1 for i in range(n)))
+        for heavy in map(frozenset, combinations(range(n), k))
+    )
 
 
 def enumerate_words(d: int, n: int, k: int) -> Iterator[Word]:
@@ -172,8 +175,8 @@ def enumerate_words(d: int, n: int, k: int) -> Iterator[Word]:
     sizes explode; raise it deliberately if you mean it.
     """
     length = 2 * n + (d - 1) * k
-    for mult, shift in _word_classes(d, n, k):
-        cnt = [0] * n
+    for mult, start in _word_classes(d, n, k):
+        eff = list(start)
         prefix = []
 
         def rec() -> Iterator[Word]:
@@ -181,46 +184,71 @@ def enumerate_words(d: int, n: int, k: int) -> Iterator[Word]:
                 yield Word(letters=tuple(prefix), profile=mult)
                 return
             for i in range(n):
-                if cnt[i] < mult[i]:
-                    cnt[i] += 1
+                if eff[i] <= d:
+                    eff[i] += 1
                     prefix.append(i + 1)
-                    if _append_ok(cnt, i, shift, d, n):
+                    if _append_ok(eff, i, d, n):
                         yield from rec()
                     prefix.pop()
-                    cnt[i] -= 1
+                    eff[i] -= 1
 
         yield from rec()
+
+
+def _completions(d: int, n: int) -> Callable[[tuple], int]:
+    """finish(start): the valid ways to append letters to a prefix whose
+    effective-count vector is `start` until every letter reaches d+1.
+
+    The count depends on the vector only, so one memo serves every start
+    of (d, n): every heavy subset and every k.  It is keyed by the
+    mixed-radix index sum eff[i] * (d+2)^i of one list `eff` that the walk
+    bumps and restores in place, with no tuple per state.  Validity is
+    decided by `_append_ok` on each appended letter.
+    """
+    weights = [(d + 2) ** i for i in range(n)]
+    eff = [0] * n
+    memo = {(d + 1) * sum(weights): 1}
+
+    def rec(key: int) -> int:
+        r = memo.get(key)
+        if r is not None:
+            return r
+        r = 0
+        for i in range(n):
+            if eff[i] <= d:
+                eff[i] += 1
+                if _append_ok(eff, i, d, n):
+                    r += rec(key + weights[i])
+                eff[i] -= 1
+        memo[key] = r
+        return r
+
+    def finish(start: tuple) -> int:
+        eff[:] = start
+        return rec(sum(map(mul, start, weights)))
+
+    return finish
 
 
 def count_words_direct(d: int, n: int, k: int) -> int:
     """Count valid words straight from the definition.
 
-    Memoized on the per-letter occurrence vector within each heavy subset,
-    so it covers classes far too large to stream, while still deciding
-    validity only through the dominance predicate.  Independent of the
-    b-recurrence; this is the oracle the recurrence is tested against.
+    Sums `_completions(d, n)` over the C(n, k) start vectors, one per heavy
+    subset: one memo on effective-count vectors, shared by every subset,
+    covers classes far too large to stream, while validity is still decided
+    only by the dominance predicate.  Independent of the b-recurrence; this
+    is the oracle the recurrence is tested against.
     """
-    total = 0
-    for mult, shift in _word_classes(d, n, k):
-        memo: dict[tuple, int] = {}
+    classes = _word_classes(d, n, k)
+    return sum(map(_completions(d, n), (start for _, start in classes)))
 
-        def rec(cnt: tuple) -> int:
-            if cnt == mult:
-                return 1
-            r = memo.get(cnt)
-            if r is not None:
-                return r
-            r = 0
-            for i in range(n):
-                if cnt[i] < mult[i]:
-                    nc = cnt[:i] + (cnt[i] + 1,) + cnt[i + 1 :]
-                    if _append_ok(nc, i, shift, d, n):
-                        r += rec(nc)
-            memo[cnt] = r
-            return r
 
-        total += rec((0,) * n)
-    return total
+def _direct_row(d: int, n: int) -> list[int]:
+    """[count_words_direct(d, n, k) for k = 0..n] from one _completions
+    memo shared by all n + 1 classes."""
+    classes = [_word_classes(d, n, k) for k in range(n + 1)]
+    finish = _completions(d, n)
+    return [sum(finish(start) for _, start in starts) for starts in classes]
 
 
 # ---------------------------------------------------------------------------
