@@ -3,26 +3,21 @@
 Collapsing each tree component of a tree-child network to a single node
 leaves a labeled multigraph: a rooted DAG in which every non-root node has
 in-degree exactly d (one labeled node per tree component, k+1 nodes for k
-reticulations).  Conversely every network arises by blowing the nodes of
-such a graph back up into small trees, which yields a second, completely
-independent algorithm for the network counts: sum over set partitions of
-the leaves and over component graphs of a product of per-node factors.
-The factors read a partition only through its block sizes, so the sum runs
-over block-size shapes, each weighted by its closed-form number of set
-partitions, n! / (prod_j b_j! prod_s r_s!).
+reticulations).  Blowing the nodes of such a graph back up into small
+trees yields a second algorithm for the network counts, independent of the
+word recurrence, and it reduces to one coefficient extraction from the
+derived series f_g in X = sqrt(1-4z).
 
 This module implements that route end to end:
 
   enumerate_component_graphs  literal generation (oracle)
   count_component_graphs      recurrence on (node count, sink count)
-  count_tc_compgraph          the blow-up double sum
+  count_tc_compgraph          the blow-up, [z^n] of one cached series
   count_star                  the sub-sum over star graphs only
 
 The blow-up enumerates the graphs on k+1 nodes literally, once per (d, k+1)
-per process, and groups them by the per-node signature its weight reads
-(out-degree and product of edge-multiplicity factorials); it never calls
-the recurrence.  The `oracle` verify suite still compares the literal
-enumeration against the recurrence.
+per process, so only k has a ceiling.  It never calls the recurrence; the
+`oracle` verify suite compares the literal enumeration against it.
 
 plus a generating-function route for k = 1 and k = 2 built on a small
 Laurent-polynomial calculus in X = sqrt(1-4z), its closed forms for
@@ -158,83 +153,46 @@ def count_component_graphs_total(d: int, m: int) -> int:
     return sum(count_component_graphs(d, m, s) for s in range(1, max(m - 1, 1) + 1))
 
 
-def _shapes(n: int, m: int, least: int = 1) -> Iterator[tuple[int, ...]]:
-    """Block-size shapes: the non-decreasing tuples of m sizes, each at
-    least `least`, summing to n."""
-    if m == 1:
-        if n >= least:
-            yield (n,)
-        return
-    for b in range(least, n // m + 1):
-        for rest in _shapes(n - b, m - 1, b):
-            yield (b, *rest)
-
-
-def _partition_count(sizes: tuple[int, ...]) -> int:
-    """Set partitions of sum(sizes) labeled elements whose sorted block
-    sizes are `sizes`: n! / (prod_j b_j! * prod_s r_s!), with r_s the
-    number of blocks of size s."""
-    return exact_div(
-        factorial(sum(sizes)),
-        prod(map(factorial, sizes)) * prod(map(factorial, Counter(sizes).values())),
-    )
-
-
 @lru_cache(maxsize=None)
-def _graph_classes(d: int, m: int) -> tuple[tuple[tuple, int], ...]:
-    """The literal enumeration on m nodes, grouped by what the blow-up weight
-    reads of each node j: its out-degree g_j and prod_l g_{j,l}!.
+def _blowup_series(d: int, m: int) -> LaurentPoly:
+    """sum_G prod_j f_{g_j} / w_j over the component graphs on m nodes.
 
-    Returns (signature, number of graphs) pairs, signature[j] = (g_j, w_j).
-    Built once per (d, m) per process, so a warm call never reaches the
+    The product reads a graph only through its sorted out-degrees, so the
+    graphs are grouped by them, each weighted by the integer (d!)^(m-1) /
+    prod_j w_j (a non-root node's parent multiplicities sum to d).  Built
+    once per (d, m) per process, so a warm call never reaches the
     enumeration's ceiling check: `count_tc_compgraph` checks its own first."""
-    classes = Counter(
-        tuple((g.out_degree(j), prod(map(factorial, g.mult[j]))) for j in range(m))
-        for g in enumerate_component_graphs(d, m)
-    )
-    return tuple(classes.items())
+    top = factorial(d) ** (m - 1)
+    groups: Counter = Counter()
+    for g in enumerate_component_graphs(d, m):
+        degrees = tuple(sorted(map(sum, g.mult)))
+        groups[degrees] += exact_div(top, prod(factorial(c) for row in g.mult for c in row))
+    fs = _f_sweep(d * (m - 1))
+    total = LaurentPoly()
+    for degrees, weight in groups.items():
+        term = LaurentPoly({0: weight})
+        for g in degrees:
+            term = term * fs[g]
+        total = total + term
+    return total.scale(Fraction(1, top))
 
 
 def count_tc_compgraph(p: Params) -> int:
-    """Tree-child networks counted by the blow-up over component graphs.
+    """Tree-child networks counted by the blow-up over component graphs:
 
-    Sum over partitions of the leaf set into k+1 blocks (block j hosting
-    tree component j, indexed by rank of the block's smallest element) and
-    over component graphs G on k+1 nodes of
+        TC(n, k) = n! / ((k+1)! 2^(n-k-1)) [z^n] sum_G prod_j f_{g_j} / w_j
 
-        prod_j (2 b_j + g_j - 2)! / ((b_j - 1)! prod_l g_{j,l}!)
-
-    with b_j the block size, g_{j,l} the edge multiplicity j -> l and g_j
-    the out-degree, all divided by 2^(n-k-1).  Graphs come from the cached
-    `_graph_classes`.  The summand reads a partition only through its block
-    sizes, so the partitions are never walked: the sum runs over block-size
-    shapes, each weighted by its closed-form partition count.  Must agree
-    with the word route; the test suite pins that.
+    over the graphs G on k+1 nodes, with g_j node j's out-degree and w_j =
+    prod_l g_{j,l}! its edge-multiplicity factorials.  A node blown up into
+    b leaves contributes b! [z^b] f_{g_j} / w_j; relabeling the nodes of a
+    graph gives another graph, so ordered blocks overcount the leaf
+    partitions by exactly (k+1)!.  Must agree with the word route; the test
+    suite pins that, and pins the series against the block-size shape sum.
     """
     d, n, k = p.d, p.n, p.k
-    within("BLOWUP_N", n, "n")
     within("BLOWUP_K", k, "k")
-    m = k + 1
-    classes = _graph_classes(d, m)
-    factors: dict[tuple[int, int, int], int] = {}
-
-    def node(b: int, g: int, w: int) -> int:
-        f = factors.get((b, g, w))
-        if f is None:
-            f = exact_div(factorial(2 * b + g - 2), factorial(b - 1) * w)
-            factors[b, g, w] = f
-        return f
-
-    # the summand depends on a partition only through its block sizes, and
-    # only through their multiset: relabeling the nodes of a component graph
-    # gives another one, so the sum over graphs is symmetric in block order
-    total = 0
-    for sizes in _shapes(n, m):
-        total += _partition_count(sizes) * sum(
-            graphs * prod(node(b, g, w) for b, (g, w) in zip(sizes, signature))
-            for signature, graphs in classes
-        )
-    return exact_div(total, 2 ** (n - k - 1))
+    v = z_coefficient(_blowup_series(d, k + 1), n) * Fraction(factorial(n), factorial(k + 1))
+    return exact_div(integral(v, f"blow-up count at d={d}, n={n}, k={k}"), 2 ** (n - k - 1))
 
 
 def count_star(p: Params) -> int:

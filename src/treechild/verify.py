@@ -7,7 +7,10 @@ and exit nonzero on any failure:
   golden-tables   the word-recurrence counts against frozen reference
                   tables for d = 2..6
   cross-method    word route vs blow-up route vs series route vs closed
-                  forms, on overlapping domains
+                  forms, on overlapping domains (words vs blow-up and
+                  words vs series are independent computations; the
+                  blow-up and the series share the f_g calculus, see
+                  `suite_cross_method`)
   oracle          definition-level word counting vs the recurrence
   inequalities    the interlacing chain, its d = 2 equality case, and the
                   two-sided d = 2 sandwich; the sqrt(e) ratio bound
@@ -154,10 +157,23 @@ def _genfun_k2_merged(d: int, n: int, k: int) -> int:
     return compgraphs.count_tc_genfun_k2(d, n, form="merged")
 
 
+# the largest n the cross-method suite reaches, whatever --n-max asks for
+_CROSS_METHOD_N_TOP = 12
+
+
 def suite_cross_method(d: int | None = None, n_max: int | None = None):
-    """words == blow-up for n up to n_max (6 by default) and k, each up to
-    its blow-up ceiling; series == closed forms == words for k = 1, 2 up to
-    n = 12, each route on its domain; both series forms equal."""
+    """words == blow-up for n up to n_max (6 by default) and k up to the
+    BLOWUP_K ceiling; series == closed forms == words for k = 1, 2 up to
+    n_max (12 by default), each route on its domain; both series forms
+    equal.  Both checks read an n_max above 12 as 12.
+
+    What each comparison is independent of: the word recurrence shares no
+    code with the blow-up or the series, so words vs blow-up and words vs
+    series are independent.  The blow-up and the series both extract
+    coefficients of products of the derived series f_g, so at k = 1 they
+    evaluate the same f_d f_0 and differ only in the graph enumeration;
+    there the independent computation is the tier-1 sum over block-size
+    shapes, which meets the series without going through f_g."""
     tc = count_routes()["tc"]
     by_words, by_compgraph = tc["words"][0], tc["compgraph"][0]
     # the merged k = 2 series is a second form of the genfun route, checked
@@ -165,13 +181,13 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
     series = [tc["genfun"], (_genfun_k2_merged, lambda d, n, k: k == 2), tc["closedform"]]
     results = []
     d_values = [d] if d is not None else [2, 3]
-    blow_n = min(6 if n_max is None else n_max, ceiling("BLOWUP_N"))
+    blow_n = 6 if n_max is None else min(n_max, _CROSS_METHOD_N_TOP)
     m_top = ceiling("BLOWUP_K") + 1
     for dv in d_values:
         cells = [(n, k) for n in range(1, blow_n + 1) for k in range(min(m_top, n))]
         compare = _same(partial(by_words, dv), partial(by_compgraph, dv))
         results += _check(f"words-vs-compgraph d={dv}", f"{len(cells)} cells", cells, compare)
-    series_n = 12 if n_max is None else min(n_max, 12)
+    series_n = _CROSS_METHOD_N_TOP if n_max is None else min(n_max, _CROSS_METHOD_N_TOP)
     for dv in d_values:
         cells = [(n, k) for k in (1, 2) for n in range(k + 1, series_n + 1)]
 

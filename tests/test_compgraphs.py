@@ -2,7 +2,9 @@
 and the closed forms built on them."""
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 from typing import Iterator
 
 import pytest
@@ -26,8 +28,9 @@ from treechild import (
     tc_k2_closed_form,
     z_coefficient,
 )
-from treechild.compgraphs import _graph_classes, _is_acyclic, _partition_count, _shapes
+from treechild.compgraphs import _f_sweep, _is_acyclic
 from treechild.onecomp import count_phylo_trees, double_factorial
+from treechild.params import exact_div
 
 # sink-stratified counts fixed from a hand enumeration of small cases
 GRAPH_COUNTS = {
@@ -45,15 +48,15 @@ def test_graph_counts_by_sink_number():
 
 
 def test_enumeration_matches_counts():
-    for d in (2, 3):
+    # every d the blow-up tests read, against the independent recurrence,
+    # which test_graph_counts_by_sink_number pins to the hand counts
+    for d in (2, 3, 4, 5):
         for m in range(1, 5):
             graphs = list(enumerate_component_graphs(d, m))
             assert len(graphs) == count_component_graphs_total(d, m)
             assert len(set(graphs)) == len(graphs)
-            by_sinks: dict[int, int] = {}
-            for g in graphs:
-                by_sinks[len(g.sinks())] = by_sinks.get(len(g.sinks()), 0) + 1
-            want = {s: v for s, v in enumerate(GRAPH_COUNTS[d][m], start=1)}
+            by_sinks = Counter(len(g.sinks()) for g in graphs)
+            want = {s: count_component_graphs(d, m, s) for s in range(1, max(m - 1, 1) + 1)}
             assert by_sinks == want
 
 
@@ -108,30 +111,30 @@ def test_enumeration_ceiling():
     assert count_component_graphs(2, 5, 1) > 0
 
 
+def _blowup_cells(n_lo: int, n_hi: int) -> list[tuple[int, int, int]]:
+    """Every (d, n, k) with d 2..5, n_lo <= n <= n_hi and k <= BLOWUP_K."""
+    return [(d, n, k) for d in (2, 3, 4, 5) for n in range(n_lo, n_hi + 1) for k in range(min(3, n - 1) + 1)]
+
+
+def _assert_blowup_matches_words(cells: list[tuple[int, int, int]]) -> None:
+    for d, n, k in cells:
+        p = Params(d, n, k)
+        assert count_tc_compgraph(p) == count_tc_words(p), (d, n, k)
+
+
 def test_blowup_matches_word_count():
-    # the whole default blow-up domain: n <= BLOWUP_N, k <= BLOWUP_K
-    for d in (2, 3, 4, 5):
-        for n in range(1, 9):
-            for k in range(min(3, n - 1) + 1):
-                p = Params(d, n, k)
-                assert count_tc_compgraph(p) == count_tc_words(p), (d, n, k)
+    # n <= 8, the domain the blow-up's retired n ceiling once allowed
+    _assert_blowup_matches_words(_blowup_cells(1, 8))
 
 
-def test_blowup_matches_word_count_past_its_default_ceiling(monkeypatch):
-    monkeypatch.setenv("TREECHILD_BLOWUP_N_CEILING", "20")
-    for d in (2, 3):
-        for n in range(1, 21):
-            for k in range(min(3, n - 1) + 1):
-                p = Params(d, n, k)
-                assert count_tc_compgraph(p) == count_tc_words(p), (d, n, k)
+def test_blowup_matches_word_count_past_its_default_ceiling():
+    # past the retired n = 8 ceiling, with no environment variable
+    _assert_blowup_matches_words(_blowup_cells(9, 20))
 
 
-def test_blowup_matches_word_count_out_to_n_30(monkeypatch):
-    monkeypatch.setenv("TREECHILD_BLOWUP_N_CEILING", "30")
-    for n in range(21, 31):
-        for k in range(4):
-            p = Params(2, n, k)
-            assert count_tc_compgraph(p) == count_tc_words(p), (n, k)
+def test_blowup_matches_word_count_out_to_n_30():
+    # out to n = 30, and three cells at n = 200 and 500
+    _assert_blowup_matches_words(_blowup_cells(21, 30) + [(2, 200, 3), (3, 200, 3), (2, 500, 2)])
 
 
 # the literal set-partition walk the blow-up once summed over, kept as the
@@ -161,6 +164,73 @@ def _partitions_by_rank(universe: list, blocks: int) -> Iterator[list]:
     yield from rec(0, [])
 
 
+def _shapes(n: int, m: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """Block-size shapes: the non-decreasing tuples of m sizes, each at
+    least `least`, summing to n."""
+    if m == 1:
+        if n >= least:
+            yield (n,)
+        return
+    for b in range(least, n // m + 1):
+        for rest in _shapes(n - b, m - 1, b):
+            yield (b, *rest)
+
+
+def _partition_count(sizes: tuple[int, ...]) -> int:
+    """Set partitions of sum(sizes) labeled elements whose sorted block
+    sizes are `sizes`: n! / (prod_j b_j! * prod_s r_s!), with r_s the
+    number of blocks of size s."""
+    return exact_div(
+        factorial(sum(sizes)),
+        prod(map(factorial, sizes)) * prod(map(factorial, Counter(sizes).values())),
+    )
+
+
+@lru_cache(maxsize=None)
+def _graph_classes(d: int, m: int) -> tuple:
+    """The graphs on m nodes grouped by (g_j, w_j) per node j: out-degree
+    and product of edge-multiplicity factorials."""
+    return tuple(Counter(
+        tuple((g.out_degree(j), prod(map(factorial, g.mult[j]))) for j in range(m))
+        for g in enumerate_component_graphs(d, m)
+    ).items())
+
+
+@lru_cache(maxsize=None)
+def _node(b: int, g: int, w: int) -> int:
+    return exact_div(factorial(2 * b + g - 2), factorial(b - 1) * w)
+
+
+def _shape_sum(d: int, n: int, k: int) -> int:
+    """The blow-up summed over block-size shapes, with no series: each shape
+    of n into k+1 blocks, weighted by its partition count, times each graph
+    class's product of node factors (2b + g - 2)! / ((b - 1)! w), all over
+    2^(n-k-1).  Block j goes to node j, which is valid because the graph
+    classes are symmetric under relabeling."""
+    classes = _graph_classes(d, k + 1)
+    total = sum(
+        _partition_count(sizes) * sum(
+            graphs * prod(_node(b, g, w) for b, (g, w) in zip(sizes, signature))
+            for signature, graphs in classes
+        )
+        for sizes in _shapes(n, k + 1)
+    )
+    return exact_div(total, 2 ** (n - k - 1))
+
+
+def test_series_matches_the_shape_sum():
+    # at k = 1 the blow-up series is count_tc_genfun_k1's f_d f_0, so the
+    # shape sum, which never reads f_g, is the independent computation
+    # that meets the series there
+    for d, n_top in ((2, 30), (3, 30), (4, 12), (5, 12)):
+        for n in range(1, n_top + 1):
+            for k in range(min(3, n - 1) + 1):
+                p = Params(d, n, k)
+                assert count_tc_compgraph(p) == _shape_sum(d, n, k), (d, n, k)
+            if n >= 2:
+                assert _shape_sum(d, n, 1) == count_tc_genfun_k1(d, n), (d, n)
+
+
 def test_shape_counts_match_the_partition_walk():
     for n in range(1, 11):
         for m in range(1, min(n, 4) + 1):
@@ -175,8 +245,6 @@ def test_shape_counts_match_the_partition_walk():
 
 def test_blowup_ceilings(monkeypatch):
     with pytest.raises(ValueError):
-        count_tc_compgraph(Params(2, 9, 1))
-    with pytest.raises(ValueError):
         count_tc_compgraph(Params(2, 8, 4))
     monkeypatch.setenv("TREECHILD_BLOWUP_K_CEILING", "5")
     assert count_tc_compgraph(Params(2, 6, 4)) == count_tc_words(
@@ -184,26 +252,23 @@ def test_blowup_ceilings(monkeypatch):
     )
 
 
-def test_graph_classes_cover_every_graph():
-    # the cached, grouped enumeration against the independent recurrence
-    for d in (2, 3, 4, 5):
-        for m in range(1, 5):
-            classes = _graph_classes(d, m)
-            assert sum(size for _, size in classes) == count_component_graphs_total(d, m)
-            assert all(len(signature) == m for signature, _ in classes)
+def _relabeled(g: ComponentGraph, order: tuple[int, ...]) -> ComponentGraph:
+    """g with node u renamed order[u]."""
+    mult = [[0] * g.m for _ in range(g.m)]
+    for u in range(g.m):
+        for v in range(g.m):
+            mult[order[u]][order[v]] = g.mult[u][v]
+    return ComponentGraph(m=g.m, root=order[g.root], mult=tuple(map(tuple, mult)))
 
 
 def test_graph_classes_are_symmetric_under_relabeling():
-    # the blow-up sums over block-size multisets, which relies on this
+    # relabeling the nodes of a component graph gives another one: the
+    # blow-up's 1/(k+1)! and the shape sum's block order both rely on this
     for d in (2, 3, 4, 5):
         for m in range(1, 5):
-            classes = dict(_graph_classes(d, m))
+            graphs = set(enumerate_component_graphs(d, m))
             for order in permutations(range(m)):
-                relabeled = {
-                    tuple(signature[j] for j in order): size
-                    for signature, size in classes.items()
-                }
-                assert relabeled == classes
+                assert {_relabeled(g, order) for g in graphs} == graphs, (d, m, order)
 
 
 def test_ceilings_hold_after_a_warm_call(monkeypatch):
@@ -226,6 +291,21 @@ def test_star_with_one_reticulation_counts_everything():
     for d in (2, 3, 4):
         for n in range(2, 7):
             assert count_star(Params(d, n, 1)) == count_tc_words(Params(d, n, 1))
+
+
+def test_star_count_is_the_star_group_of_the_blowup_series():
+    # the star graphs on k+1 nodes, one per choice of root, are the group of
+    # sorted out-degrees (0, ..., 0, dk); their root edges have multiplicity
+    # d each, so w = (d!)^k, and the k+1 roots leave 1/k! of the 1/(k+1)!
+    for d in (2, 3, 4, 5):
+        fs = _f_sweep(5 * d)
+        for k in range(1, 6):
+            series = fs[d * k]
+            for _ in range(k):
+                series = series * fs[0]
+            for n in range(k + 1, 25):
+                scale = Fraction(factorial(n), factorial(k) * factorial(d) ** k * 2 ** (n - k - 1))
+                assert count_star(Params(d, n, k)) == scale * z_coefficient(series, n), (d, n, k)
 
 
 def test_star_requires_reticulations():

@@ -22,7 +22,7 @@ SRC = Path(treechild.__file__).resolve().parent
 
 
 def test_defaults():
-    assert CEILINGS == {"WORD": 5, "BLOWUP_N": 8, "BLOWUP_K": 3, "ONECOMP": 200, "GENERAL": 25}
+    assert CEILINGS == {"WORD": 5, "BLOWUP_K": 3, "ONECOMP": 200, "GENERAL": 25}
     assert {name: ceiling(name) for name in CEILINGS} == CEILINGS
 
 
