@@ -26,7 +26,7 @@ from math import exp, factorial, lgamma, log, pi, sqrt
 from .logvalue import LogValue
 from .onecomp import count_otc_total, otc_row
 from .params import at_least
-from .words import _slice_rows, tc_row
+from .words import _slice_rows, lambda_factor, tc_row
 
 # principal root of the Airy function Ai, 15 significant digits
 AIRY_A1 = -2.338107410459767
@@ -42,16 +42,18 @@ class AsymptoticParams:
     airy_a1: float = AIRY_A1
 
 
+def _alpha_beta(d: int) -> tuple[Fraction, float]:
+    """The envelope's alpha and beta, which need no big integer."""
+    return Fraction(-d * (3 * d - 1), 2 * (d + 1)), ((d - 1) / (d + 1)) ** (2.0 / 3.0)
+
+
 def params(d: int) -> AsymptoticParams:
     """alpha = -d(3d-1)/(2(d+1)), beta = ((d-1)/(d+1))^(2/3),
-    gamma = 4(d+1)^(d-1)/(d-1)!.  beta is float with about 1e-12 accuracy;
-    the others are exact."""
+    gamma = 4(d+1)^(d-1)/(d-1)!, four times `words.lambda_factor`.  beta is
+    float with about 1e-12 accuracy; the others are exact."""
     at_least(2, d=d)
-    return AsymptoticParams(
-        alpha=Fraction(-d * (3 * d - 1), 2 * (d + 1)),
-        beta=((d - 1) / (d + 1)) ** (2.0 / 3.0),
-        gamma=Fraction(4 * (d + 1) ** (d - 1), factorial(d - 1)),
-    )
+    alpha, beta = _alpha_beta(d)
+    return AsymptoticParams(alpha=alpha, beta=beta, gamma=4 * lambda_factor(d))
 
 
 # the tail bound at which _bessel_I_exact stops summing
@@ -143,13 +145,13 @@ def tc_envelope(d: int, n: int) -> LogValue:
     below by positive constants, which is all the growth analysis gives.
     """
     at_least(2, d=d, n=n)
-    pr = params(d)
+    alpha, beta = _alpha_beta(d)
     ln_gamma_factor = log(4.0) + (d - 1) * log(d + 1.0) - lgamma(d)
     ln = (
         d * lgamma(n + 1)
         + n * ln_gamma_factor
-        + 3 * AIRY_A1 * pr.beta * n ** (1.0 / 3.0)
-        + float(pr.alpha) * log(n)
+        + 3 * AIRY_A1 * beta * n ** (1.0 / 3.0)
+        + float(alpha) * log(n)
     )
     return LogValue(ln)
 

@@ -9,16 +9,17 @@ masses for d >= 4; a Poisson law for the d = 2 general family viewed from
 the top, i.e. for n-1 minus the count), and the distances used to watch
 the convergence.
 
-Reference laws are truncated series, renormalized; construction refuses
-truncations whose certified tail mass is not below 1e-15, so the
-renormalization never hides real mass.  All pmf arithmetic is rational;
-floats appear only in the final distance values.
+Every law is its integer weights over their sum, P(k) = weights[k] / total,
+never normalized.  Reference laws are truncated series scaled to integers
+over their common denominator; construction refuses truncations whose
+certified tail mass is not below 1e-15.  Exact results are one `Fraction`
+built from integer sums; floats appear only in the final distance values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import erfc, factorial, sqrt
+from math import erfc, factorial, lcm, sqrt
 
 from .onecomp import otc_row
 from .params import at_least, within
@@ -26,50 +27,50 @@ from .words import tc_row
 
 TAIL_BOUND = Fraction(1, 10**15)
 
+# the parameters each reference law takes
+_LAW_PARAMS = {"dirac": {"point"}, "poisson": {"alpha"}, "bessel": {"v", "a"}}
+
 
 @dataclass(frozen=True)
 class Pmf:
-    """Finite-support probability mass function with exact rational masses.
+    """Finite-support law given by integer weights: P(k) = weights[k] / total.
 
-    Masses must lie in [0, 1] and sum to exactly 1; zero masses are
-    dropped.  Immutable by convention (the mass map is not copied out)."""
+    Weights must be ints >= 0 with a positive sum; zero weights are dropped
+    and `total` is their sum, computed once.  `p(k)` is the reduced
+    `Fraction`.  Immutable by convention (the weight map is not copied out)."""
 
-    mass: dict
+    weights: dict
+    total: int = field(init=False)
 
     def __post_init__(self):
-        total = Fraction(0)
-        cleaned = {}
-        for k, v in self.mass.items():
-            v = Fraction(v)
-            if not 0 <= v <= 1:
-                raise ValueError(f"mass at {k} outside [0,1]: {v}")
-            if v:
-                cleaned[int(k)] = v
-            total += v
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, not 1")
-        object.__setattr__(self, "mass", cleaned)
+        at_least(0, **{f"weight at {k}": w for k, w in self.weights.items()})
+        weights = {k: w for k, w in self.weights.items() if w}
+        if not weights:
+            raise ValueError("a law needs a nonzero weight")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "total", sum(weights.values()))
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mass))
+        return tuple(sorted(self.weights))
 
     def p(self, k: int) -> Fraction:
-        return self.mass.get(k, Fraction(0))
+        return Fraction(self.weights.get(k, 0), self.total)
 
     def remap(self, fn) -> "Pmf":
         """Pmf of fn(X); fn must be injective on the support."""
         out: dict = {}
-        for k, v in self.mass.items():
+        for k, w in self.weights.items():
             j = fn(k)
             if j in out:
                 raise ValueError("remap function is not injective on the support")
-            out[j] = v
+            out[j] = w
         return Pmf(out)
 
 
 def ret_pmf(family: str, d: int, n: int) -> Pmf:
-    """Law of the reticulation count for a uniform network with n leaves.
+    """Law of the reticulation count for a uniform network with n leaves,
+    with the count row itself as weights.
 
     family "onecomp" uses the closed-form counts (cheap, ceiling ONECOMP);
     family "general" tabulates the word recurrence (ceiling GENERAL)."""
@@ -80,83 +81,80 @@ def ret_pmf(family: str, d: int, n: int) -> Pmf:
     else:
         raise ValueError(f"unknown family {family!r}")
     within(name, n, "n")
-    counts = row(d, n)  # checks d and n by Params' rule
-    total = sum(counts)
-    return Pmf({k: Fraction(c, total) for k, c in enumerate(counts)})
+    return Pmf(dict(enumerate(row(d, n))))  # row checks d and n by Params' rule
 
 
 def moment(pmf: Pmf, r: int, about=0) -> Fraction:
     """Exact r-th moment of the law about the given center."""
     at_least(1, r=r)
     center = Fraction(about)
-    return sum((Fraction(k) - center) ** r * v for k, v in pmf.mass.items())
+    num, den = center.numerator, center.denominator
+    # sum_k w_k (k - num/den)^r / total, over the common denominator total * den^r
+    weighted = sum(w * (k * den - num) ** r for k, w in pmf.weights.items())
+    return Fraction(weighted, pmf.total * den**r)
 
 
-def _truncated(weights, truncation: int, ratio_bound: Fraction) -> Pmf:
-    """Renormalize exact weights w_0..w_T, certifying the dropped tail.
+def _truncated(term, truncation: int, ratio_bound: Fraction) -> Pmf:
+    """The law proportional to the exact rational terms term(0), ..., term(T)
+    at T = truncation, scaled to integers over their common denominator.
 
-    ratio_bound must dominate w_(j+1)/w_j for every j >= truncation, so the
-    tail is geometrically bounded; the certificate is exact rational."""
-    if not 0 < ratio_bound < 1:
-        raise ValueError("need a geometric ratio bound in (0, 1)")
-    w = [Fraction(x) for x in weights]
-    partial = sum(w)
-    tail = w[-1] * ratio_bound / (1 - ratio_bound)
-    if tail / partial >= TAIL_BOUND:
+    ratio_bound must dominate term(j+1)/term(j) for every j >= T, so the
+    dropped tail is geometrically bounded; the certificate is exact rational."""
+    if ratio_bound >= 1:
+        raise ValueError(f"truncation {truncation} is below the mode; raise it")
+    terms = [term(k) for k in range(truncation + 1)]
+    scale = lcm(*(t.denominator for t in terms))
+    weights = [t.numerator * (scale // t.denominator) for t in terms]
+    tail = weights[-1] * ratio_bound / ((1 - ratio_bound) * sum(weights))
+    if tail >= TAIL_BOUND:
         raise ValueError(
-            f"truncation {truncation} leaves certified tail mass {float(tail / partial):.2e}"
+            f"truncation {truncation} leaves certified tail mass {float(tail):.2e}"
         )
-    return Pmf({k: v / partial for k, v in enumerate(w)})
+    return Pmf(dict(enumerate(weights)))
 
 
 def reference_pmf(law: str, truncation: int = 40, **params) -> Pmf:
-    """Truncated-and-renormalized limit laws.
+    """Truncated limit laws.
 
-    law "poisson": rate alpha (default 1/2), masses ~ alpha^k / k!
-    law "bessel":  order v and argument a (defaults 1 and 2), masses
+    law "poisson": rate alpha (default 1/2), weights ~ alpha^k / k!
+    law "bessel":  order v and argument a (defaults 1 and 2), weights
                    ~ (a/2)^(2k+v) / (k! (k+v)!), normalizer I_v(a)
     law "dirac":   point mass at point (default 0); truncation unused
     """
+    if law not in _LAW_PARAMS:
+        raise ValueError(f"unknown law {law!r}")
+    unexpected = sorted(params.keys() - _LAW_PARAMS[law])
+    if unexpected:
+        raise ValueError(f"unexpected parameters {unexpected}")
     if law == "dirac":
-        point = params.pop("point", 0)
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
-        return Pmf({int(point): Fraction(1)})
+        return Pmf({int(params.get("point", 0)): 1})
     at_least(2, truncation=truncation)
     if law == "poisson":
-        alpha = Fraction(params.pop("alpha", Fraction(1, 2)))
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
+        alpha = Fraction(params.get("alpha", Fraction(1, 2)))
         if alpha <= 0:
             raise ValueError("need alpha > 0")
-        if alpha / (truncation + 1) >= 1:
-            raise ValueError("truncation below the mode; raise it")
-        weights = [alpha**k / factorial(k) for k in range(truncation + 1)]
-        return _truncated(weights, truncation, alpha / (truncation + 1))
-    if law == "bessel":
-        v = params.pop("v", 1)
-        a = Fraction(params.pop("a", 2))
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
-        at_least(0, v=v)
-        if a <= 0:
-            raise ValueError("need a > 0")
-        half_sq = (a / 2) ** 2
-        weights = [
-            (a / 2) ** (2 * k + v) / (factorial(k) * factorial(k + v))
-            for k in range(truncation + 1)
-        ]
-        ratio = half_sq / ((truncation + 1) * (truncation + v + 1))
-        if ratio >= 1:
-            raise ValueError("truncation below the mode; raise it")
-        return _truncated(weights, truncation, ratio)
-    raise ValueError(f"unknown law {law!r}")
+        return _truncated(
+            lambda k: alpha**k / factorial(k), truncation, alpha / (truncation + 1)
+        )
+    v = params.get("v", 1)
+    half = Fraction(params.get("a", 2)) / 2
+    at_least(0, v=v)
+    if half <= 0:
+        raise ValueError("need a > 0")
+    return _truncated(
+        lambda k: half ** (2 * k + v) / (factorial(k) * factorial(k + v)),
+        truncation,
+        half**2 / ((truncation + 1) * (truncation + v + 1)),
+    )
 
 
 def total_variation_exact(p: Pmf, q: Pmf) -> Fraction:
-    """(1/2) sum |p - q| over the union support, exact."""
-    keys = set(p.mass) | set(q.mass)
-    return sum(abs(p.p(k) - q.p(k)) for k in keys) / 2
+    """(1/2) sum |p - q| over the union support, exact: the two laws'
+    weights cross-multiplied by each other's total."""
+    a, b = p.total, q.total
+    keys = p.weights.keys() | q.weights.keys()
+    diff = sum(abs(p.weights.get(k, 0) * b - q.weights.get(k, 0) * a) for k in keys)
+    return Fraction(diff, 2 * a * b)
 
 
 def total_variation(p: Pmf, q: Pmf) -> float:
@@ -186,14 +184,15 @@ def normal_sup_gap(pmf: Pmf, n: int) -> float:
     """The sup-distance of `normal_cdf_diagnostic`, for a d = 2 one-component
     law at n that the caller already holds."""
     at_least(1, n=n)
-    cum = Fraction(0)
+    cum, total = 0, pmf.total
     gap = 0.0
     scale = (n / 4) ** 0.25
     for k in pmf.support:
         z = (k - n + sqrt(n)) / scale
-        below = float(cum)
-        cum += pmf.p(k)
-        above = float(cum)
+        # int / int true division rounds correctly, as float(Fraction) does
+        below = cum / total
+        cum += pmf.weights[k]
+        above = cum / total
         phi = normal_cdf(z)
         gap = max(gap, abs(phi - below), abs(phi - above))
     return gap
@@ -206,5 +205,4 @@ def twig_expectation_bound(d: int, n: int) -> Fraction:
     subtree, and the count of such nodes is bounded in expectation by this
     quantity; for d = 2 it drifts toward 1/2, for d >= 3 toward 0.
     """
-    pmf = ret_pmf("general", d, n)
-    return Fraction(n - 1) - moment(pmf, 1)
+    return n - 1 - moment(ret_pmf("general", d, n), 1)

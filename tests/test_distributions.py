@@ -1,6 +1,6 @@
 """Unit tests for exact reticulation-count distributions and diagnostics."""
 from fractions import Fraction
-from math import exp
+from math import exp, sqrt
 
 import pytest
 import scipy.stats
@@ -18,25 +18,28 @@ from treechild import (
     total_variation_exact,
     twig_expectation_bound,
 )
+from treechild.distributions import normal_sup_gap
 
 
-def test_pmf_validates_total_mass():
-    Pmf({0: Fraction(1, 3), 1: Fraction(2, 3)})
-    with pytest.raises(ValueError):
-        Pmf({0: Fraction(1, 3), 1: Fraction(1, 3)})
-    with pytest.raises(ValueError):
-        Pmf({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+def test_pmf_validates_weights():
+    pmf = Pmf({0: 1, 1: 2})
+    assert (pmf.weights, pmf.total) == ({0: 1, 1: 2}, 3)
+    for bad in (-1, 0.5, True, Fraction(1, 3)):
+        with pytest.raises(ValueError, match=r"^weight at 1 must be an int >= 0, got "):
+            Pmf({0: 1, 1: bad})
+    with pytest.raises(ValueError, match=r"^a law needs a nonzero weight$"):
+        Pmf({0: 0, 1: 0})
 
 
 def test_pmf_drops_zero_mass_points():
-    pmf = Pmf({0: Fraction(1), 5: Fraction(0)})
+    pmf = Pmf({0: 1, 5: 0})
     assert pmf.support == (0,)
     assert pmf.p(5) == 0
     assert pmf.p(123) == 0
 
 
 def test_pmf_remap():
-    pmf = Pmf({0: Fraction(1, 4), 1: Fraction(3, 4)})
+    pmf = Pmf({0: 1, 1: 3})
     flipped = pmf.remap(lambda k: 1 - k)
     assert flipped.p(0) == Fraction(3, 4)
     assert flipped.p(1) == Fraction(1, 4)
@@ -73,7 +76,7 @@ def test_ret_pmf_argument_validation(monkeypatch):
 
 
 def test_moment_values():
-    pmf = Pmf({0: Fraction(1, 4), 2: Fraction(3, 4)})
+    pmf = Pmf({0: 1, 2: 3})
     assert moment(pmf, 1) == Fraction(3, 2)
     assert moment(pmf, 2) == Fraction(3)
     assert moment(pmf, 2, about=Fraction(3, 2)) == Fraction(3, 4)
@@ -114,39 +117,67 @@ def test_reference_pmf_rejects_bad_requests():
         reference_pmf("poisson", truncation=1)
     with pytest.raises(ValueError):
         reference_pmf("poisson", point=2)
-    with pytest.raises(ValueError):
-        reference_pmf("poisson", alpha=Fraction(100))  # truncation below mode
+    for law, params in (("dirac", {"alpha": 1}), ("bessel", {"point": 2})):
+        with pytest.raises(ValueError, match=r"^unexpected parameters"):
+            reference_pmf(law, **params)
+    below_mode = r"^truncation 40 is below the mode; raise it$"
+    for law, params in (("poisson", {"alpha": Fraction(100)}), ("bessel", {"a": 200})):
+        with pytest.raises(ValueError, match=below_mode):
+            reference_pmf(law, **params)
 
 
 def test_total_variation_basics():
-    a = Pmf({0: Fraction(1)})
-    b = Pmf({1: Fraction(1)})
+    a = Pmf({0: 1})
+    b = Pmf({1: 1})
     assert total_variation_exact(a, a) == 0
     assert total_variation_exact(a, b) == 1
     assert total_variation(a, b) == 1.0
 
 
-weights_st = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6)
-
-
-def _pmf_from_weights(weights):
-    total = sum(weights)
-    if total == 0:
-        weights = [1]
-        total = 1
-    return Pmf(
-        {i: Fraction(w, total) for i, w in enumerate(weights) if w}
-    )
+weights_st = st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(any)
 
 
 @given(weights_st, weights_st)
 def test_total_variation_is_a_metric(wa, wb):
-    a = _pmf_from_weights(wa)
-    b = _pmf_from_weights(wb)
+    a = Pmf(dict(enumerate(wa)))
+    b = Pmf(dict(enumerate(wb)))
     tv = total_variation_exact(a, b)
     assert 0 <= tv <= 1
     assert tv == total_variation_exact(b, a)
-    assert (tv == 0) == (a.mass == b.mass)
+    keys = range(max(len(wa), len(wb)))
+    assert (tv == 0) == all(a.p(k) == b.p(k) for k in keys)
+
+
+def _masses(weights):
+    total = sum(weights.values())
+    return {k: Fraction(w, total) for k, w in weights.items() if w}
+
+
+@given(
+    st.dictionaries(st.integers(-5, 40), st.integers(0, 10**30), min_size=1).filter(
+        lambda w: any(w.values())
+    ),
+    st.dictionaries(st.integers(-5, 40), st.integers(1, 10**6), min_size=1),
+    st.integers(1, 4),
+    st.fractions(min_value=-10, max_value=40, max_denominator=50),
+    st.integers(1, 60),
+)
+@settings(max_examples=60)
+def test_weight_arithmetic_matches_rational_masses(wa, wb, r, about, n):
+    # the rational-mass formulas the integer arithmetic replaces, as the oracle
+    a, b = Pmf(wa), Pmf(wb)
+    pa, pb = _masses(wa), _masses(wb)
+    keys = set(pa) | set(pb)
+    tv = sum(abs(pa.get(k, 0) - pb.get(k, 0)) for k in keys) / 2
+    assert total_variation_exact(a, b) == tv
+    assert moment(a, r, about=about) == sum((k - about) ** r * v for k, v in pa.items())
+    cum, gap = Fraction(0), 0.0
+    for k in sorted(pa):
+        phi = normal_cdf((k - n + sqrt(n)) / (n / 4) ** 0.25)
+        below = float(cum)
+        cum += pa[k]
+        gap = max(gap, abs(phi - below), abs(phi - float(cum)))
+    assert normal_sup_gap(a, n) == gap
 
 
 def test_normal_cdf_against_scipy():
