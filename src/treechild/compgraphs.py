@@ -11,12 +11,12 @@ derived series f_g in X = sqrt(1-4z).
 This module implements that route end to end:
 
   enumerate_component_graphs  literal generation (oracle)
-  count_component_graphs      recurrence on (node count, sink count)
+  count_component_graphs      inclusion-exclusion over marked sinks
   count_tc_compgraph          the blow-up, [z^n] of one cached series
   count_star                  the sub-sum over star graphs only
 
 The blow-up enumerates the graphs on k+1 nodes literally, once per (d, k+1)
-per process, so only k has a ceiling.  It never calls the recurrence; the
+per process, so only k has a ceiling.  It never calls the sink count; the
 `oracle` verify suite compares the literal enumeration against it.
 
 plus a generating-function route for k = 1 and k = 2 built on a small
@@ -57,7 +57,7 @@ class ComponentGraph:
         return sum(self.mult[u])
 
     def sinks(self) -> list[int]:
-        """Nodes with out-degree 0; the recurrence stratifies by their count."""
+        """Nodes with out-degree 0; the graph counts stratify by their number."""
         return [v for v in range(self.m) if self.out_degree(v) == 0]
 
 
@@ -120,37 +120,36 @@ def enumerate_component_graphs(d: int, m: int) -> Iterator[ComponentGraph]:
                 )
 
 
-@lru_cache(maxsize=None)
-def _count_graphs(d: int, m: int, s: int) -> int:
-    # k(m, s) = sum_t binom(m,s) beta(m,s,t) k(m-s, t), t up to m-s;
-    # beta(m,s,t) = sum_l (-1)^l binom(t,l) binom(m-s-l+d-1, d)^s
-    if m == 1:
-        return 1 if s == 1 else 0
-    if not 1 <= s <= m - 1:
-        return 0
-    total = 0
-    for t in range(1, m - s + 1):
-        beta = sum(
-            (-1) ** l * comb(t, l) * comb(m - s - l + d - 1, d) ** s
-            for l in range(t + 1)
-        )
-        total += comb(m, s) * beta * _count_graphs(d, m - s, t)
-    return total
+def _marked_sinks(d: int, m: int) -> list[int]:
+    # [N(m, 1), ..., N(m, m-1)]: N(m, j) counts the graphs on m nodes with j
+    # of their sinks marked.  Each marked node takes a d-multiset of parents
+    # among the m - j others, which form any component graph, so
+    # N(m, j) = C(m, j) C(m-j+d-1, d)^j A(m-j), and by inclusion-exclusion
+    # A(m) = sum_j (-1)^(j+1) N(m, j) with A(1) = 1, built bottom-up
+    totals, row = [0, 1], []
+    for x in range(2, m + 1):
+        row = [comb(x, j) * comb(x - j + d - 1, d) ** j * totals[x - j] for j in range(1, x)]
+        totals.append(sum(row[::2]) - sum(row[1::2]))
+    return row
 
 
 def count_component_graphs(d: int, m: int, s: int) -> int:
-    """Component graphs on m labeled nodes with exactly s sinks."""
+    """Component graphs on m labeled nodes with exactly s sinks:
+    sum_{j >= s} (-1)^(j-s) C(j, s) N(m, j) over the marked-sink counts."""
     at_least(2, d=d)
     at_least(1, m=m, s=s)
     if s > max(m - 1, 1):
         raise ValueError(f"need s <= max(m-1, 1), got m={m}, s={s}")
-    return _count_graphs(d, m, s)
+    row = _marked_sinks(d, m)[s - 1:]
+    return sum((-1) ** i * comb(i + s, s) * n for i, n in enumerate(row)) if m > 1 else 1
 
 
 def count_component_graphs_total(d: int, m: int) -> int:
     """All component graphs on m labeled nodes."""
+    at_least(2, d=d)
     at_least(1, m=m)
-    return sum(count_component_graphs(d, m, s) for s in range(1, max(m - 1, 1) + 1))
+    row = _marked_sinks(d, m)
+    return sum(row[::2]) - sum(row[1::2]) if row else 1
 
 
 @lru_cache(maxsize=None)

@@ -127,7 +127,9 @@ def reference_pmf(law: str, truncation: int = 40, **params) -> Pmf:
     if unexpected:
         raise ValueError(f"unexpected parameters {unexpected}")
     if law == "dirac":
-        return Pmf({int(params.get("point", 0)): 1})
+        point = params.get("point", 0)
+        at_least(0, point=point)
+        return Pmf({point: 1})
     at_least(2, truncation=truncation)
     if law == "poisson":
         alpha = Fraction(params.get("alpha", Fraction(1, 2)))

@@ -145,6 +145,22 @@ def test_verify_suites_keep_their_default_size_bytes(suite):
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[suite]
 
 
+# sha256 of the stdout of `count compgraphs --d 2`, recorded while the counts
+# still came from the recursion on (node count, sink count)
+COMPGRAPH_DIGESTS = {
+    ("--n", "100"): "fa2618d4ffb0d690eda21970cc0934364e38cec8317b65cf5211372fd9487d8f",
+    ("--n", "200"): "bd9298f17fa4d162ef2a3558e12d2db3ff15e4f8bf872a18ff2fae4d576e3c05",
+    ("--n", "200", "--k", "7"): "9f7e8761a0d70447caad195d7a717782e229c825e95723ca7ee4d92da096fbb9",
+}
+
+
+@pytest.mark.parametrize("argv", list(COMPGRAPH_DIGESTS), ids=" ".join)
+def test_component_graph_counts_keep_their_bytes(argv):
+    code, text = invoke("count", "compgraphs", "--d", "2", *argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPGRAPH_DIGESTS[argv]
+
+
 RAISED = "'raised division of a 2-bit integer by a 2-bit integer is not exact'"
 
 

@@ -1,10 +1,12 @@
 """Unit tests for component graphs, the blow-up count, series extraction,
 and the closed forms built on them."""
+import inspect
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Iterator
 
 import pytest
@@ -47,9 +49,51 @@ def test_graph_counts_by_sink_number():
             assert count_component_graphs_total(d, m) == sum(row)
 
 
+# the recurrence on (node count, sink count) the counts were once computed
+# by, kept as the oracle for the inclusion-exclusion over marked sinks:
+# k(m, s) = sum_t C(m, s) beta(m, s, t) k(m - s, t), with
+# beta(m, s, t) = sum_l (-1)^l C(t, l) C(m - s - l + d - 1, d)^s
+@lru_cache(maxsize=None)
+def _count_graphs_reference(d: int, m: int, s: int) -> int:
+    if m == 1:
+        return 1 if s == 1 else 0
+    if not 1 <= s <= m - 1:
+        return 0
+    total = 0
+    for t in range(1, m - s + 1):
+        beta = sum(
+            (-1) ** l * comb(t, l) * comb(m - s - l + d - 1, d) ** s
+            for l in range(t + 1)
+        )
+        total += comb(m, s) * beta * _count_graphs_reference(d, m - s, t)
+    return total
+
+
+def test_graph_counts_match_the_sink_recurrence():
+    for d in (2, 3, 4, 5):
+        for m in range(1, 21):
+            row = [count_component_graphs(d, m, s) for s in range(1, max(m - 1, 1) + 1)]
+            assert row == [_count_graphs_reference(d, m, s) for s in range(1, len(row) + 1)], (d, m)
+            total = count_component_graphs_total(d, m)
+            assert total == sum(row), (d, m)
+            # an int, not a float that equals it while it is small
+            assert all(type(v) is int for v in [*row, total]), (d, m)
+
+
+def test_graph_counts_do_not_recurse():
+    depth = len(inspect.stack())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        total = count_component_graphs_total(2, 150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert total == sum(count_component_graphs(2, 150, s) for s in range(1, 150))
+
+
 def test_enumeration_matches_counts():
-    # every d the blow-up tests read, against the independent recurrence,
-    # which test_graph_counts_by_sink_number pins to the hand counts
+    # every d the blow-up tests read, against the marked-sink counts, which
+    # test_graph_counts_by_sink_number pins to the hand counts
     for d in (2, 3, 4, 5):
         for m in range(1, 5):
             graphs = list(enumerate_component_graphs(d, m))
@@ -433,8 +477,6 @@ def test_structural_polynomial_known_coefficients():
 
 
 def test_structural_polynomial_reproduces_counts():
-    from math import comb
-
     for d in (2, 3, 4, 5):
         coeffs = structural_k1_polynomial(d)
         assert len(coeffs) == d

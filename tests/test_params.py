@@ -133,6 +133,10 @@ def _bessel_law(v):
     return distributions.reference_pmf("bessel", v=v)
 
 
+def _dirac_law(point):
+    return distributions.reference_pmf("dirac", point=point)
+
+
 # (public function, valid arguments, integer parameter, its least value):
 # every public integer parameter of the package, by the name its signature
 # gives it
@@ -186,6 +190,7 @@ INTEGER_ARGUMENTS = [
     (compgraphs.count_component_graphs, (2, 3, 1), "d", 2),
     (compgraphs.count_component_graphs, (2, 3, 1), "m", 1),
     (compgraphs.count_component_graphs, (2, 3, 1), "s", 1),
+    (compgraphs.count_component_graphs_total, (2, 3), "d", 2),
     (compgraphs.count_component_graphs_total, (2, 3), "m", 1),
     (_star, (2, 3, 1), "k", 1),
     (compgraphs.f_laurent, (2,), "d", 0),
@@ -211,6 +216,7 @@ INTEGER_ARGUMENTS = [
     (distributions.moment, (Pmf({0: 1}), 1), "r", 1),
     (distributions.reference_pmf, ("poisson", 40), "truncation", 2),
     (_bessel_law, (1,), "v", 0),
+    (_dirac_law, (0,), "point", 0),
     # asymptotics
     (asymptotics.params, (2,), "d", 2),
     (asymptotics.bessel_I, (1, 2), "v", 0),

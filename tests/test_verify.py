@@ -86,6 +86,11 @@ def test_every_covering_route_agrees_on_the_small_grid():
                     }
                     values = {v for kind, v in answers.values() if kind == "value"}
                     assert len(values) <= 1, (target, d, n, k, answers)
+                    # a float count prints like the int while it is small
+                    # and loses digits once it is large; the set above would
+                    # fold 3.0 into 3, so every answer is checked
+                    assert all(type(v) is int for kind, v in answers.values() if kind == "value"), (
+                        target, d, n, k, answers)
                     if values:
                         checked += 1
                         # a cell one route answers is refused by another
