@@ -2,9 +2,10 @@
 
 Counts with a fixed number of reticulations have generating functions that
 are Laurent polynomials in X.  Extracting [z^n] of any integer power of X
-has a closed form, so series counts need no truncated arithmetic: every
-coefficient is an exact rational, and the final division onto integers is
-checked.
+has a closed form, so series counts need no truncated arithmetic.  The only
+denominator is the 1/2 in f_0, so the library sweeps F_d = 2 f_d with integer
+coefficients (an integer polynomial extracts to an int, as the X line below
+shows) and makes each count with one remainder-checked division.
 
 For one and two reticulations the extraction collapses further, to closed
 forms in binomials and double factorials, and the difference from the

@@ -55,9 +55,12 @@ USAGE_ERROR = 2
 
 
 def _count(v: int) -> str:
-    # Decimal holds every digit exactly and, unlike str(), is not capped by
-    # the interpreter's limit on int-to-string conversion
-    return format(Decimal(v), "f")
+    # str() raises ValueError past the interpreter's limit on int-to-string
+    # conversion; Decimal holds every digit exactly and is not capped by it
+    try:
+        return str(v)
+    except ValueError:
+        return format(Decimal(v), "f")
 
 
 def _ratio(fr) -> dict:

@@ -21,7 +21,9 @@ per process, so only k has a ceiling.  It never calls the sink count; the
 
 plus a generating-function route for k = 1 and k = 2 built on a small
 Laurent-polynomial calculus in X = sqrt(1-4z), its closed forms for
-d in {2, 3}, and the fixed-k first-order asymptotic.
+d in {2, 3}, and the fixed-k first-order asymptotic.  The only denominator
+of the series is the 1/2 in f_0, so the sweep holds F_g = 2 f_g in integers
+and each series or blow-up count divides once, remainder-checked.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, lgamma, log, pi, prod
+from math import comb, factorial, lgamma, log, perm, pi, prod
 from typing import Iterator
 
 from .logvalue import LogValue
@@ -154,13 +156,14 @@ def count_component_graphs_total(d: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _blowup_series(d: int, m: int) -> LaurentPoly:
-    """sum_G prod_j f_{g_j} / w_j over the component graphs on m nodes.
+    """sum_G w'_G prod_j F_{g_j} over the component graphs on m nodes, an
+    integer polynomial, with F_g = 2 f_g and w'_G = (d!)^(m-1) / prod_j w_j.
 
     The product reads a graph only through its sorted out-degrees, so the
-    graphs are grouped by them, each weighted by the integer (d!)^(m-1) /
-    prod_j w_j (a non-root node's parent multiplicities sum to d).  Built
-    once per (d, m) per process, so a warm call never reaches the
-    enumeration's ceiling check: `count_tc_compgraph` checks its own first."""
+    graphs are grouped by them, each weighted by the integer w'_G (a
+    non-root node's parent multiplicities sum to d).  Built once per (d, m)
+    per process, so a warm call never reaches the enumeration's ceiling
+    check: `count_tc_compgraph` checks its own first."""
     top = factorial(d) ** (m - 1)
     groups: Counter = Counter()
     for g in enumerate_component_graphs(d, m):
@@ -173,7 +176,7 @@ def _blowup_series(d: int, m: int) -> LaurentPoly:
         for g in degrees:
             term = term * fs[g]
         total = total + term
-    return total.scale(Fraction(1, top))
+    return total
 
 
 def count_tc_compgraph(p: Params) -> int:
@@ -185,35 +188,33 @@ def count_tc_compgraph(p: Params) -> int:
     prod_l g_{j,l}! its edge-multiplicity factorials.  A node blown up into
     b leaves contributes b! [z^b] f_{g_j} / w_j; relabeling the nodes of a
     graph gives another graph, so ordered blocks overcount the leaf
-    partitions by exactly (k+1)!.  Must agree with the word route; the test
-    suite pins that, and pins the series against the block-size shape sum.
+    partitions by exactly (k+1)!.  On the integer series S of `_blowup_series`
+    this is n! [z^n] S / ((k+1)! (d!)^k 2^n), one checked division.  The
+    test suite pins it to the word route and to the block-size shape sum.
     """
     d, n, k = p.d, p.n, p.k
     within("BLOWUP_K", k, "k")
-    v = z_coefficient(_blowup_series(d, k + 1), n) * Fraction(factorial(n), factorial(k + 1))
-    return exact_div(integral(v, f"blow-up count at d={d}, n={n}, k={k}"), 2 ** (n - k - 1))
+    s = z_coefficient(_blowup_series(d, k + 1), n)
+    return exact_div(factorial(n) * s, factorial(k + 1) * factorial(d) ** k * 2 ** n)
 
 
 def count_star(p: Params) -> int:
     """Networks whose component graph is a star (all reticulations hang
     directly off the root component).
 
-    n!/((d!)^k 2^(n-k-1) (k-1)!) times
-    sum_j (2j+dk-2)!/(j!(j-1)!) * (2n-k-2j-1)!/((n-k-j)!(n-j)!).
+    sum_j A_j perm(n, j) perm(2n-k-2j-1, n-j-1) / ((d!)^k 2^(n-k-1) (k-1)!),
+    with the integer A_j = (2j+dk-2)!/(j!(j-1)!), divided once.
 
     Equals the full count for k = 1 and is a lower bound in general.
     """
     d, n, k = p.d, p.n, p.k
     at_least(1, k=k)
-    s = Fraction(0)
-    for j in range(1, n - k + 1):
-        s += Fraction(
-            factorial(2 * j + d * k - 2), factorial(j) * factorial(j - 1)
-        ) * Fraction(
-            factorial(2 * n - k - 2 * j - 1), factorial(n - k - j) * factorial(n - j)
-        )
-    v = Fraction(factorial(n), factorial(d) ** k * 2 ** (n - k - 1) * factorial(k - 1)) * s
-    return integral(v, f"star count at d={d}, n={n}, k={k}")
+    s = sum(
+        exact_div(factorial(2 * j + d * k - 2), factorial(j) * factorial(j - 1))
+        * perm(n, j) * perm(2 * n - k - 2 * j - 1, n - j - 1)
+        for j in range(1, n - k + 1)
+    )
+    return exact_div(s, factorial(d) ** k * 2 ** (n - k - 1) * factorial(k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +222,12 @@ def count_star(p: Params) -> int:
 
 
 class LaurentPoly:
-    """Finitely supported exact-rational Laurent polynomial in X."""
+    """Finitely supported exact Laurent polynomial in X; int coefficients stay int."""
 
     def __init__(self, coefficients=None):
         self.coefficients = {
-            e: Fraction(v) for e, v in (coefficients or {}).items() if v
+            e: v if type(v) is int else Fraction(v)
+            for e, v in (coefficients or {}).items() if v
         }
 
     def __eq__(self, other) -> bool:
@@ -234,18 +236,18 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         r = dict(self.coefficients)
         for e, v in other.coefficients.items():
-            r[e] = r.get(e, Fraction(0)) + v
+            r[e] = r.get(e, 0) + v
         return LaurentPoly(r)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        r: dict[int, Fraction] = {}
+        r: dict = {}
         for e1, v1 in self.coefficients.items():
             for e2, v2 in other.coefficients.items():
-                r[e1 + e2] = r.get(e1 + e2, Fraction(0)) + v1 * v2
+                r[e1 + e2] = r.get(e1 + e2, 0) + v1 * v2
         return LaurentPoly(r)
 
     def scale(self, a) -> "LaurentPoly":
-        return LaurentPoly({e: v * Fraction(a) for e, v in self.coefficients.items()})
+        return self * LaurentPoly({0: a})
 
     def derivative(self) -> "LaurentPoly":
         """d/dX."""
@@ -259,9 +261,10 @@ class LaurentPoly:
 
 
 def _f_sweep(top: int) -> list[LaurentPoly]:
-    """[f_0, ..., f_top] of the recurrence in `f_laurent`, in one pass."""
-    factor = LaurentPoly({-1: Fraction(-1), 1: Fraction(1)})
-    fs = [LaurentPoly({0: Fraction(1, 2), 1: Fraction(-1, 2)})]
+    """[F_0, ..., F_top] with F_g = 2 f_g, in one pass: F_0 = 1 - X and the
+    integer recurrence of `f_laurent` keep every coefficient an int."""
+    factor = LaurentPoly({-1: -1, 1: 1})
+    fs = [LaurentPoly({0: 1, 1: -1})]
     for step in range(1, top + 1):
         f = fs[-1]
         fs.append(factor * f.derivative() + f.scale(step - 2))
@@ -272,30 +275,29 @@ def f_laurent(d: int) -> LaurentPoly:
     """The d-th derived series f_d with f_0 = 1/2 - X/2 and
     f_d = (-1/X + X) f_{d-1}' + (d-2) f_{d-1}."""
     at_least(0, d=d)
-    return _f_sweep(d)[-1]
+    return _f_sweep(d)[-1].scale(Fraction(1, 2))
 
 
-def z_coefficient(poly: LaurentPoly, n: int) -> Fraction:
-    """[z^n] of the polynomial under X = sqrt(1-4z), exact.
+def z_coefficient(poly: LaurentPoly, n: int):
+    """[z^n] of the polynomial under X = sqrt(1-4z), exact: an `int` for an
+    integer polynomial, a `Fraction` otherwise.
 
     For every integer e, [z^n] X^e = binom(e/2, n) (-4)^n
     = prod_{i<n} 2(2i - e) / n!, an integer; the division is checked."""
     at_least(0, n=n)
     f = factorial(n)
-    total = Fraction(0)
+    total = 0
     for e, v in poly.coefficients.items():
         total += v * exact_div(prod(2 * (2 * i - e) for i in range(n)), f)
     return total
 
 
 def count_tc_genfun_k1(d: int, n: int) -> int:
-    """TC(n, 1) = n!/(d! 2^(n-2)) [z^n] f_d f_0."""
+    """TC(n, 1) = n!/(d! 2^(n-2)) [z^n] f_d f_0
+    = n! [z^n] F_d F_0 / (d! 2^n), with F_g = 2 f_g."""
     at_least(2, d=d, n=n)
     fs = _f_sweep(d)
-    v = Fraction(factorial(n), factorial(d) * 2 ** (n - 2)) * z_coefficient(
-        fs[d] * fs[0], n
-    )
-    return integral(v, f"k=1 series count at d={d}, n={n}")
+    return exact_div(factorial(n) * z_coefficient(fs[d] * fs[0], n), factorial(d) * 2 ** n)
 
 
 def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
@@ -306,7 +308,9 @@ def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
         - n!/(d!^2 2^(n-2)) [z^n] f_{2d} f_0^2
     form="merged" folds the l = 0 term into the correction (the two are
     algebraically equal; both stay available so tests can pin that).
-    Both read one sweep f_0..f_2d and share the sum over l = 1..d.
+    With F_g = 2 f_g and c_l = [z^n] F_{2d-l} F_l F_0 this is n! N /
+    (d!^2 2^(n+1)), N = 2 sum_{l=0..d} C(d, l) c_l - c_0 (direct) or
+    2 sum_{l=1..d} C(d, l) c_l + c_0 (merged), one sweep F_0..F_2d.
     """
     at_least(2, d=d)
     at_least(3, n=n)
@@ -315,21 +319,12 @@ def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
     fs = _f_sweep(2 * d)
     f0 = fs[0]
 
-    def term(l: int) -> Fraction:
-        return z_coefficient(fs[2 * d - l] * fs[l] * f0, n) / (
-            factorial(d - l) * factorial(l)
-        )
+    def c(l: int) -> int:
+        return z_coefficient(fs[2 * d - l] * fs[l] * f0, n)
 
-    s = sum(map(term, range(1, d + 1)), Fraction(0))
-    corr = Fraction(factorial(n), factorial(d) ** 2 * 2 ** (n - 2)) * z_coefficient(
-        fs[2 * d] * f0 * f0, n
-    )
-    scale = Fraction(factorial(n), factorial(d) * 2 ** (n - 3))
-    if form == "direct":
-        v = scale * (term(0) + s) - corr
-    else:
-        v = scale * s + corr
-    return integral(v, f"k=2 series count at d={d}, n={n}")
+    s, c0 = sum(comb(d, l) * c(l) for l in range(1, d + 1)), c(0)
+    total = 2 * (c0 + s) - c0 if form == "direct" else 2 * s + c0
+    return exact_div(factorial(n) * total, factorial(d) ** 2 * 2 ** (n + 1))
 
 
 def tc_k1_closed_form(d: int, n: int) -> int:

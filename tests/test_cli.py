@@ -17,7 +17,7 @@ from treechild import (
     GOLDEN_TC, ExactnessError, asymptotics, cli, compgraphs, count_otc, count_tc_words, onecomp,
     otc_asymptotic_ratio, otc_max_k_ratio, Params, verify, words,
 )
-from treechild.cli import run
+from treechild.cli import _count, run
 from treechild.params import CEILINGS
 
 
@@ -266,6 +266,22 @@ def test_count_beyond_int_string_limit():
     value = rec["results"]["value"]
     assert len(value) > 4300
     assert Decimal(value) == count_otc(2, 1500, 1499)
+
+
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_count_text_at_the_int_string_limit(digits):
+    # 4300 digits is the interpreter's default int-to-string limit: str()
+    # writes the first count, Decimal the second, with the same bytes
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        v = 7 * (10 ** digits - 1) // 9
+        assert _count(v) == "7" * digits
+        assert _count(-v) == "-" + "7" * digits
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_count_tc_at_large_d_reads_only_the_binomials_it_needs():

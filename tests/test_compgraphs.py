@@ -340,7 +340,8 @@ def test_star_with_one_reticulation_counts_everything():
 def test_star_count_is_the_star_group_of_the_blowup_series():
     # the star graphs on k+1 nodes, one per choice of root, are the group of
     # sorted out-degrees (0, ..., 0, dk); their root edges have multiplicity
-    # d each, so w = (d!)^k, and the k+1 roots leave 1/k! of the 1/(k+1)!
+    # d each, so w = (d!)^k, and the k+1 roots leave 1/k! of the 1/(k+1)!;
+    # the sweep holds F_g = 2 f_g, so the k+1 factors add 2^(k+1) below
     for d in (2, 3, 4, 5):
         fs = _f_sweep(5 * d)
         for k in range(1, 6):
@@ -348,7 +349,7 @@ def test_star_count_is_the_star_group_of_the_blowup_series():
             for _ in range(k):
                 series = series * fs[0]
             for n in range(k + 1, 25):
-                scale = Fraction(factorial(n), factorial(k) * factorial(d) ** k * 2 ** (n - k - 1))
+                scale = Fraction(factorial(n), factorial(k) * factorial(d) ** k * 2 ** n)
                 assert count_star(Params(d, n, k)) == scale * z_coefficient(series, n), (d, n, k)
 
 
@@ -391,6 +392,23 @@ def test_laurent_poly_distributes(a, b, c):
     pa, pb, pc = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
     assert (pa + pb) * pc == pa * pc + pb * pc
     assert pa * pb == pb * pa
+
+
+def test_laurent_poly_keeps_int_coefficients():
+    assert type(LaurentPoly({1: 1}).coefficients[1]) is int
+    assert LaurentPoly({0: 0.5}).coefficients == {0: Fraction(1, 2)}
+    assert type(LaurentPoly({0: 0.5}).coefficients[0]) is Fraction
+    p = LaurentPoly({-3: 1, 1: -2})
+    assert all(type(v) is int for v in (p * p + p.scale(3)).coefficients.values())
+    assert type(z_coefficient(p, 7)) is int
+    assert type(z_coefficient(p.scale(Fraction(1, 2)), 7)) is Fraction
+
+
+def test_f_sweep_holds_twice_f_in_integers():
+    fs = _f_sweep(40)
+    assert all(type(v) is int for f in fs for v in f.coefficients.values())
+    for g in range(41):
+        assert f_laurent(g).scale(2) == _f_sweep(g)[g] == fs[g], g
 
 
 def test_f_laurent_small_cases():
@@ -448,6 +466,20 @@ def test_series_counts_match_golden_values():
 def test_series_counts_match_word_count_at_large_d():
     assert count_tc_genfun_k1(30, 8) == count_tc_words(Params(30, 8, 1))
     assert count_tc_genfun_k2(30, 8) == count_tc_words(Params(30, 8, 2))
+
+
+def test_series_and_blowup_counts_match_the_words():
+    # the integer series routes each divide once; any slip in the powers of
+    # 2 or the factorials there shows as a mismatch or an inexact division
+    for d in range(2, 9):
+        for n in range(2, 21):
+            assert count_tc_genfun_k1(d, n) == count_tc_words(Params(d, n, 1)), (d, n)
+            assert count_tc_compgraph(Params(d, n, 1)) == count_tc_words(Params(d, n, 1)), (d, n)
+            if n >= 3:
+                want = count_tc_words(Params(d, n, 2))
+                assert count_tc_genfun_k2(d, n) == want, (d, n)
+                assert count_tc_genfun_k2(d, n, form="merged") == want, (d, n)
+                assert count_tc_compgraph(Params(d, n, 2)) == want, (d, n)
 
 
 @settings(deadline=None)
