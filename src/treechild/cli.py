@@ -170,6 +170,8 @@ _TV_KEYS = {
 
 def _cmd_dist(args, out) -> None:
     family, d, n = args.family, args.d, args.n
+    if args.compare == "normal" and (family != "onecomp" or d != 2):
+        raise ValueError("--compare normal applies to --family onecomp --d 2")
     pmf = distributions.ret_pmf(family, d, n)
     results: dict = {
         "support": list(pmf.support),
@@ -177,8 +179,6 @@ def _cmd_dist(args, out) -> None:
     }
     method = "closedform" if family == "onecomp" else "words"
     if args.compare == "normal":
-        if family != "onecomp" or d != 2:
-            raise ValueError("--compare normal applies to --family onecomp --d 2")
         results["normal_sup_gap"] = distributions.normal_sup_gap(pmf, n)
     elif args.compare:
         shifted = pmf.remap(lambda k: n - 1 - k)

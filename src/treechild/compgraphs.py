@@ -10,14 +10,17 @@ derived series f_g in X = sqrt(1-4z).
 
 This module implements that route end to end:
 
-  enumerate_component_graphs  literal generation (oracle)
+  enumerate_component_graphs  literal generation by the definition (oracle)
   count_component_graphs      inclusion-exclusion over marked sinks
   count_tc_compgraph          the blow-up, [z^n] of one cached series
   count_star                  the sub-sum over star graphs only
 
-The blow-up enumerates the graphs on k+1 nodes literally, once per (d, k+1)
-per process, so only k has a ceiling.  It never calls the sink count; the
-`oracle` verify suite compares the literal enumeration against it.
+The enumeration picks a root and a d-multiset of parents per other node,
+and keeps a pick when placing nodes from the root, each once its parents
+are placed, reaches every node.  The blow-up enumerates the graphs on k+1
+nodes literally, once per (d, k+1) per process, so only k has a ceiling.
+It never calls the sink count; the `oracle` verify suite compares the
+literal enumeration against it.
 
 plus a generating-function route for k = 1 and k = 2 built on a small
 Laurent-polynomial calculus in X = sqrt(1-4z), its closed forms for
@@ -63,55 +66,37 @@ class ComponentGraph:
         return [v for v in range(self.m) if self.out_degree(v) == 0]
 
 
-def _is_acyclic(m: int, mult) -> bool:
-    indeg = [0] * m
-    for u in range(m):
-        for v in range(m):
-            if mult[u][v]:
-                indeg[v] += 1
-    stack = [v for v in range(m) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for v in range(m):
-            if mult[u][v]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(v)
-    return seen == m
-
-
 def enumerate_component_graphs(d: int, m: int) -> Iterator[ComponentGraph]:
     """Yield every component graph on m labeled nodes exactly once.
 
-    Every choice of root and of a d-multiset of parents for each non-root
-    node is generated; the acyclic ones survive.  Whether a choice is acyclic
-    depends only on each node's set of parents, so the choices are grouped
-    by those sets and each group is tested once.  Exponential in m, hence
-    the ceiling m <= BLOWUP_K + 1, the graph size of the blow-up's largest k.
+    By the definition: a root, and a d-multiset of parents for every other
+    node, such that the graph is acyclic.  Acyclicity depends only on each
+    node's set of distinct parents, so each node's multisets are grouped by
+    that set once, before the roots are tried, and each combination of sets
+    is tested once: it is acyclic when placing, from the root, every node
+    whose parents are all placed reaches every node.  Exponential in m,
+    hence the ceiling m <= BLOWUP_K + 1, the graph size of the blow-up's
+    largest k.
     """
     at_least(2, d=d)
     at_least(1, m=m)
     within("BLOWUP_K", m - 1, "graph size m - 1")
     nodes = range(m)
+    groups: list[dict[frozenset, list]] = [{} for _ in nodes]
+    for v in nodes:
+        for parents in combinations_with_replacement([u for u in nodes if u != v], d):
+            groups[v].setdefault(frozenset(parents), []).append(parents)
     for root in nodes:
         others = [v for v in nodes if v != root]
-        per_node = []
-        for v in others:
-            by_parent_set: dict[frozenset, list] = {}
-            candidates = [u for u in nodes if u != v]
-            for parents in combinations_with_replacement(candidates, d):
-                by_parent_set.setdefault(frozenset(parents), []).append(parents)
-            per_node.append(by_parent_set)
-        for parent_sets in product(*per_node):
-            edges = [[0] * m for _ in range(m)]
-            for v, ps in zip(others, parent_sets):
-                for u in ps:
-                    edges[u][v] = 1
-            if not _is_acyclic(m, edges):
+        for parent_sets in product(*(groups[v] for v in others)):
+            # each pass places at least one more node of an acyclic graph,
+            # and no node on a cycle is ever placed
+            placed = {root}
+            for _ in others:
+                placed.update(v for v, ps in zip(others, parent_sets) if ps <= placed)
+            if len(placed) < m:
                 continue
-            picks = [groups[ps] for groups, ps in zip(per_node, parent_sets)]
+            picks = [groups[v][ps] for v, ps in zip(others, parent_sets)]
             for pick in product(*picks):
                 mult = [[0] * m for _ in range(m)]
                 for v, parents in zip(others, pick):

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from treechild import (
-    GOLDEN_TC, ExactnessError, asymptotics, cli, compgraphs, count_otc, count_tc_words, onecomp,
-    otc_asymptotic_ratio, otc_max_k_ratio, Params, verify, words,
+    GOLDEN_TC, ExactnessError, asymptotics, cli, compgraphs, count_otc, count_tc_words, distributions,
+    onecomp, otc_asymptotic_ratio, otc_max_k_ratio, Params, verify, words,
 )
 from treechild.cli import _count, run
 from treechild.params import CEILINGS
@@ -390,6 +390,19 @@ def test_dist_normal_gap_requires_d2():
     assert code == 0
     (rec,) = records(text)
     assert rec["results"]["normal_sup_gap"] > 0
+
+
+def test_dist_refuses_a_normal_comparison_before_building_the_law(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("ret_pmf was called")
+
+    monkeypatch.setattr(distributions, "ret_pmf", unreachable)
+    # a d = 50 law holds weights of about 22 600 digits; general at n = 200
+    # is also above its ceiling, and the flag combination is what is named
+    for family, d in (("onecomp", "50"), ("general", "2")):
+        argv = ("dist", "ret", "--family", family, "--d", d, "--n", "200", "--compare", "normal")
+        assert invoke(*argv) == (2, "")
+        assert capsys.readouterr().err == "error: --compare normal applies to --family onecomp --d 2\n"
 
 
 def test_asymp_params_record():

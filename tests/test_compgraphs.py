@@ -1,10 +1,12 @@
 """Unit tests for component graphs, the blow-up count, series extraction,
 and the closed forms built on them."""
+import hashlib
 import inspect
 import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
 from typing import Iterator
@@ -30,7 +32,7 @@ from treechild import (
     tc_k2_closed_form,
     z_coefficient,
 )
-from treechild.compgraphs import _f_sweep, _is_acyclic
+from treechild.compgraphs import _f_sweep
 from treechild.onecomp import count_phylo_trees, double_factorial
 from treechild.params import exact_div
 
@@ -102,6 +104,30 @@ def test_enumeration_matches_counts():
             by_sinks = Counter(len(g.sinks()) for g in graphs)
             want = {s: count_component_graphs(d, m, s) for s in range(1, max(m - 1, 1) + 1)}
             assert by_sinks == want
+
+
+def _is_acyclic(m: int, mult) -> bool:
+    # the reference the enumeration is held to: the standard library's
+    # topological sorter, which raises CycleError on a cycle
+    try:
+        TopologicalSorter({v: [u for u in range(m) if mult[u][v]] for v in range(m)}).prepare()
+    except CycleError:
+        return False
+    return True
+
+
+# sha256 of the (root, mult) sequence over d 2..6 and m 1..4, recorded from
+# the previous enumerator; demo 03 prints this order
+ENUMERATION_ORDER_SHA256 = "06b27f97cd5d238e1f6fdc54707abba3426bc2a180056275ea977239644f4221"
+
+
+def test_enumeration_order_is_pinned():
+    h = hashlib.sha256()
+    for d in range(2, 7):
+        for m in range(1, 5):
+            for g in enumerate_component_graphs(d, m):
+                h.update(repr((g.root, g.mult)).encode())
+    assert h.hexdigest() == ENUMERATION_ORDER_SHA256
 
 
 def test_enumeration_matches_plain_filter():
@@ -179,6 +205,13 @@ def test_blowup_matches_word_count_past_its_default_ceiling():
 def test_blowup_matches_word_count_out_to_n_30():
     # out to n = 30, and three cells at n = 200 and 500
     _assert_blowup_matches_words(_blowup_cells(21, 30) + [(2, 200, 3), (3, 200, 3), (2, 500, 2)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=6, max_value=8), st.integers(min_value=4, max_value=25))
+def test_blowup_matches_word_count_at_k3_for_larger_d(d, n):
+    # drawn cells past _blowup_cells' d <= 5, at the default ceiling k = 3
+    _assert_blowup_matches_words([(d, n, 3)])
 
 
 # the literal set-partition walk the blow-up once summed over, kept as the
