@@ -8,21 +8,16 @@ trees yields a second algorithm for the network counts, independent of the
 word recurrence, and it reduces to one coefficient extraction from the
 derived series f_g in X = sqrt(1-4z).
 
-This module implements that route end to end:
-
-  enumerate_component_graphs  literal generation by the definition (oracle)
+  enumerate_component_graphs  literal generation by the definition, for
+                              the `oracle` suite, the tests and demo 03
   count_component_graphs      inclusion-exclusion over marked sinks
   count_tc_compgraph          the blow-up, [z^n] of one cached series
   count_star                  the sub-sum over star graphs only
 
-The enumeration picks a root and a d-multiset of parents per other node,
-and keeps a pick when placing nodes from the root, each once its parents
-are placed, reaches every node.  The blow-up enumerates the graphs on k+1
-nodes literally, once per (d, k+1) per process, so only k has a ceiling.
-It never calls the sink count; the `oracle` verify suite compares the
-literal enumeration against it.
-
-plus a generating-function route for k = 1 and k = 2 built on a small
+The graph counts and the blow-up series are both inclusion-exclusion over
+marked sinks: marking j sinks leaves any graph on the other nodes, and each
+marked sink takes d parents among them, so no count enumerates a graph.
+Also here: a generating-function route for k = 1 and k = 2 built on a small
 Laurent-polynomial calculus in X = sqrt(1-4z), its closed forms for
 d in {2, 3}, and the fixed-k first-order asymptotic.  The only denominator
 of the series is the 1/2 in f_0, so the sweep holds F_g = 2 f_g in integers
@@ -30,7 +25,6 @@ and each series or blow-up count divides once, remainder-checked.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -107,17 +101,17 @@ def enumerate_component_graphs(d: int, m: int) -> Iterator[ComponentGraph]:
                 )
 
 
-def _marked_sinks(d: int, m: int) -> list[int]:
-    # [N(m, 1), ..., N(m, m-1)]: N(m, j) counts the graphs on m nodes with j
-    # of their sinks marked.  Each marked node takes a d-multiset of parents
-    # among the m - j others, which form any component graph, so
-    # N(m, j) = C(m, j) C(m-j+d-1, d)^j A(m-j), and by inclusion-exclusion
-    # A(m) = sum_j (-1)^(j+1) N(m, j) with A(1) = 1, built bottom-up
-    totals, row = [0, 1], []
+def _marked_sinks(d: int, m: int) -> tuple[list[int], int]:
+    # ([N(m, 1), ..., N(m, m-1)], A(m)): N(m, j) = C(m, j) c_r^j A(r) graphs on
+    # m nodes have j marked sinks, each with c_r = C(r+d-1, d) parent multisets
+    # among the r = m - j others (any graph); A(m) = sum_j (-1)^(j+1) N(m, j)
+    total, states, row, pascal = 1, [], [], [1, 1]
     for x in range(2, m + 1):
-        row = [comb(x, j) * comb(x - j + d - 1, d) ** j * totals[x - j] for j in range(1, x)]
-        totals.append(sum(row[::2]) - sum(row[1::2]))
-    return row
+        states = [s * comb(r + d - 1, d) for r, s in enumerate(states + [total], start=1)]
+        pascal = [a + b for a, b in zip([0, *pascal], [*pascal, 0])]
+        row = [c * s for c, s in zip(pascal[1:], reversed(states))]
+        total = sum(row[::2]) - sum(row[1::2])
+    return row, total
 
 
 def count_component_graphs(d: int, m: int, s: int) -> int:
@@ -127,7 +121,7 @@ def count_component_graphs(d: int, m: int, s: int) -> int:
     at_least(1, m=m, s=s)
     if s > max(m - 1, 1):
         raise ValueError(f"need s <= max(m-1, 1), got m={m}, s={s}")
-    row = _marked_sinks(d, m)[s - 1:]
+    row = _marked_sinks(d, m)[0][s - 1:]
     return sum((-1) ** i * comb(i + s, s) * n for i, n in enumerate(row)) if m > 1 else 1
 
 
@@ -135,33 +129,32 @@ def count_component_graphs_total(d: int, m: int) -> int:
     """All component graphs on m labeled nodes."""
     at_least(2, d=d)
     at_least(1, m=m)
-    row = _marked_sinks(d, m)
-    return sum(row[::2]) - sum(row[1::2]) if row else 1
+    return _marked_sinks(d, m)[1]
 
 
 @lru_cache(maxsize=None)
 def _blowup_series(d: int, m: int) -> LaurentPoly:
-    """sum_G w'_G prod_j F_{g_j} over the component graphs on m nodes, an
-    integer polynomial, with F_g = 2 f_g and w'_G = (d!)^(m-1) / prod_j w_j.
-
-    The product reads a graph only through its sorted out-degrees, so the
-    graphs are grouped by them, each weighted by the integer w'_G (a
-    non-root node's parent multiplicities sum to d).  Built once per (d, m)
-    per process, so a warm call never reaches the enumeration's ceiling
-    check: `count_tc_compgraph` checks its own first."""
-    top = factorial(d) ** (m - 1)
-    groups: Counter = Counter()
-    for g in enumerate_component_graphs(d, m):
-        degrees = tuple(sorted(map(sum, g.mult)))
-        groups[degrees] += exact_div(top, prod(factorial(c) for row in g.mult for c in row))
-    fs = _f_sweep(d * (m - 1))
-    total = LaurentPoly()
-    for degrees, weight in groups.items():
-        term = LaurentPoly({0: weight})
-        for g in degrees:
-            term = term * fs[g]
-        total = total + term
-    return total
+    """S(m) = sum_G w'_G prod_j F_{g_j} over the component graphs on m nodes,
+    with F_g = 2 f_g and w'_G = (d!)^(m-1) / prod_j w_j, the number of ordered
+    d-tuples of parents of the non-root nodes.  Marking j sinks leaves any
+    graph on the other m - j nodes, and each marked sink is a factor F_0 with
+    d more out-edges among them: S(1) = F_0 and S(m) = sum_{j=1}^{m-1}
+    (-1)^(j+1) C(m, j) F_0^j L^(jd) S(m - j), L of `_add_edge`.  Built
+    bottom-up with no graph enumerated; cached, so `count_tc_compgraph`
+    checks its ceiling first."""
+    f0 = LaurentPoly({0: 1, 1: -1})
+    series, powers, states = f0, [f0], []
+    for x in range(2, m + 1):
+        # one more marked sink per base r: d edges onto x - 1 nodes with d(x - 2)
+        states.append(series)
+        for r, state in enumerate(states, start=1):
+            for e in range(d * (x - 2), d * (x - 1)):
+                state = _add_edge(state, e - r)
+            states[r - 1] = state
+        series = sum(((powers[j - 1] * states[x - j - 1]).scale((-1) ** (j + 1) * comb(x, j))
+                      for j in range(1, x)), LaurentPoly())
+        powers.append(powers[-1] * f0)
+    return series
 
 
 def count_tc_compgraph(p: Params) -> int:
@@ -245,14 +238,21 @@ class LaurentPoly:
         return f"LaurentPoly({{{terms}}})"
 
 
+def _add_edge(p: LaurentPoly, c: int) -> LaurentPoly:
+    """(X - 1/X) p' + c p, term by term.  F_{g+1} is this on F_g with c =
+    g - 1, so by the product rule one more out-edge on a product of r
+    factors F_g with total out-degree E is this with c = E - r."""
+    a = p.coefficients
+    support = {*a, *(e - 2 for e in a)}
+    return LaurentPoly({e: (e + c) * a.get(e, 0) - (e + 2) * a.get(e + 2, 0) for e in support})
+
+
 def _f_sweep(top: int) -> list[LaurentPoly]:
     """[F_0, ..., F_top] with F_g = 2 f_g, in one pass: F_0 = 1 - X and the
     integer recurrence of `f_laurent` keep every coefficient an int."""
-    factor = LaurentPoly({-1: -1, 1: 1})
     fs = [LaurentPoly({0: 1, 1: -1})]
-    for step in range(1, top + 1):
-        f = fs[-1]
-        fs.append(factor * f.derivative() + f.scale(step - 2))
+    for g in range(top):
+        fs.append(_add_edge(fs[-1], g - 1))
     return fs
 
 

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # default safety ceilings of the exponential routes: brute-force word
-# enumeration (n; the word length 2n+(d-1)k stays around 20), the
-# component-graph blow-up (k, which caps the literal graph enumeration at
-# k + 1 nodes; the blow-up's cost per n is one coefficient extraction, so
-# n needs no ceiling), and the reticulation laws (n)
+# enumeration (n; the word length 2n+(d-1)k stays around 20), the literal
+# component-graph enumeration (at k + 1 nodes) and the blow-up (k: its
+# marked-sink series grows with k and d, and each n is then one coefficient
+# extraction, so n needs no ceiling), and the reticulation laws (n)
 CEILINGS = {"WORD": 5, "BLOWUP_K": 3, "ONECOMP": 200, "GENERAL": 25}
 
 

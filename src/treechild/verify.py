@@ -170,10 +170,10 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
     What each comparison is independent of: the word recurrence shares no
     code with the blow-up or the series, so words vs blow-up and words vs
     series are independent.  The blow-up and the series both extract
-    coefficients of products of the derived series f_g, so at k = 1 they
-    evaluate the same f_d f_0 and differ only in the graph enumeration;
-    there the independent computation is the tier-1 sum over block-size
-    shapes, which meets the series without going through f_g."""
+    coefficients of products of the derived series f_g, and at k = 1 the
+    blow-up series is literally 2 F_d F_0, the product the series route
+    evaluates; so the independent checks are the words route and the tier-1
+    sum over block-size shapes, which meets the series without f_g."""
     tc = count_routes()["tc"]
     by_words, by_compgraph = tc["words"][0], tc["compgraph"][0]
     # the merged k = 2 series is a second form of the genfun route, checked

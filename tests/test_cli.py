@@ -293,6 +293,16 @@ def test_count_tc_at_large_d_reads_only_the_binomials_it_needs():
     assert Decimal(rec["results"]["value"]) == want
 
 
+def test_blowup_at_large_d_answers():
+    # the blow-up series is built by marked sinks, not by enumerating the
+    # graphs on k + 1 nodes, whose number grows as a power of d
+    code, text = invoke("count", "tc", "--d", "100", "--n", "4", "--k", "3", "--method", "all")
+    assert code == 0
+    recs = records(text)
+    assert [r["method"] for r in recs] == ["words", "compgraph"]
+    assert recs[0]["results"]["value"] == recs[1]["results"]["value"]
+
+
 def test_module_entry_point_runs():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

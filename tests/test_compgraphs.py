@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations_with_replacement, permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, lgamma, log, prod
 from typing import Iterator
 
 import pytest
@@ -18,6 +18,7 @@ from treechild import (
     ComponentGraph,
     LaurentPoly,
     Params,
+    compgraphs,
     count_component_graphs,
     count_component_graphs_total,
     count_star,
@@ -32,7 +33,7 @@ from treechild import (
     tc_k2_closed_form,
     z_coefficient,
 )
-from treechild.compgraphs import _f_sweep
+from treechild.compgraphs import _blowup_series, _f_sweep, asympt_tc_fixed_k
 from treechild.onecomp import count_phylo_trees, double_factorial
 from treechild.params import exact_div
 
@@ -318,6 +319,62 @@ def test_shape_counts_match_the_partition_walk():
             shapes = list(_shapes(n, m))
             assert len(shapes) == len(set(shapes))
             assert {sizes: _partition_count(sizes) for sizes in shapes} == walked, (n, m)
+
+
+def _enumerated_series(d: int, m: int) -> LaurentPoly:
+    """The blow-up series by its definition, over the enumerated graphs:
+    sum count (d!)^(m-1) / prod_j w_j prod_j F_{g_j} over the classes of
+    `_graph_classes`."""
+    fs = _f_sweep(d * (m - 1))
+    total = LaurentPoly()
+    for signature, graphs in _graph_classes(d, m):
+        weight = exact_div(factorial(d) ** (m - 1), prod(w for _, w in signature))
+        term = LaurentPoly({0: graphs * weight})
+        for g, _ in signature:
+            term = term * fs[g]
+        total = total + term
+    return total
+
+
+def test_blowup_series_matches_the_enumerated_graphs(monkeypatch):
+    # the marked-sink recurrence against every graph's out-degrees and edge
+    # multiplicities, and at d = 2 one node past the default ceiling (7 935
+    # graphs on five nodes)
+    monkeypatch.setenv("TREECHILD_BLOWUP_K_CEILING", "4")
+    for d, m in [(d, m) for d in (2, 3, 4, 5) for m in range(1, 5)] + [(2, 5)]:
+        assert _blowup_series(d, m) == _enumerated_series(d, m), (d, m)
+
+
+def test_blowup_enumerates_no_graph(monkeypatch):
+    def refuse(d, m):
+        raise AssertionError("the blow-up enumerated component graphs")
+
+    _blowup_series.cache_clear()
+    monkeypatch.setattr(compgraphs, "enumerate_component_graphs", refuse)
+    assert count_tc_compgraph(Params(3, 8, 3)) == count_tc_words(Params(3, 8, 3))
+
+
+def test_blowup_series_lowest_term_is_the_fixed_k_constant():
+    # TC(n, k) = n! [z^n] S / ((k+1)! (d!)^k 2^n) with S = S(k+1).  A term
+    # X^e with even e >= 0 vanishes once n > e/2, and [z^n] X^(-e) ~ 4^n
+    # n^(e/2-1) / Gamma(e/2) for odd e > 0, so S's lowest term sets the first
+    # order.  With lowest term (k+1) (2dk-3)!! X^(-(2dk-1)) and
+    # Gamma(dk - 1/2) = (2dk-3)!! sqrt(pi) / 2^(dk-1),
+    #   TC(n, k) ~ n! 2^n n^(dk-3/2) 2^(dk-1) / ((d!)^k k! sqrt(pi)),
+    # which is asympt_tc_fixed_k: its constant 2^(dk-1) / ((d!)^k k! sqrt(pi))
+    # exactly.  The integers are pinned; the log identity is checked at n = 50.
+    n = 50
+    for d in (2, 3, 4, 5):
+        for k in range(1, 13):
+            coefficients = _blowup_series(d, k + 1).coefficients
+            e = -min(coefficients)
+            want = (2 * d * k - 1, (k + 1) * double_factorial(2 * d * k - 3))
+            assert (e, coefficients[-e]) == want, (d, k)
+            lead = (
+                lgamma(n + 1) - lgamma(k + 2) - k * lgamma(d + 1) - n * log(2)
+                + log(coefficients[-e]) + n * log(4) + (e / 2 - 1) * log(n) - lgamma(e / 2)
+            )
+            assert lead == pytest.approx(asympt_tc_fixed_k(d, n, k).ln, rel=1e-12), (d, k)
 
 
 def test_blowup_ceilings(monkeypatch):
