@@ -227,12 +227,6 @@ class LaurentPoly:
     def scale(self, a) -> "LaurentPoly":
         return self * LaurentPoly({0: a})
 
-    def derivative(self) -> "LaurentPoly":
-        """d/dX."""
-        return LaurentPoly(
-            {e - 1: v * e for e, v in self.coefficients.items() if e}
-        )
-
     def __repr__(self) -> str:
         terms = ", ".join(f"{e}: {v}" for e, v in sorted(self.coefficients.items()))
         return f"LaurentPoly({{{terms}}})"
@@ -348,48 +342,31 @@ def structural_k1_polynomial(d: int) -> list[Fraction]:
     """Coefficients (ascending) of the degree d-1 polynomial p with
     TC(n, 1) = binom(2n+d-2, d) (2n-3)!! - p(n) (2n-2)!!.
 
-    Fits p through d+1 sample points, checks the degree really is d-1, and
-    verifies d+2 further points; any failure raises.
+    Samples p(n), from the series count, at n = 2..2d+4 and takes the leading
+    differences D^j p(2) of one forward-difference table.  p has degree at
+    most d-1 on all 2d+3 samples exactly when D^j p(2) = 0 for every j >= d;
+    otherwise this raises.  Then p(n) = sum_{j<d} D^j p(2) binom(n-2, j),
+    expanded to monomials by binom(n-2, j+1) = binom(n-2, j) (n-2-j)/(j+1).
     """
     at_least(2, d=d)
-
-    def p_value(n: int) -> Fraction:
-        return Fraction(
-            comb(2 * n + d - 2, d) * double_factorial(2 * n - 3)
-            - count_tc_genfun_k1(d, n),
-            double_factorial(2 * n - 2),
-        )
-
-    xs = list(range(2, 2 + d + 1))
-    coeffs = [Fraction(0)] * len(xs)
-    for i, xi in enumerate(xs):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                new[t + 1] += c
-                new[t] -= xj * c
-            basis = new
-            denom *= xi - xj
-        yi = p_value(xi)
-        for t, c in enumerate(basis):
-            coeffs[t] += yi * c / denom
-    if coeffs[-1] != 0:
-        raise ExactnessError(f"fitted polynomial has degree {d}, expected {d - 1}")
-    coeffs = coeffs[:-1]
-
-    def evaluate(x: int) -> Fraction:
-        r = Fraction(0)
-        for c in reversed(coeffs):
-            r = r * x + c
-        return r
-
-    for n in range(2 + d + 1, 2 + d + 1 + d + 2):
-        if evaluate(n) != p_value(n):
-            raise ExactnessError(f"polynomial fails to extrapolate at n={n}")
+    top = 2 * d + 4
+    row = [Fraction(comb(2 * n + d - 2, d) * double_factorial(2 * n - 3)
+                    - count_tc_genfun_k1(d, n), double_factorial(2 * n - 2))
+           for n in range(2, top + 1)]
+    deltas = []
+    while row:
+        deltas.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for order in range(d, len(deltas)):
+        if deltas[order]:
+            raise ExactnessError(f"p(n) on n = 2..{top} has a nonzero difference of order "
+                                 f"{order}, so its degree is not below {d}")
+    # basis: the monomial coefficients of binom(n-2, j)
+    coeffs, basis = [Fraction(0)] * d, [Fraction(1)]
+    for j, delta in enumerate(deltas[:d]):
+        for t, b in enumerate(basis):
+            coeffs[t] += delta * b
+        basis = [(a - (2 + j) * b) / (j + 1) for a, b in zip([0, *basis], [*basis, 0])]
     return coeffs
 
 

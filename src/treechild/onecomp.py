@@ -24,7 +24,7 @@ truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 
 from .params import Params, at_least, exact_div
 
@@ -32,11 +32,7 @@ from .params import Params, at_least, exact_div
 def double_factorial(m: int) -> int:
     """m!! = m (m-2) (m-4) ...; empty product 1 for m in {-1, 0, 1}."""
     at_least(-1, m=m)
-    result = 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result
+    return prod(range(m, 1, -2))
 
 
 def count_phylo_trees(n: int) -> int:

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface through run()."""
+import argparse
 import csv
 import hashlib
 import io
@@ -6,12 +7,14 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treechild import (
     GOLDEN_TC, ExactnessError, asymptotics, cli, compgraphs, count_otc, count_tc_words, distributions,
@@ -685,3 +688,58 @@ def test_ceiling_env_override(name, monkeypatch, capsys):
         monkeypatch.setenv(var, bad)
         assert invoke(*at_default) == (2, "")
         assert var in capsys.readouterr().err
+
+
+# the drawn CLI contract: sizes stay small until a cost estimate can bound
+# them; a 40-digit --n or --d can run without end today
+MALFORMED_INTS = ["2.0", "1e3", "", "x"]
+METHODS = sorted({m for routes in verify.count_routes().values() for m in routes} | {"all", "nosuch"})
+
+
+def _int_token(dest: str, n: int):
+    value = {
+        "d": st.integers(-1, 6),
+        "n": st.just(n),
+        "k": st.integers(-1, 14) | st.sampled_from([n - 1, n]),
+    }.get(dest, st.integers(-1, 14))
+    return (value.map(str) | value.filter(lambda v: v >= 0).map(lambda v: f"0{v}")
+            | st.sampled_from(MALFORMED_INTS))
+
+
+@st.composite
+def cli_argv(draw):
+    """argv from the parser's own grammar: every subcommand, positional choice
+    and flag; an optional flag may be absent."""
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    command = draw(st.sampled_from(sorted(sub.choices)))
+    argv, n = [command], draw(st.integers(-1, 14))
+    for action in sub.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            argv.append(draw(st.sampled_from(action.choices)))
+            continue
+        if not action.required and draw(st.booleans()):
+            continue
+        if action.type is int:
+            token = draw(_int_token(action.dest, n))
+        else:
+            token = draw(st.sampled_from(action.choices or METHODS))
+        argv += [action.option_strings[0], token]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_every_drawn_call_ends_in_records_or_a_usage_error(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, text = invoke(*argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert any("error:" in line for line in err.getvalue().splitlines()), argv
+        assert "Traceback" not in err.getvalue(), argv
+    elif "csv" not in argv:
+        assert text, argv
+        for line in text.splitlines():
+            assert set(json.loads(line)) == {"command", "parameters", "results", "method"}, argv

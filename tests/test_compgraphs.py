@@ -33,9 +33,9 @@ from treechild import (
     tc_k2_closed_form,
     z_coefficient,
 )
-from treechild.compgraphs import _blowup_series, _f_sweep, asympt_tc_fixed_k
+from treechild.compgraphs import _add_edge, _blowup_series, _f_sweep, asympt_tc_fixed_k
 from treechild.onecomp import count_phylo_trees, double_factorial
-from treechild.params import exact_div
+from treechild.params import ExactnessError, exact_div
 
 # sink-stratified counts fixed from a hand enumeration of small cases
 GRAPH_COUNTS = {
@@ -452,11 +452,12 @@ def test_laurent_poly_algebra():
     x = LaurentPoly({1: Fraction(1)})
     one = LaurentPoly({0: Fraction(1)})
     assert (x + one) * (x + one.scale(-1)) == x * x + one.scale(-1)
-    assert x.derivative() == one
-    assert (x * x).derivative() == x.scale(2)
     inv = LaurentPoly({-1: Fraction(1)})
     assert x * inv == one
-    assert inv.derivative() == LaurentPoly({-2: Fraction(-1)})
+    # the edge operator at c = 0 is (X - 1/X) p'
+    assert _add_edge(x, 0) == x + inv.scale(-1)
+    assert _add_edge(x * x, 0) == (x * x).scale(2) + one.scale(-2)
+    assert _add_edge(inv, 0) == inv * inv * inv + inv.scale(-1)
 
 
 def test_laurent_poly_drops_zero_coefficients():
@@ -596,6 +597,26 @@ def test_structural_polynomial_known_coefficients():
         Fraction(3, 8),
         Fraction(5, 8),
     ]
+
+
+def test_structural_polynomial_matches_the_d2_d3_closed_forms():
+    # tc_k1_closed_form is n ((2n-1)!! - (2n-2)!!) at d = 2 and
+    # n(2n+1)/3 (2n-1)!! - n^2 (2n-2)!! at d = 3, so p = n and p = n^2
+    assert structural_k1_polynomial(2) == [0, 1]
+    assert structural_k1_polynomial(3) == [0, 0, 1]
+
+
+def test_structural_polynomial_refuses_an_off_polynomial_sample(monkeypatch):
+    d = 4
+    top = 2 * d + 4
+    series = compgraphs.count_tc_genfun_k1
+
+    def off_at_top(d, n):
+        return series(d, n) + (double_factorial(2 * n - 2) if n == top else 0)
+
+    monkeypatch.setattr(compgraphs, "count_tc_genfun_k1", off_at_top)
+    with pytest.raises(ExactnessError, match=f"n = 2..{top} .* order {2 * d + 2}"):
+        structural_k1_polynomial(d)
 
 
 def test_structural_polynomial_reproduces_counts():

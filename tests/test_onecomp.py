@@ -28,6 +28,14 @@ def test_double_factorial_small_values():
     assert double_factorial(9) == 945
 
 
+def test_double_factorial_matches_a_loop():
+    for m in range(-1, 201):
+        want, factor = 1, m
+        while factor > 1:
+            want, factor = want * factor, factor - 2
+        assert double_factorial(m) == want, m
+
+
 def test_double_factorial_rejects_below_minus_one():
     with pytest.raises(ValueError):
         double_factorial(-2)
