@@ -26,7 +26,7 @@ from math import exp, factorial, lgamma, log, pi, sqrt
 from .logvalue import LogValue
 from .onecomp import count_otc_total, otc_row
 from .params import at_least
-from .words import _slice_rows, lambda_factor, tc_row
+from .words import _SLICE_SUMS, _slice_sums, _stored, lambda_factor, tc_row
 
 # principal root of the Airy function Ai, 15 significant digits
 AIRY_A1 = -2.338107410459767
@@ -162,18 +162,19 @@ def tc_envelope_ratio(d: int, n_values) -> dict[int, float]:
     The maximal-k count carries the total's growth order up to the
     polynomial factor absorbed in alpha, so this ratio sequence staying in
     a fixed band is the testable face of the Theta-result.  TC(n, n-1) is
-    n! times the sum of all-heavy slice row n-1; the slice is rolled one
-    row at a time up to the largest grid value, so memory stays at one row.
+    n! times the sum of all-heavy slice row n-1.  The sums come from a
+    per-process cache that rolls d's slice once, one row at a time, up to
+    the largest n asked for so far, and keeps one integer per row; n! is
+    applied to a sum only here.  Keys ascend.
     """
     at_least(2, d=d)
     grid = set(n_values)
     for n in grid:
         at_least(2, n=n)
-    out = {}
-    for n, row in zip(range(2, max(grid, default=1) + 1), _slice_rows(d)):
-        if n in grid:
-            out[n] = tc_envelope(d, n).ratio_to(factorial(n) * sum(row))
-    return out
+    return {
+        n: tc_envelope(d, n).ratio_to(factorial(n) * _stored(_SLICE_SUMS, _slice_sums, d, n - 1))
+        for n in sorted(grid)
+    }
 
 
 def ratio_sqrt_e(d: int, n: int) -> Fraction:

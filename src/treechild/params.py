@@ -25,9 +25,10 @@ goes through `within(name, value, what)` and reads alike, e.g. "n = 6
 exceeds the WORD ceiling 5 (set TREECHILD_WORD_CEILING to raise it)".
 
 Every exact division of the package goes through `exact_div(num, den)`,
+or, when the divisor is a power of two 2^e, through `exact_shift(num, e)`,
 and every rational that must be an integer through `integral(value,
-what)`; both raise ExactnessError on a remainder.  Their messages name the
-operands by bit length only, so building one never fails, however large
+what)`; all three raise ExactnessError on a remainder.  Their messages name
+the operands by bit length only, so building one never fails, however large
 the count.
 """
 from __future__ import annotations
@@ -101,6 +102,18 @@ def exact_div(num: int, den: int) -> int:
             f"{den.bit_length()}-bit integer is not exact"
         )
     return q
+
+
+def exact_shift(num: int, e: int) -> int:
+    """num >> e, the value of exact_div(num, 2**e) without a long division,
+    refused with ExactnessError and exact_div's message when the low e bits
+    of num are not all zero."""
+    if num & ((1 << e) - 1):
+        raise ExactnessError(
+            f"division of a {num.bit_length()}-bit integer by a "
+            f"{e + 1}-bit integer is not exact"
+        )
+    return num >> e
 
 
 def integral(value: Fraction, what: str) -> int:

@@ -40,8 +40,11 @@ row reads, so a large d costs the size of those binomials and not a table
 of every a below them.
 
 tc_row reads a per-process cache: for each d, one resumable full-row pass
-and the rows [TC(n, 0), ..., TC(n, n-1)] it has produced so far, advanced
-under a lock only as far as the largest n asked for.  count_tc_words
+and the word-count rows [c(n-1, 0), ..., c(n-1, n-1)] it has produced so
+far, advanced under a lock only as far as the largest n asked for.  The
+counts become networks, TC(n, k) = n! * c(n-1, k) >> (n-k-1) by the
+checked shift params.exact_shift, only for the cells a call returns: the
+whole row for tc_row, one cell for count_tc_words.  count_tc_words
 routes by cell count (_cells): it advances the shared pass to n unless a
 private pass truncated at its k computes fewer cells, with two fixed
 bounds.  When d has no pass yet, it starts one only if that costs no more
@@ -51,26 +54,29 @@ the truncated pass, so a call pays at most twice its own cells and every
 later call for d reuses the rows.  tc_table and count_words stay single
 uncached passes: a table asks for each cell once, and keeping its rows
 would only hold memory.  For d = 2..5 up to n = 100 the cache holds about
-9.6 MB (tracemalloc).
+8.9 MiB (tracemalloc).
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
 two-term rational recurrence and an integer binomial form, both
 implemented; the binomial form is several times faster and feeds the
 tables, one rolling row at a time, while the two-term form stays as a
-cross-check.  An exactly rational rescaling e(N, M) of that slice satisfies
-a two-neighbor recurrence whose verification is part of table construction.
+cross-check.  Its row sums c(n, n) have a cache of their own, kept by the
+same helper (_stored): one resumable pass per d and one integer per row,
+about 1.1 MiB for d = 2..5 up to n = 200, most of it the passes' current
+rows.  An exactly rational rescaling e(N, M) of that slice satisfies a
+two-neighbor recurrence whose verification is part of table construction.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, islice, repeat
 from math import comb, factorial
 from operator import add, mul
 from typing import Callable, Iterator
 
-from .params import ExactnessError, Params, at_least, exact_div, integral, within
+from .params import ExactnessError, Params, at_least, exact_shift, integral, within
 
 
 @dataclass(frozen=True)
@@ -309,48 +315,55 @@ def _cells(start: int, stop: int, k_max: int | None = None) -> int:
     )
 
 
-def _tc_counts(n: int, row: list[list[int]], lo: int = 0) -> list[int]:
-    """TC(n, k) for k = lo, lo+1, ... up to the last k of prefix-sum row
-    n-1: n! * c(n-1, k) / 2^(n-k-1) with c(n-1, k) = row[k][-1], the
-    division exact and checked."""
+def _tc_counts(n: int, counts: list[int], lo: int = 0) -> list[int]:
+    """TC(n, k) for k = lo, lo+1, ... from the word counts counts[k-lo] =
+    c(n-1, k): n! * c(n-1, k) / 2^(n-k-1), the shift exact and checked."""
     f = factorial(n)
-    return [exact_div(f * row[k][-1], 2 ** (n - k - 1)) for k in range(lo, len(row))]
+    return [exact_shift(f * c, n - k - 1) for k, c in enumerate(counts, lo)]
 
 
-def _tc_rows(d: int) -> Iterator[list[int]]:
-    """[TC(n, 0), ..., TC(n, n-1)] for n = 1, 2, ..., one full-row pass."""
-    yield [1]
-    for n, row in enumerate(_word_rows(d), start=2):
-        yield _tc_counts(n, row)
+def _count_rows(d: int) -> Iterator[list[int]]:
+    """[c(n-1, 0), ..., c(n-1, n-1)] for n = 1, 2, ...: the word counts
+    that row n of TC is converted from, one full-row pass."""
+    yield [1]  # the empty word
+    for row in _word_rows(d):
+        yield [cells[-1] for cells in row]
 
 
-# d -> (its resumable _tc_rows pass, the rows n = 1, 2, ... it has yielded)
+def _slice_sums(d: int) -> Iterator[int]:
+    """c(n, n), the sum of all-heavy slice row n, for n = 1, 2, ..."""
+    return map(sum, _slice_rows(d))
+
+
+# d -> (its resumable pass, the entries n = 1, 2, ... it has yielded): the
+# word-count rows of _count_rows, and the slice sums of _slice_sums
 _TC_ROWS: dict[int, tuple[Iterator[list[int]], list[list[int]]]] = {}
-_TC_ROWS_LOCK = threading.Lock()
+_SLICE_SUMS: dict[int, tuple[Iterator[int], list[int]]] = {}
+_CACHE_LOCK = threading.Lock()
 
 
-def _stored_tc_row(d: int, n: int) -> list[int]:
-    """Row n of d's cache, advancing d's pass to n first (starting it when
-    d has none).  The list is the cache's own: callers must not mutate it
-    or hand it out."""
-    with _TC_ROWS_LOCK:
-        state = _TC_ROWS.get(d)
+def _stored(cache: dict, make_pass: Callable, d: int, n: int):
+    """Entry n of d's pass in `cache`, advancing the pass to n first
+    (starting it by make_pass(d) when d has none).  The entry is the
+    cache's own: callers must not mutate it or hand it out."""
+    with _CACHE_LOCK:
+        state = cache.get(d)
         if state is None:
-            state = _TC_ROWS[d] = (_tc_rows(d), [])
-        rows, done = state
+            state = cache[d] = (make_pass(d), [])
+        items, done = state
         if len(done) < n:
             try:
-                done.extend(islice(rows, n - len(done)))
+                done.extend(islice(items, n - len(done)))
             except BaseException:
                 # a pass that raised is finished; the next call starts over
-                del _TC_ROWS[d]
+                del cache[d]
                 raise
         return done[n - 1]
 
 
 def _tc_rows_reached(d: int) -> int | None:
     """How many rows d's cached pass has produced; None when d has none."""
-    with _TC_ROWS_LOCK:
+    with _CACHE_LOCK:
         state = _TC_ROWS.get(d)
         return None if state is None else len(state[1])
 
@@ -386,15 +399,17 @@ def count_tc_words(p: Params) -> int:
     extend = _cells(max((reached or 0) - 1, 0), n - 1)
     trunc = _cells(0, n - 1, k)
     if extend <= (trunc if reached is None else 2 * trunc):
-        return _stored_tc_row(d, n)[k]
-    return _tc_counts(n, _nth_row(d, n - 1, k), k)[0]
+        c = _stored(_TC_ROWS, _count_rows, d, n)[k]
+    else:
+        c = _nth_row(d, n - 1, k)[k][-1]
+    return _tc_counts(n, [c], k)[0]
 
 
 def tc_row(d: int, n: int) -> list[int]:
     """[TC(n, 0), ..., TC(n, n-1)], tree-child networks with n leaves by
-    reticulation count; a fresh copy of the per-process cache's row."""
+    reticulation count, converted from the per-process cache's word counts."""
     Params(d, n, 0)  # d and n by Params' rule, before the cache is touched
-    return list(_stored_tc_row(d, n))
+    return _tc_counts(n, _stored(_TC_ROWS, _count_rows, d, n))
 
 
 def count_tc_total(d: int, n: int) -> int:
@@ -407,7 +422,7 @@ def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
     that bypasses the tc_row cache."""
     at_least(2, d=d)
     at_least(1, n_max=n_max)
-    return dict(zip(range(1, n_max + 1), _tc_rows(d)))
+    return {n: _tc_counts(n, counts) for n, counts in zip(range(1, n_max + 1), _count_rows(d))}
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +452,24 @@ def _slice_rows(d: int) -> Iterator[list[int]]:
     """Rows n = 1, 2, ... of the all-heavy slice, row[m-1] = b(n, m) for
     1 <= m <= n, by the binomial form
     b(n, m) = binom(m+nd-2, d-1) * sum_{j<=min(m,n-1)} b(n-1, j);
-    only the current row is kept."""
+    only the current row and its binomials are kept.  Each binom(a, d-1)
+    is computed once: row n reads a = nd-1, ..., nd+n-2, and the next row
+    keeps the part of that window it reads too, so once n > d a row
+    computes d+1 new binomials, and no binomial is computed that no row
+    reads."""
     row = [1]
+    binoms: list[int] = []  # binom(a, d-1) for the a = nd-1, ..., nd+n-2 row n read
     n = 1
     while True:
         yield row
         n += 1
         sums = list(accumulate(row))
         sums.append(sums[-1])
-        row = [comb(m + n * d - 2, d - 1) * s for m, s in enumerate(sums, start=1)]
+        # the window moves up by d and grows by one: keep the overlap
+        lo = n * d - 1
+        binoms = binoms[d:]
+        binoms += map(comb, range(lo + len(binoms), lo + n), repeat(d - 1))
+        row = list(map(mul, binoms, sums))
 
 
 def b_max_table_binomial(d: int, n_max: int) -> dict:

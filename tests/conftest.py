@@ -3,7 +3,8 @@
 Collects the outcome of each numbered acceptance test and prints a one-line
 pass/fail summary per criterion at the end of the run, so the gate status is
 readable without scrolling through the full pytest output.  Every test
-starts from the default safety ceilings and an empty tc_row cache.
+starts from the default safety ceilings and empty word-count and
+slice-sum caches.
 """
 import re
 
@@ -39,9 +40,10 @@ def default_ceilings(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def cold_row_cache():
-    """Start from an empty per-process tc_row cache; only the tests written
-    for it exercise warm state."""
+    """Start from empty per-process tc_row and slice-sum caches; only the
+    tests written for them exercise warm state."""
     words._TC_ROWS.clear()
+    words._SLICE_SUMS.clear()
 
 
 def pytest_runtest_logreport(report):

@@ -85,6 +85,20 @@ def test_exactness_failure_is_a_verification_failure(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("verification failure: division")
 
 
+def test_conversion_failure_exits_1_and_keeps_the_word_counts(monkeypatch, capsys):
+    # the pass caches word counts and the checked shift runs after it, so a
+    # failed conversion leaves the pass in place
+    monkeypatch.setattr(words, "factorial", lambda n: factorial(n) + 1)
+    code, text = invoke("count", "tc", "--d", "3", "--n", "6")
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("verification failure: division")
+    assert len(words._TC_ROWS[3][1]) == 6
+    monkeypatch.undo()
+    code, text = invoke("count", "tc", "--d", "3", "--n", "6")
+    assert code == 0
+    assert records(text)[0]["results"]["value"] == str(sum(words.tc_table(3, 6)[6]))
+
+
 def test_exactness_failure_on_a_count_beyond_the_int_string_limit(monkeypatch, capsys):
     # both operands run past 4300 digits; the message names them by bit
     # length, so building it cannot fail and the exit stays 1

@@ -8,6 +8,7 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from hypothesis import given, strategies as st
 
 import treechild
 from treechild import asymptotics, compgraphs, distributions, onecomp, pathlength, verify, words
@@ -15,7 +16,8 @@ from treechild.compgraphs import LaurentPoly
 from treechild.distributions import Pmf
 from treechild.logvalue import LogValue, log_of_int
 from treechild.params import (
-    CEILINGS, ExactnessError, Params, at_least, ceiling, exact_div, integral, within,
+    CEILINGS, ExactnessError, Params, at_least, ceiling, exact_div, exact_shift, integral,
+    within,
 )
 
 SRC = Path(treechild.__file__).resolve().parent
@@ -323,6 +325,32 @@ def test_exact_div_names_its_operands_by_bit_length():
     # past the interpreter's int-to-string limit the message still builds
     with pytest.raises(ExactnessError, match="^division of a 16610-bit integer by a 4-bit"):
         exact_div(10**5000 + 1, 10)
+
+
+@given(st.integers(min_value=-(2**300), max_value=2**300), st.integers(min_value=0, max_value=200))
+def test_exact_shift_is_exact_div_by_a_power_of_two(num, e):
+    exact = num << e
+    assert exact_shift(exact, e) == exact_div(exact, 2**e) == num
+    for off in (num, exact + 1, exact - 1):
+        try:
+            want = exact_div(off, 2**e)
+        except ExactnessError as refused:
+            with pytest.raises(ExactnessError) as shifted:
+                exact_shift(off, e)
+            assert str(shifted.value) == str(refused)
+            assert str(refused).startswith("division of a")
+        else:
+            assert exact_shift(off, e) == want
+
+
+def test_exact_shift_names_its_operands_by_bit_length():
+    with pytest.raises(ExactnessError) as refused:
+        exact_shift(13, 2)
+    assert str(refused.value) == (
+        "division of a 4-bit integer by a 3-bit integer is not exact"
+    )
+    with pytest.raises(ExactnessError, match="^division of a 16610-bit integer by a 11-bit"):
+        exact_shift(10**5000 + 2**9, 10)
 
 
 def test_integral():

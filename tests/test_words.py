@@ -1,10 +1,11 @@
 """Unit tests for word classes, the b-recurrence, the tc_row cache, and
 the rescaled slice."""
+import functools
 import sys
 import threading
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import comb, factorial
 from operator import sub
 
 import pytest
@@ -32,7 +33,7 @@ from treechild import (
 )
 from treechild.distributions import ret_pmf
 from treechild import words
-from treechild.words import _TC_ROWS, _nth_row, _tc_counts
+from treechild.words import _SLICE_SUMS, _TC_ROWS, _nth_row, _tc_counts
 
 # spot values fixed before the recurrence implementation existed
 C_VALUES = {
@@ -196,8 +197,13 @@ def _cold(d, n, k=None):
     """tc_row(d, n), or its entry k, from a fresh truncated pass."""
     if n == 1:
         return [1] if k is None else 1
-    counts = _tc_counts(n, _nth_row(d, n - 1, n - 1 if k is None else k))
+    counts = _tc_counts(n, [cells[-1] for cells in _nth_row(d, n - 1, n - 1 if k is None else k)])
     return counts if k is None else counts[k]
+
+
+@functools.cache
+def _slice_table(d):
+    return b_max_table_binomial(d, 79)
 
 
 _REQUEST = st.integers(min_value=2, max_value=5).flatmap(
@@ -318,17 +324,22 @@ def test_mutating_a_returned_row_leaves_the_cache_intact():
 
 def test_threads_sharing_the_cache_get_cold_values():
     plan = [(d, n) for n in range(1, 31) for d in (2, 3)]
-    want = {(d, n): _cold(d, n) for d, n in plan}
+    want = {(d, n): (_cold(d, n), sum(_slice_table(d)[(n, m)] for m in range(1, n + 1)))
+            for d, n in plan}
     start = threading.Barrier(4)
     answers: list = []
     errors: list = []
 
     def ask(shift):
         start.wait()
-        # each thread walks the plan from its own offset, interleaving n
+        # each thread walks the plan from its own offset, interleaving n;
+        # both caches share one lock
         asked = plan[shift::4] + plan[::-7]
         try:
-            answers.extend(((d, n), tc_row(d, n)) for d, n in asked)
+            answers.extend(
+                ((d, n), (tc_row(d, n), words._stored(_SLICE_SUMS, words._slice_sums, d, n)))
+                for d, n in asked
+            )
         except Exception as exc:  # surfaced below; a thread cannot fail the test
             errors.append(exc)
 
@@ -339,9 +350,10 @@ def test_threads_sharing_the_cache_get_cold_values():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(answers) == len(plan) + 4 * len(plan[::-7])
     for cell, row in answers:
@@ -349,11 +361,31 @@ def test_threads_sharing_the_cache_get_cold_values():
 
 
 def test_failed_advance_drops_the_pass(monkeypatch):
+    plain = words._count_rows
+
+    def failing(d):
+        for n, counts in enumerate(plain(d), start=1):
+            if n == 7:
+                raise ExactnessError("injected failure at row 7")
+            yield counts
+
+    monkeypatch.setattr(words, "_count_rows", failing)
     tc_row(2, 5)
-    monkeypatch.setattr(words, "factorial", lambda n: factorial(n) + 1)
     with pytest.raises(ExactnessError):
         tc_row(2, 9)
     assert 2 not in _TC_ROWS
+    monkeypatch.undo()
+    assert tc_row(2, 9) == _cold(2, 9)
+
+
+def test_failed_conversion_keeps_the_pass(monkeypatch):
+    # the shift checks each converted cell outside the pass, so the word
+    # counts it produced stay cached
+    tc_row(2, 5)
+    monkeypatch.setattr(words, "factorial", lambda n: factorial(n) + 1)
+    with pytest.raises(ExactnessError, match="^division of a"):
+        tc_row(2, 9)
+    assert len(_TC_ROWS[2][1]) == 9
     monkeypatch.undo()
     assert tc_row(2, 9) == _cold(2, 9)
 
@@ -390,6 +422,42 @@ def test_top_column_of_the_shared_pass_matches_the_slice():
         for n in range(1, 61):
             want = factorial(n + 1) * sum(slice_[(n, m)] for m in range(1, n + 1))
             assert tc_row(d, n + 1)[n] == want, (d, n)
+
+
+_SLICE_REQUEST = st.tuples(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=80))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(_SLICE_REQUEST, min_size=1, max_size=8))
+def test_cached_slice_sums_answer_like_a_recomputed_slice(requests):
+    # TC(n, n - 1) = n! * c(n - 1, n - 1), in any order of requests
+    _SLICE_SUMS.clear()
+    top: dict = {}
+    for d, n in requests:
+        got = factorial(n) * words._stored(_SLICE_SUMS, words._slice_sums, d, n - 1)
+        want = factorial(n) * sum(_slice_table(d)[(n - 1, m)] for m in range(1, n))
+        assert got == want, (d, n)
+        if n <= 30:
+            assert got == tc_row(d, n)[-1], (d, n)
+        top[d] = max(top.get(d, 0), n - 1)
+        assert len(_SLICE_SUMS[d][1]) == top[d], (d, n)  # rolled only as far as asked
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 50])
+def test_slice_rows_compute_each_binomial_once(d, monkeypatch):
+    calls = []
+
+    def counted(a, r):
+        calls.append(a)
+        return comb(a, r)
+
+    monkeypatch.setattr(words, "comb", counted)
+    rows = list(islice(words._slice_rows(d), 30))
+    read = {m + n * d - 2 for n in range(2, 31) for m in range(1, n + 1)}
+    assert sorted(calls) == sorted(read)  # every a read, none twice, no other
+    monkeypatch.undo()
+    two_term = b_max_table(d, 30)
+    assert rows == [[two_term[(n, m)] for m in range(1, n + 1)] for n in range(1, 31)]
 
 
 @pytest.mark.parametrize("d", [100, 1000, 10000])
