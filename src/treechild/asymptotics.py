@@ -26,7 +26,7 @@ from math import exp, factorial, lgamma, log, pi, sqrt
 from .logvalue import LogValue
 from .onecomp import count_otc_total, otc_row
 from .params import at_least
-from .words import _SLICE_SUMS, _slice_sums, _stored, lambda_factor, tc_row
+from .words import _slice_sum, lambda_factor, tc_row
 
 # principal root of the Airy function Ai, 15 significant digits
 AIRY_A1 = -2.338107410459767
@@ -172,7 +172,7 @@ def tc_envelope_ratio(d: int, n_values) -> dict[int, float]:
     for n in grid:
         at_least(2, n=n)
     return {
-        n: tc_envelope(d, n).ratio_to(factorial(n) * _stored(_SLICE_SUMS, _slice_sums, d, n - 1))
+        n: tc_envelope(d, n).ratio_to(factorial(n) * _slice_sum(d, n - 1))
         for n in sorted(grid)
     }
 

@@ -41,7 +41,8 @@ of every a below them.
 
 tc_row reads a per-process cache: for each d, one resumable full-row pass
 and the word-count rows [c(n-1, 0), ..., c(n-1, n-1)] it has produced so
-far, advanced under a lock only as far as the largest n asked for.  The
+far, advanced under the pass's own lock only as far as the largest n asked
+for, so a long advance for one d blocks no call for another.  The
 counts become networks, TC(n, k) = n! * c(n-1, k) >> (n-k-1) by the
 checked shift params.exact_shift, only for the cells a call returns: the
 whole row for tc_row, one cell for count_tc_words.  count_tc_words
@@ -62,7 +63,7 @@ implemented; the binomial form is several times faster and feeds the
 tables, one rolling row at a time, while the two-term form stays as a
 cross-check.  Its row sums c(n, n) have a cache of their own, kept by the
 same helper (_stored): one resumable pass per d and one integer per row,
-about 1.1 MiB for d = 2..5 up to n = 200, most of it the passes' current
+about 0.7 MiB for d = 2..5 up to n = 200, most of it the passes' current
 rows.  An exactly rational rescaling e(N, M) of that slice satisfies a
 two-neighbor recurrence whose verification is part of table construction.
 """
@@ -71,7 +72,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, islice, repeat
+from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb, factorial
 from operator import add, mul
 from typing import Callable, Iterator
@@ -270,37 +271,44 @@ def _word_rows(d: int, k_max: int | None = None) -> Iterator[list[list[int]]]:
     b(n, k, m) = P_k[m] + binom(n+m+k(d-1)-2, d-1) * P_{k-1}[m]  with
     P_k[m] = S(n-1, k, min(m, n-1)),
 
-    so each row is the running sum of the cells built from the previous
-    row's prefix sums, with the working set at about two rows and
-    O(n * k_max) big-integer operations a row.  A yielded row is never
-    mutated.  binom(a, d-1) is computed only for the a a row reads: the
-    window [lo, lo+n) with lo = n-1+k(d-1), whole for a new k and only its
-    two new end indices for a k the previous row had, so the cost does not
+    so each strand row[k] is the running sum of the cells built from the
+    previous row's strands k and k-1, with O(n * k_max) big-integer
+    operations a row.  The new strand k replaces the old one as soon as it
+    is built: the extended copy of old strand k that built it is the
+    P_{k-1} of strand k+1, so no other old strand is read again.  The
+    working set is one row plus the strand being rebuilt and the old strand
+    below it, as long as the consumer does not hold a yielded row while the
+    next one is built: a held row keeps every old strand alive.  A yielded
+    row is a shallow copy of the row, and no strand is ever mutated, so a
+    yielded row is never mutated.
+    binom(a, d-1) is computed only for the a a row reads: the window
+    [lo, lo+n) with lo = n-1+k(d-1), whole for a new k and only its two
+    new end indices for a k the previous row had, so the cost does not
     grow with d beyond the binomials' own size.
     """
     row = [[1], [1]] if k_max is None or k_max >= 1 else [[1]]
     binoms: list[int | None] = []  # binoms[a] = binom(a, d-1) once a row reads it
     n = 1
     while True:
-        yield row
+        yield list(row)
         n += 1
         top = n if k_max is None else min(n, k_max)
         binoms.extend([None] * (2 * n - 1 + top * (d - 1) - len(binoms)))
-        # P_k extends the previous row at k to m = n; a new list, pointers only
+        # P_k extends the previous row's strand k to m = n; a new list, pointers only
         below = row[0] + row[0][-1:]
-        cur = [list(accumulate(below))]
+        row[0] = list(accumulate(below))
         for k in range(1, top + 1):
             lo = n - 1 + k * (d - 1)
             for a in range(lo if k >= len(row) else lo + n - 2, lo + n):
                 if binoms[a] is None:
                     binoms[a] = comb(a, d - 1)
             cells = map(mul, binoms[lo : lo + n], below)
-            if k < len(row):  # else k = n, where P_k is zero
+            if k == len(row):  # k = n, where P_k is zero
+                row.append(list(accumulate(cells)))
+            else:
                 same = row[k] + row[k][-1:]
-                cells = map(add, same, cells)
+                row[k] = list(accumulate(map(add, same, cells)))
                 below = same
-            cur.append(list(accumulate(cells)))
-        row = cur
 
 
 def _nth_row(d: int, n: int, k_max: int) -> list[list[int]]:
@@ -322,12 +330,18 @@ def _tc_counts(n: int, counts: list[int], lo: int = 0) -> list[int]:
     return [exact_shift(f * c, n - k - 1) for k, c in enumerate(counts, lo)]
 
 
+def _last_cells(row: list[list[int]]) -> list[int]:
+    return [cells[-1] for cells in row]
+
+
 def _count_rows(d: int) -> Iterator[list[int]]:
     """[c(n-1, 0), ..., c(n-1, n-1)] for n = 1, 2, ...: the word counts
-    that row n of TC is converted from, one full-row pass."""
+    that row n of TC is converted from, one full-row pass.  The word rows
+    are mapped, not bound to a loop variable: a row held while the pass
+    advances would keep every old strand alive next to its replacement,
+    two rows instead of one."""
     yield [1]  # the empty word
-    for row in _word_rows(d):
-        yield [cells[-1] for cells in row]
+    yield from map(_last_cells, _word_rows(d))
 
 
 def _slice_sums(d: int) -> Iterator[int]:
@@ -335,10 +349,12 @@ def _slice_sums(d: int) -> Iterator[int]:
     return map(sum, _slice_rows(d))
 
 
-# d -> (its resumable pass, the entries n = 1, 2, ... it has yielded): the
-# word-count rows of _count_rows, and the slice sums of _slice_sums
-_TC_ROWS: dict[int, tuple[Iterator[list[int]], list[list[int]]]] = {}
-_SLICE_SUMS: dict[int, tuple[Iterator[int], list[int]]] = {}
+# d -> (its resumable pass, the entries n = 1, 2, ... it has yielded, the
+# lock held while the pass advances): the word-count rows of _count_rows,
+# and the slice sums of _slice_sums.  _CACHE_LOCK guards only adding and
+# dropping entries, so a long advance of one pass blocks no other pass.
+_TC_ROWS: dict[int, tuple[Iterator[list[int]], list[list[int]], threading.Lock]] = {}
+_SLICE_SUMS: dict[int, tuple[Iterator[int], list[int], threading.Lock]] = {}
 _CACHE_LOCK = threading.Lock()
 
 
@@ -346,26 +362,38 @@ def _stored(cache: dict, make_pass: Callable, d: int, n: int):
     """Entry n of d's pass in `cache`, advancing the pass to n first
     (starting it by make_pass(d) when d has none).  The entry is the
     cache's own: callers must not mutate it or hand it out."""
-    with _CACHE_LOCK:
-        state = cache.get(d)
-        if state is None:
-            state = cache[d] = (make_pass(d), [])
-        items, done = state
-        if len(done) < n:
+    while True:
+        with _CACHE_LOCK:
+            state = cache.get(d)
+            if state is None:
+                state = cache[d] = (make_pass(d), [], threading.Lock())
+        items, done, lock = state
+        with lock:
+            if len(done) >= n:
+                return done[n - 1]
+            if cache.get(d) is not state:
+                continue  # the pass raised and was dropped while this call waited
             try:
                 done.extend(islice(items, n - len(done)))
             except BaseException:
                 # a pass that raised is finished; the next call starts over
-                del cache[d]
+                with _CACHE_LOCK:
+                    if cache.get(d) is state:
+                        del cache[d]
                 raise
-        return done[n - 1]
+            return done[n - 1]
 
 
 def _tc_rows_reached(d: int) -> int | None:
-    """How many rows d's cached pass has produced; None when d has none."""
-    with _CACHE_LOCK:
-        state = _TC_ROWS.get(d)
-        return None if state is None else len(state[1])
+    """How many rows d's cached pass has produced; None when d has none.
+    Read without waiting for an advance in progress, so it may be stale."""
+    state = _TC_ROWS.get(d)
+    return None if state is None else len(state[1])
+
+
+def _slice_sum(d: int, n: int) -> int:
+    """c(n, n), the sum of all-heavy slice row n, from d's cached slice pass."""
+    return _stored(_SLICE_SUMS, _slice_sums, d, n)
 
 
 def count_words(d: int, n: int, k: int) -> int:
@@ -452,24 +480,25 @@ def _slice_rows(d: int) -> Iterator[list[int]]:
     """Rows n = 1, 2, ... of the all-heavy slice, row[m-1] = b(n, m) for
     1 <= m <= n, by the binomial form
     b(n, m) = binom(m+nd-2, d-1) * sum_{j<=min(m,n-1)} b(n-1, j);
-    only the current row and its binomials are kept.  Each binom(a, d-1)
-    is computed once: row n reads a = nd-1, ..., nd+n-2, and the next row
-    keeps the part of that window it reads too, so once n > d a row
-    computes d+1 new binomials, and no binomial is computed that no row
-    reads."""
+    only the current row and its binomials are kept.  The running sums are
+    drawn lazily as the next row is built, so the peak is two rows, the one
+    read and the one built; a consumer that holds a yielded row past the
+    next draw adds that row to the peak.  Each binom(a, d-1) is computed once:
+    row n reads a = nd-1, ..., nd+n-2, and the next row keeps the part of
+    that window it reads too, so once n > d a row computes d+1 new
+    binomials, and no binomial is computed that no row reads."""
     row = [1]
     binoms: list[int] = []  # binom(a, d-1) for the a = nd-1, ..., nd+n-2 row n read
     n = 1
     while True:
         yield row
         n += 1
-        sums = list(accumulate(row))
-        sums.append(sums[-1])
         # the window moves up by d and grows by one: keep the overlap
         lo = n * d - 1
         binoms = binoms[d:]
         binoms += map(comb, range(lo + len(binoms), lo + n), repeat(d - 1))
-        row = list(map(mul, binoms, sums))
+        # sum_{j<=min(m,n-1)} b(n-1, j) for m = 1..n: the last sum repeats
+        row = list(map(mul, binoms, accumulate(chain(row, (0,)))))
 
 
 def b_max_table_binomial(d: int, n_max: int) -> dict:

@@ -3,6 +3,8 @@ the rescaled slice."""
 import functools
 import sys
 import threading
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
@@ -332,12 +334,12 @@ def test_threads_sharing_the_cache_get_cold_values():
 
     def ask(shift):
         start.wait()
-        # each thread walks the plan from its own offset, interleaving n;
-        # both caches share one lock
+        # each thread walks the plan from its own offset, interleaving n,
+        # across both caches
         asked = plan[shift::4] + plan[::-7]
         try:
             answers.extend(
-                ((d, n), (tc_row(d, n), words._stored(_SLICE_SUMS, words._slice_sums, d, n)))
+                ((d, n), (tc_row(d, n), words._slice_sum(d, n)))
                 for d, n in asked
             )
         except Exception as exc:  # surfaced below; a thread cannot fail the test
@@ -376,6 +378,72 @@ def test_failed_advance_drops_the_pass(monkeypatch):
     assert 2 not in _TC_ROWS
     monkeypatch.undo()
     assert tc_row(2, 9) == _cold(2, 9)
+
+
+def test_a_blocked_slice_pass_blocks_no_word_row(monkeypatch):
+    tc_row(2, 5)
+    entered, release = threading.Event(), threading.Event()
+    plain = words._slice_rows
+
+    def blocked(d):
+        entered.set()
+        release.wait(timeout=60)
+        yield from plain(d)
+
+    monkeypatch.setattr(words, "_slice_rows", blocked)
+    slow = threading.Thread(target=words._slice_sum, args=(2, 10))
+    got: list = []
+    quick = threading.Thread(target=lambda: got.append(tc_row(2, 6)))
+    slow.start()
+    try:
+        assert entered.wait(timeout=60)
+        quick.start()
+        quick.join(timeout=10)  # the slice pass still holds its own lock
+        assert not quick.is_alive()
+        assert got == [_cold(2, 6)]
+    finally:
+        release.set()
+        slow.join(timeout=60)
+        quick.join(timeout=60)
+    assert not slow.is_alive()
+
+
+def test_a_call_waiting_on_a_failing_pass_starts_a_new_one(monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    plain = words._count_rows
+
+    def failing(d):
+        yield from islice(plain(d), 4)
+        entered.set()
+        release.wait(timeout=60)
+        raise ExactnessError("injected failure at row 5")
+
+    monkeypatch.setattr(words, "_count_rows", failing)
+    outcomes: list = []
+
+    def ask(n):
+        try:
+            outcomes.append((n, tc_row(2, n)))
+        except ExactnessError as exc:
+            outcomes.append((n, exc))
+
+    first = threading.Thread(target=ask, args=(8,))
+    waiting = threading.Thread(target=ask, args=(9,))
+    first.start()
+    try:
+        assert entered.wait(timeout=60)
+        monkeypatch.setattr(words, "_count_rows", plain)
+        waiting.start()
+        waiting.join(timeout=0.2)  # time to queue on the failing pass's lock
+    finally:
+        release.set()
+        first.join(timeout=60)
+        waiting.join(timeout=60)
+    assert not first.is_alive() and not waiting.is_alive()
+    assert isinstance(dict(outcomes)[8], ExactnessError)
+    # the dropped pass is finished, so the waiting call starts a new one
+    assert dict(outcomes)[9] == _cold(2, 9)
+    assert len(_TC_ROWS[2][1]) == 9
 
 
 def test_failed_conversion_keeps_the_pass(monkeypatch):
@@ -434,7 +502,7 @@ def test_cached_slice_sums_answer_like_a_recomputed_slice(requests):
     _SLICE_SUMS.clear()
     top: dict = {}
     for d, n in requests:
-        got = factorial(n) * words._stored(_SLICE_SUMS, words._slice_sums, d, n - 1)
+        got = factorial(n) * words._slice_sum(d, n - 1)
         want = factorial(n) * sum(_slice_table(d)[(n - 1, m)] for m in range(1, n))
         assert got == want, (d, n)
         if n <= 30:
@@ -475,6 +543,45 @@ def test_yielded_rows_are_never_mutated(d, k_max):
         held = next(islice(rows, n - 1, None))
         next(rows)  # drawing row n + 1 must leave row n as it was
         assert held == _nth_row(d, n, k_max), (n, k_max)
+
+
+@pytest.mark.parametrize("k_max", [None, 0, 1, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rows_held_from_one_pass_match_fresh_passes(d, k_max):
+    # every row of one pass held at once, as strands are replaced in place
+    held = list(islice(words._word_rows(d, k_max), 12))
+    for n, row in enumerate(held, start=1):
+        assert row == _nth_row(d, n, k_max), (n, k_max)
+
+
+def _traced(call):
+    """(bytes still traced when call() returns, its result held; the
+    tracemalloc peak during the call)."""
+    tracemalloc.start()
+    try:
+        kept = call()  # noqa: F841 -- held while the bytes are read
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d, k_max, n, bound", [
+    # count rows 1..120 come from word rows up to 119 (1.02x)
+    (2, None, 120, 1.3),
+    # 11 strands: the old top strand and the one below it, alive while the
+    # top strand is rebuilt, and the binomials add about 0.4 of a row (1.38x)
+    (3, 10, 60, 1.5),
+])
+def test_a_pass_holds_about_one_row(d, k_max, n, bound):
+    # a pass that keeps the whole previous row until the next is done peaks
+    # at about twice the row (1.98x and 2.10x)
+    if k_max is None:
+        largest, _ = _traced(lambda: _nth_row(d, n - 1, k_max))
+        _, peak = _traced(lambda: deque(islice(words._count_rows(d), n), maxlen=0))
+    else:
+        largest, _ = _traced(lambda: _nth_row(d, n, k_max))
+        _, peak = _traced(lambda: deque(islice(words._word_rows(d, k_max), n), maxlen=0))
+    assert peak < bound * largest, (peak, largest)
 
 
 def test_lambda_factor_values():
