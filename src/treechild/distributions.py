@@ -3,17 +3,17 @@
 The number of reticulation nodes of a uniformly random network is a random
 variable with an exactly computable law: each mass is a ratio of two
 integer counts.  This module builds those laws for the one-component and
-general families, the reference limit laws they approach (normal after
-standardization for d = 2 one-component; a Bessel law for d = 3; point
-masses for d >= 4; a Poisson law for the d = 2 general family viewed from
-the top, i.e. for n-1 minus the count), and the distances used to watch
-the convergence.
+general families, the paper's fixed limit laws they approach, and the
+distances used to watch the convergence.  Seen from the top, i.e. for n-1
+minus the count, the limits are Poisson(1/2) for the d = 2 general family,
+the Bessel law 1/(I_1(2) k! (k+1)!) for d = 3 and a point mass at 0 for
+d >= 4; after standardization the d = 2 one-component count is normal.
 
 Every law is its integer weights over their sum, P(k) = weights[k] / total,
-never normalized.  Reference laws are truncated series scaled to integers
-over their common denominator; construction refuses truncations whose
-certified tail mass is not below 1e-15.  Exact results are one `Fraction`
-built from integer sums; floats appear only in the final distance values.
+never normalized.  The Poisson and Bessel laws are their series truncated
+at TRUNCATION = 40, scaled to integers over their common denominator, with
+a certified tail mass below 1e-15.  Exact results are one `Fraction` built
+from integer sums; floats appear only in the final distance values.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ from .words import tc_row
 
 TAIL_BOUND = Fraction(1, 10**15)
 
-# the parameters each reference law takes
-_LAW_PARAMS = {"dirac": {"point"}, "poisson": {"alpha"}, "bessel": {"v", "a"}}
+# the last term kept of the Poisson and Bessel series
+TRUNCATION = 40
 
 
 @dataclass(frozen=True)
@@ -94,60 +94,41 @@ def moment(pmf: Pmf, r: int, about=0) -> Fraction:
     return Fraction(weighted, pmf.total * den**r)
 
 
-def _truncated(term, truncation: int, ratio_bound: Fraction) -> Pmf:
+def _truncated(term, ratio_bound: Fraction) -> Pmf:
     """The law proportional to the exact rational terms term(0), ..., term(T)
-    at T = truncation, scaled to integers over their common denominator.
+    at T = TRUNCATION, scaled to integers over their common denominator.
 
     ratio_bound must dominate term(j+1)/term(j) for every j >= T, so the
     dropped tail is geometrically bounded; the certificate is exact rational."""
     if ratio_bound >= 1:
-        raise ValueError(f"truncation {truncation} is below the mode; raise it")
-    terms = [term(k) for k in range(truncation + 1)]
+        raise ValueError(f"truncation {TRUNCATION} is below the mode; raise it")
+    terms = [term(k) for k in range(TRUNCATION + 1)]
     scale = lcm(*(t.denominator for t in terms))
     weights = [t.numerator * (scale // t.denominator) for t in terms]
     tail = weights[-1] * ratio_bound / ((1 - ratio_bound) * sum(weights))
     if tail >= TAIL_BOUND:
         raise ValueError(
-            f"truncation {truncation} leaves certified tail mass {float(tail):.2e}"
+            f"truncation {TRUNCATION} leaves certified tail mass {float(tail):.2e}"
         )
     return Pmf(dict(enumerate(weights)))
 
 
-def reference_pmf(law: str, truncation: int = 40, **params) -> Pmf:
-    """Truncated limit laws.
-
-    law "poisson": rate alpha (default 1/2), weights ~ alpha^k / k!
-    law "bessel":  order v and argument a (defaults 1 and 2), weights
-                   ~ (a/2)^(2k+v) / (k! (k+v)!), normalizer I_v(a)
-    law "dirac":   point mass at point (default 0); truncation unused
-    """
-    if law not in _LAW_PARAMS:
-        raise ValueError(f"unknown law {law!r}")
-    unexpected = sorted(params.keys() - _LAW_PARAMS[law])
-    if unexpected:
-        raise ValueError(f"unexpected parameters {unexpected}")
-    if law == "dirac":
-        point = params.get("point", 0)
-        at_least(0, point=point)
-        return Pmf({point: 1})
-    at_least(2, truncation=truncation)
+def reference_pmf(law: str) -> Pmf:
+    """The paper's limit laws seen from the top: "poisson" is Poisson(1/2),
+    "bessel" has weights 1/(k! (k+1)!) over I_1(2), and "dirac" is the point
+    mass at 0.  The two series stop at TRUNCATION, their tails certified."""
     if law == "poisson":
-        alpha = Fraction(params.get("alpha", Fraction(1, 2)))
-        if alpha <= 0:
-            raise ValueError("need alpha > 0")
         return _truncated(
-            lambda k: alpha**k / factorial(k), truncation, alpha / (truncation + 1)
+            lambda k: Fraction(1, 2**k * factorial(k)), Fraction(1, 2 * (TRUNCATION + 1))
         )
-    v = params.get("v", 1)
-    half = Fraction(params.get("a", 2)) / 2
-    at_least(0, v=v)
-    if half <= 0:
-        raise ValueError("need a > 0")
-    return _truncated(
-        lambda k: half ** (2 * k + v) / (factorial(k) * factorial(k + v)),
-        truncation,
-        half**2 / ((truncation + 1) * (truncation + v + 1)),
-    )
+    if law == "bessel":
+        return _truncated(
+            lambda k: Fraction(1, factorial(k) * factorial(k + 1)),
+            Fraction(1, (TRUNCATION + 1) * (TRUNCATION + 2)),
+        )
+    if law == "dirac":
+        return Pmf({0: 1})
+    raise ValueError(f"unknown law {law!r}")
 
 
 def total_variation_exact(p: Pmf, q: Pmf) -> Fraction:
@@ -169,16 +150,14 @@ def normal_cdf(x: float) -> float:
     return erfc(-x / sqrt(2.0)) / 2
 
 
-def normal_cdf_diagnostic(n: int, d: int = 2) -> float:
+def normal_cdf_diagnostic(n: int) -> float:
     """Sup-distance between the exact CDF of the standardized reticulation
     count (R_n - n + sqrt(n)) / (n/4)^(1/4) for the d = 2 one-component
-    family and the standard normal CDF.
+    family (the paper's only normal limit) and the standard normal CDF.
 
     At every atom the running exact CDF is compared from both sides, which
     is where the sup over the whole line is attained.
     """
-    if d != 2:
-        raise ValueError("the normal limit is a d=2 statement")
     return normal_sup_gap(ret_pmf("onecomp", 2, n), n)
 
 

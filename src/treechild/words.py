@@ -309,6 +309,7 @@ def _word_rows(d: int, k_max: int | None = None) -> Iterator[list[list[int]]]:
                 same = row[k] + row[k][-1:]
                 row[k] = list(accumulate(map(add, same, cells)))
                 below = same
+        below = same = cells = None  # a resting pass holds no old strand
 
 
 def _nth_row(d: int, n: int, k_max: int) -> list[list[int]]:

@@ -150,4 +150,7 @@ def test_sqrt_e_ratio_monotone_toward_limit():
 
 def test_e_lower_bound_approximates_e():
     assert abs(float(e_lower_bound()) - math.e) < 1e-15
-    assert e_lower_bound(3) == Fraction(5, 2)
+    # the exact partial sum 1/0! + ... + 1/29!
+    assert e_lower_bound() == Fraction(
+        2403440095914245030058787948979, 884176199373970195454361600000
+    )

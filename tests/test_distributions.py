@@ -1,6 +1,7 @@
 """Unit tests for exact reticulation-count distributions and diagnostics."""
 from fractions import Fraction
-from math import exp, sqrt
+from hashlib import sha256
+from math import exp, factorial, sqrt
 
 import pytest
 import scipy.stats
@@ -18,7 +19,7 @@ from treechild import (
     total_variation_exact,
     twig_expectation_bound,
 )
-from treechild.distributions import normal_sup_gap
+from treechild.distributions import _truncated, normal_sup_gap
 
 
 def test_pmf_validates_weights():
@@ -88,8 +89,6 @@ def test_poisson_reference():
     pmf = reference_pmf("poisson")
     assert abs(float(pmf.p(0)) - exp(-0.5)) < 1e-12
     assert abs(float(pmf.p(2)) - exp(-0.5) / 8) < 1e-12
-    scaled = reference_pmf("poisson", alpha=Fraction(2))
-    assert abs(float(scaled.p(1)) - 2 * exp(-2)) < 1e-12
 
 
 def test_bessel_reference():
@@ -106,24 +105,37 @@ def test_dirac_reference():
     pmf = reference_pmf("dirac")
     assert pmf.support == (0,)
     assert pmf.p(0) == 1
-    shifted = reference_pmf("dirac", point=3)
-    assert shifted.p(3) == 1
+
+
+# each law's support size and the sha256 of repr((sorted(weights.items()), total)),
+# which pins its exact integer weights
+REFERENCE_DIGESTS = {
+    "poisson": (41, "9c39a4c7f8202a8d8af46f291846983a1cce5754a1964e5a2a6501e88265bd57"),
+    "bessel": (41, "1b26eda2d2b689c8608eef0d2d7a675819598f12fb177ebcff801d6535fc0f4b"),
+    "dirac": (1, "d3b0df46ee3e48e1b2b649a7a364bf46fca75f524ae301dd3e237f69984bccf1"),
+}
+
+
+@pytest.mark.parametrize("law", sorted(REFERENCE_DIGESTS))
+def test_reference_weights_are_pinned(law):
+    pmf = reference_pmf(law)
+    digest = sha256(repr((sorted(pmf.weights.items()), pmf.total)).encode()).hexdigest()
+    assert (len(pmf.weights), digest) == REFERENCE_DIGESTS[law]
 
 
 def test_reference_pmf_rejects_bad_requests():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown law 'uniform'$"):
         reference_pmf("uniform")
-    with pytest.raises(ValueError):
-        reference_pmf("poisson", truncation=1)
-    with pytest.raises(ValueError):
-        reference_pmf("poisson", point=2)
-    for law, params in (("dirac", {"alpha": 1}), ("bessel", {"point": 2})):
-        with pytest.raises(ValueError, match=r"^unexpected parameters"):
-            reference_pmf(law, **params)
-    below_mode = r"^truncation 40 is below the mode; raise it$"
-    for law, params in (("poisson", {"alpha": Fraction(100)}), ("bessel", {"a": 200})):
-        with pytest.raises(ValueError, match=below_mode):
-            reference_pmf(law, **params)
+
+
+def test_truncation_refuses_an_uncertified_tail():
+    # the two refusals no reference law reaches: a ratio bound of at least 1
+    # (terms still growing at the truncation), and a tail not below TAIL_BOUND
+    with pytest.raises(ValueError, match=r"^truncation 40 is below the mode; raise it$"):
+        _truncated(lambda k: Fraction(100**k, factorial(k)), Fraction(100, 41))
+    with pytest.raises(ValueError, match=r"^truncation 40 leaves certified tail mass 2\.44e-02$"):
+        _truncated(lambda k: Fraction(1), Fraction(1, 2))
+    assert _truncated(lambda k: Fraction(1, 4**k), Fraction(1, 4)).total == (4**41 - 1) // 3
 
 
 def test_total_variation_basics():
@@ -188,8 +200,6 @@ def test_normal_cdf_against_scipy():
 def test_normal_diagnostic_frozen_value():
     gap = normal_cdf_diagnostic(50)
     assert abs(gap - 0.17445140085945987) < 1e-12
-    with pytest.raises(ValueError):
-        normal_cdf_diagnostic(50, d=3)
 
 
 def test_twig_bound_matches_direct_sum():

@@ -131,14 +131,6 @@ def _first_graph(d, m):
     return next(compgraphs.enumerate_component_graphs(d, m))
 
 
-def _bessel_law(v):
-    return distributions.reference_pmf("bessel", v=v)
-
-
-def _dirac_law(point):
-    return distributions.reference_pmf("dirac", point=point)
-
-
 # (public function, valid arguments, integer parameter, its least value):
 # every public integer parameter of the package, by the name its signature
 # gives it
@@ -216,9 +208,6 @@ INTEGER_ARGUMENTS = [
     (distributions.normal_cdf_diagnostic, (3,), "n", 1),
     (distributions.normal_sup_gap, (Pmf({0: 1}), 3), "n", 1),
     (distributions.moment, (Pmf({0: 1}), 1), "r", 1),
-    (distributions.reference_pmf, ("poisson", 40), "truncation", 2),
-    (_bessel_law, (1,), "v", 0),
-    (_dirac_law, (0,), "point", 0),
     # asymptotics
     (asymptotics.params, (2,), "d", 2),
     (asymptotics.bessel_I, (1, 2), "v", 0),
@@ -232,7 +221,6 @@ INTEGER_ARGUMENTS = [
     (asymptotics.ratio_sqrt_e, (2, 3), "d", 2),
     (asymptotics.ratio_sqrt_e, (2, 3), "n", 2),
     (asymptotics.ratio_sqrt_e_reference, (2,), "d", 2),
-    (asymptotics.e_lower_bound, (3,), "terms", 1),
     # logvalue
     (log_of_int, (5,), "value", 1),
     (LogValue(0.0).ratio_to, (5,), "exact", 1),

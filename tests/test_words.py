@@ -1,6 +1,8 @@
 """Unit tests for word classes, the b-recurrence, the tc_row cache, and
 the rescaled slice."""
 import functools
+import gc
+import inspect
 import sys
 import threading
 import tracemalloc
@@ -582,6 +584,37 @@ def test_a_pass_holds_about_one_row(d, k_max, n, bound):
         largest, _ = _traced(lambda: _nth_row(d, n, k_max))
         _, peak = _traced(lambda: deque(islice(words._word_rows(d, k_max), n), maxlen=0))
     assert peak < bound * largest, (peak, largest)
+
+
+def _lists_reached(value):
+    """The lists reachable from value through lists, tuples and iterators."""
+    seen, stack, found = set(), [value], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, list):
+            found.append(obj)
+        if isinstance(obj, (list, tuple, map, type(iter([])))):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("d, k_max", [(2, None), (3, 10), (3, 1), (2, 0)])
+def test_a_resting_pass_holds_no_old_strand(d, k_max):
+    rows = words._word_rows(d, k_max)
+    for n in range(1, 13):
+        next(rows)
+        # the suspended pass binds its strands through `row` only: a name
+        # left from the last step would keep an old strand alive at rest
+        at_rest = inspect.getgeneratorlocals(rows)
+        strands = at_rest["row"]
+        for name, value in at_rest.items():
+            if name in ("row", "binoms"):
+                continue
+            for held in _lists_reached(value):
+                assert any(held is s for s in strands), (n, name)
 
 
 def test_lambda_factor_values():
