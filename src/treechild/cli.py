@@ -7,7 +7,7 @@ floats), exact rationals are numerator/denominator string pairs, floats
 are written as Python's shortest round-trip repr (full double precision),
 and every record names the method that produced it.
 
-`count TARGET --method M` runs one route of `verify.count_routes`, the table
+`count TARGET --method M` runs one route of `verify.COUNT_ROUTES`, the table
 of which method covers which (d, n, k): the target's first method by
 default, or with `--method all` every route whose domain holds, which must
 all agree.  A method that does not cover the cell is a usage error.
@@ -21,8 +21,9 @@ check, routes that disagree, or a verify suite with a failed check, raised
 after every record is written); 2 usage error, printed as "error: ..."
 (argparse's own errors aside: any other ValueError or ArithmeticError,
 such as an OverflowError or an integer argument refused by
-`params.at_least`, and a RecursionError: an input too deep for Python's
-recursion limit).
+`params.at_least`; a RecursionError: an input too deep for Python's
+recursion limit; and a MemoryError: an input whose tables do not fit in
+memory).
 
 Environment variables override only the safety ceilings of
 `params.CEILINGS`, never science parameters; the README's "Safety
@@ -95,13 +96,9 @@ def _emit(command: str, parameters: dict, results: dict, method: str, out) -> No
 # count
 
 
-# built once: the routes read their ceilings each time they run
-_COUNT_ROUTES = verify.count_routes()
-
-
 def _cmd_count(args, out) -> None:
     d, n, k, target = args.d, args.n, args.k, args.target
-    routes = _COUNT_ROUTES[target]
+    routes = verify.COUNT_ROUTES[target]
     method = args.method or next(iter(routes))
     if method != "all" and method not in routes:
         raise ValueError(
@@ -192,39 +189,24 @@ def _cmd_dist(args, out) -> None:
 
 
 def _cmd_asymp(args, out) -> None:
-    d = args.d
-    if args.target == "params":
+    d, n, target = args.d, args.n, args.target
+    if target != "params" and n is None:
+        raise ValueError(f"asymp {target} requires --n")
+    if target == "params":
         pr = asymptotic_params(d)
-        _emit(
-            "asymp params",
-            {"d": d},
-            {
-                "alpha": _ratio(pr.alpha),
-                "beta": pr.beta,
-                "gamma": _ratio(pr.gamma),
-                "airy_a1": pr.airy_a1,
-            },
-            "closedform",
-            out,
-        )
-        return
-    if args.n is None:
-        raise ValueError(f"asymp {args.target} requires --n")
-    n = args.n
-    if args.target == "otc":
-        _emit(
-            "asymp otc",
-            {"d": d, "n": n},
-            {"estimate": _logvalue(otc_asymptotic(d, n))},
-            "closedform",
-            out,
-        )
-    elif args.target == "tc-envelope":
+        results = {
+            "alpha": _ratio(pr.alpha),
+            "beta": pr.beta,
+            "gamma": _ratio(pr.gamma),
+            "airy_a1": pr.airy_a1,
+        }
+    elif target == "otc":
+        results = {"estimate": _logvalue(otc_asymptotic(d, n))}
+    elif target == "tc-envelope":
         results = {"envelope": _logvalue(tc_envelope(d, n))}
         if n <= 200:
             results["max_k_count_over_envelope"] = tc_envelope_ratio(d, [n])[n]
-        _emit("asymp tc-envelope", {"d": d, "n": n}, results, "words", out)
-    elif args.target == "ratio":
+    else:
         # otc_asymptotic_ratio and otc_max_k_ratio from one row, not one each
         estimate = otc_asymptotic(d, n)
         row = otc_row(d, n)
@@ -236,7 +218,9 @@ def _cmd_asymp(args, out) -> None:
         if n <= ceiling("GENERAL"):
             results["tc_total_over_max_k"] = _ratio(ratio_sqrt_e(d, n))
             results["tc_ratio_reference"] = ratio_sqrt_e_reference(d)
-        _emit("asymp ratio", {"d": d, "n": n}, results, "closedform", out)
+    parameters = {"d": d} if target == "params" else {"d": d, "n": n}
+    method = "words" if target == "tc-envelope" else "closedform"
+    _emit(f"asymp {target}", parameters, results, method, out)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +257,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="single exact count")
-    p_count.add_argument("target", choices=list(_COUNT_ROUTES))
+    p_count.add_argument("target", choices=list(verify.COUNT_ROUTES))
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--k", type=int)
@@ -317,7 +301,8 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None, out=None) -> int:
     """Parse argv and execute; returns the exit code.  The one place that
     turns a failure into an exit code: ExactnessError is 1, any other
-    ValueError or ArithmeticError and a RecursionError are 2."""
+    ValueError or ArithmeticError, a RecursionError and a MemoryError are
+    2."""
     out = out or sys.stdout
     try:
         args = _parser().parse_args(argv)
@@ -333,6 +318,9 @@ def run(argv=None, out=None) -> int:
         return USAGE_ERROR
     except RecursionError as exc:
         print(f"error: {exc} (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
         return USAGE_ERROR
     return 0
 

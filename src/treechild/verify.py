@@ -32,7 +32,7 @@ the runner alone holds three rules:
   by "; first mismatch <entry>" ("first failure" for the inequality and
   path-length checks) naming its first failure entry when it failed.
 
-`count_routes` is the one table of which route covers which (d, n, k); the
+`COUNT_ROUTES` is the one table of which route covers which (d, n, k); the
 cross-method suite and the command line's `count --method` both read it.
 """
 from __future__ import annotations
@@ -153,10 +153,6 @@ def suite_golden_tables(d: int | None = None, n_max: int | None = None):
     return results
 
 
-def _genfun_k2_merged(d: int, n: int, k: int) -> int:
-    return compgraphs.count_tc_genfun_k2(d, n, form="merged")
-
-
 # the largest n the cross-method suite reaches, whatever --n-max asks for
 _CROSS_METHOD_N_TOP = 12
 
@@ -174,11 +170,13 @@ def suite_cross_method(d: int | None = None, n_max: int | None = None):
     blow-up series is literally 2 F_d F_0, the product the series route
     evaluates; so the independent checks are the words route and the tier-1
     sum over block-size shapes, which meets the series without f_g."""
-    tc = count_routes()["tc"]
+    tc = COUNT_ROUTES["tc"]
     by_words, by_compgraph = tc["words"][0], tc["compgraph"][0]
     # the merged k = 2 series is a second form of the genfun route, checked
     # here only
-    series = [tc["genfun"], (_genfun_k2_merged, lambda d, n, k: k == 2), tc["closedform"]]
+    merged = _route(lambda d, n, k: compgraphs.count_tc_genfun_k2(d, n, form="merged"),
+                    covers=lambda d, k: k == 2)
+    series = [tc["genfun"], merged, tc["closedform"]]
     results = []
     d_values = [d] if d is not None else [2, 3]
     blow_n = 6 if n_max is None else min(n_max, _CROSS_METHOD_N_TOP)
@@ -309,68 +307,48 @@ def suite_sackin(d: int | None = None, n_max: int | None = None):
     return results
 
 
-def count_routes() -> dict:
-    """Every route to a count, by `count` target and method.
+def _route(each, total=None, covers=lambda d, k: True):
+    """One count route as (route, domain).  ``route(d, n, k)`` returns
+    ``each(d, n, k)``, or ``total(d, n)`` when ``k is None``;
+    ``domain(d, n, k)`` holds for ``k is None`` only when there is a total,
+    and otherwise is ``covers(d, k)``."""
+    return (lambda d, n, k: total(d, n) if k is None else each(d, n, k),
+            lambda d, n, k: total is not None if k is None else covers(d, k))
 
-    Returns ``{target: {method: (route, domain)}}``: ``route(d, n, k)``
-    returns the count and ``domain(d, n, k)`` says whether the route covers
-    the cell.  ``k is None`` asks for the total over k, and the first method
-    of each target is its default.  A covered cell can still be refused by
-    a route's safety ceiling (`params.ceiling`), which the exponential
-    routes read each time they run.  Routes call through their module's
-    attribute, so a rebound or patched function is the one that runs.
-    """
-    def anywhere(d, n, k):
-        return True
 
-    def with_k(d, n, k):
-        return k is not None
-
-    def tc_words(d, n, k):
-        if k is None:
-            return words.count_tc_total(d, n)
-        return words.count_tc_words(Params(d, n, k))
-
-    def tc_genfun(d, n, k):
-        if k == 1:
-            return compgraphs.count_tc_genfun_k1(d, n)
-        return compgraphs.count_tc_genfun_k2(d, n)
-
-    def tc_closedform(d, n, k):
-        if k == 1:
-            return compgraphs.tc_k1_closed_form(d, n)
-        return compgraphs.tc_k2_closed_form(d, n)
-
-    def otc_closedform(d, n, k):
-        if k is None:
-            return onecomp.count_otc_total(d, n)
-        return onecomp.count_otc(d, n, k)
-
-    def component_graphs(d, n, k):
-        if k is None:
-            return compgraphs.count_component_graphs_total(d, n)
-        return compgraphs.count_component_graphs(d, n, k)
-
-    return {
-        "tc": {
-            "words": (tc_words, anywhere),
-            "compgraph": (lambda d, n, k: compgraphs.count_tc_compgraph(Params(d, n, k)), with_k),
-            "genfun": (tc_genfun, lambda d, n, k: k in (1, 2)),
-            "closedform": (tc_closedform, lambda d, n, k: k in (1, 2) and d in (2, 3)),
-        },
-        "otc": {
-            "closedform": (otc_closedform, anywhere),
-            "direct": (lambda d, n, k: onecomp.count_otc_direct(d, n, k), with_k),
-        },
-        "words": {
-            "words": (lambda d, n, k: words.count_words(d, n, k), with_k),
-            "bruteforce": (lambda d, n, k: words.count_words_direct(d, n, k), with_k),
-        },
-        "compgraphs": {"compgraph": (component_graphs, anywhere)},
-        "star": {
-            "closedform": (lambda d, n, k: compgraphs.count_star(Params(d, n, k)), with_k),
-        },
-    }
+# Every route to a count, by `count` target and method: ``{target: {method:
+# (route, domain)}}``, each pair built by `_route`; the first method of each
+# target is its default.  A covered cell can still be refused by a route's
+# safety ceiling (`params.ceiling`), which the exponential routes read each
+# time they run.  Routes call through their module's attribute, so a rebound
+# or patched function is the one that runs.
+COUNT_ROUTES = {
+    "tc": {
+        "words": _route(lambda d, n, k: words.count_tc_words(Params(d, n, k)),
+                        lambda d, n: words.count_tc_total(d, n)),
+        "compgraph": _route(lambda d, n, k: compgraphs.count_tc_compgraph(Params(d, n, k))),
+        "genfun": _route(lambda d, n, k: compgraphs.count_tc_genfun_k1(d, n) if k == 1
+                         else compgraphs.count_tc_genfun_k2(d, n),
+                         covers=lambda d, k: k in (1, 2)),
+        "closedform": _route(lambda d, n, k: compgraphs.tc_k1_closed_form(d, n) if k == 1
+                             else compgraphs.tc_k2_closed_form(d, n),
+                             covers=lambda d, k: k in (1, 2) and d in (2, 3)),
+    },
+    "otc": {
+        "closedform": _route(lambda d, n, k: onecomp.count_otc(d, n, k),
+                             lambda d, n: onecomp.count_otc_total(d, n)),
+        "direct": _route(lambda d, n, k: onecomp.count_otc_direct(d, n, k)),
+    },
+    "words": {
+        "words": _route(lambda d, n, k: words.count_words(d, n, k)),
+        "bruteforce": _route(lambda d, n, k: words.count_words_direct(d, n, k)),
+    },
+    "compgraphs": {
+        "compgraph": _route(lambda d, n, k: compgraphs.count_component_graphs(d, n, k),
+                            lambda d, n: compgraphs.count_component_graphs_total(d, n)),
+    },
+    "star": {"closedform": _route(lambda d, n, k: compgraphs.count_star(Params(d, n, k)))},
+}
 
 
 SUITES = {

@@ -63,6 +63,8 @@ def test_bessel_exact_at_zero_argument():
 def test_bessel_rejects_bad_order():
     with pytest.raises(ValueError):
         bessel_I(-1, 2)
+    with pytest.raises(ValueError, match="non-negative a"):
+        bessel_I(1, -1)
 
 
 def test_otc_asymptotic_ratio_frozen_values():

@@ -257,9 +257,9 @@ def test_other_arithmetic_errors_stay_usage_errors(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: too large\n"
 
 
-@pytest.mark.parametrize("target", list(verify.count_routes()))
+@pytest.mark.parametrize("target", list(verify.COUNT_ROUTES))
 def test_count_all_runs_every_covering_route_in_registry_order(target):
-    routes = verify.count_routes()[target]
+    routes = verify.COUNT_ROUTES[target]
     for d in (2, 4):
         for k in (None, 1, 2, 3):
             argv = ["count", target, "--d", str(d), "--n", "4", "--method", "all"]
@@ -274,6 +274,62 @@ def test_count_all_runs_every_covering_route_in_registry_order(target):
             recs = records(text)
             assert [r["method"] for r in recs] == want, argv
             assert len({r["results"]["value"] for r in recs}) == 1, argv
+
+
+# the module function each count route reaches, by (target, method, k); k
+# None is the total
+ROUTE_FUNCTIONS = {
+    ("tc", "words", None): (words, "count_tc_total"),
+    ("tc", "words", 1): (words, "count_tc_words"),
+    ("tc", "compgraph", 1): (compgraphs, "count_tc_compgraph"),
+    ("tc", "genfun", 1): (compgraphs, "count_tc_genfun_k1"),
+    ("tc", "genfun", 2): (compgraphs, "count_tc_genfun_k2"),
+    ("tc", "closedform", 1): (compgraphs, "tc_k1_closed_form"),
+    ("tc", "closedform", 2): (compgraphs, "tc_k2_closed_form"),
+    ("otc", "closedform", None): (onecomp, "count_otc_total"),
+    ("otc", "closedform", 1): (onecomp, "count_otc"),
+    ("otc", "direct", 1): (onecomp, "count_otc_direct"),
+    ("words", "words", 1): (words, "count_words"),
+    ("words", "bruteforce", 1): (words, "count_words_direct"),
+    ("compgraphs", "compgraph", None): (compgraphs, "count_component_graphs_total"),
+    ("compgraphs", "compgraph", 1): (compgraphs, "count_component_graphs"),
+    ("star", "closedform", 1): (compgraphs, "count_star"),
+}
+
+
+def test_route_functions_name_every_route_and_total():
+    assert {(t, m) for t, m, _ in ROUTE_FUNCTIONS} == {
+        (t, m) for t, routes in verify.COUNT_ROUTES.items() for m in routes}
+    assert {(t, m) for t, m, k in ROUTE_FUNCTIONS if k is None} == {
+        (t, m) for t, routes in verify.COUNT_ROUTES.items()
+        for m, (_, covers) in routes.items() if covers(2, 4, None)}
+
+
+@pytest.mark.parametrize("target, method, k", list(ROUTE_FUNCTIONS))
+def test_every_route_calls_through_its_module_attribute(monkeypatch, target, method, k):
+    module, name = ROUTE_FUNCTIONS[target, method, k]
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: 123456789)
+    argv = ["count", target, "--d", "2", "--n", "4", "--method", method]
+    if k is not None:
+        argv += ["--k", str(k)]
+    code, text = invoke(*argv)
+    assert code == 0, argv
+    assert [r["results"]["value"] for r in records(text)] == ["123456789"]
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("count", "tc", "--d", "2", "--n", "3", "--k", "2"), words, "count_tc_words"),
+    (("dist", "ret", "--family", "general", "--d", "2", "--n", "3"), distributions, "ret_pmf"),
+])
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, argv, module, name):
+    # a huge --d asks for about 2 * 10**12 row slots; raised here instead, as
+    # a host that overcommits memory may grant the request and then fill it
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, exhausted)
+    assert invoke(*argv) == (2, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_count_beyond_int_string_limit():
@@ -707,7 +763,7 @@ def test_ceiling_env_override(name, monkeypatch, capsys):
 # the drawn CLI contract: sizes stay small until a cost estimate can bound
 # them; a 40-digit --n or --d can run without end today
 MALFORMED_INTS = ["2.0", "1e3", "", "x"]
-METHODS = sorted({m for routes in verify.count_routes().values() for m in routes} | {"all", "nosuch"})
+METHODS = sorted({m for routes in verify.COUNT_ROUTES.values() for m in routes} | {"all", "nosuch"})
 
 
 def _int_token(dest: str, n: int):

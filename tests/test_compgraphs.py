@@ -588,6 +588,8 @@ def test_closed_forms_match_series():
         assert tc_k2_closed_form(3, n) == count_tc_genfun_k2(3, n)
     with pytest.raises(ValueError):
         tc_k1_closed_form(4, 5)
+    with pytest.raises(ValueError):
+        tc_k2_closed_form(4, 5)
 
 
 def test_structural_polynomial_known_coefficients():

@@ -57,6 +57,15 @@ def test_the_check_runner_holds_its_three_rules():
     assert result == CheckResult("late", False, "first mismatch (3, 'odd')")
 
 
+def test_a_broken_d2_equality_is_a_chain_failure(monkeypatch):
+    # TC(3, 2) one above 2 TC(3, 1): the chain's inequality still holds at
+    # every k, and only its d = 2 equality case fails
+    monkeypatch.setattr(verify, "tc_table", lambda d, top: {2: [1, 2], 3: [3, 21, 43]})
+    chain = {r.name: r for r in run_suite("inequalities", d=2, n_max=3)}["interlacing-chain d=2"]
+    assert chain == CheckResult("interlacing-chain d=2", False,
+                                "n <= 3; first failure ('equality', 3, 1)")
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("made-up")
@@ -75,7 +84,7 @@ def test_every_covering_route_agrees_on_the_small_grid():
     # no hand-written route list: every target and method of the registry,
     # on every cell it claims to cover
     checked = 0
-    for target, routes in verify.count_routes().items():
+    for target, routes in verify.COUNT_ROUTES.items():
         for d in (2, 3, 4):
             for n in range(1, 7):
                 for k in (None, *range(n + 1)):

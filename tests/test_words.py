@@ -53,6 +53,8 @@ def test_word_from_string_round_trip():
     assert w.letters == (2, 1, 1, 1, 2, 2)
     assert w.profile == (3, 3)
     assert w.to_string() == "baaabb"
+    with pytest.raises(ValueError):
+        Word.from_letters([27, 27]).to_string()
 
 
 def test_word_from_letters_infers_profile():
@@ -82,6 +84,10 @@ def test_validity_rejects_malformed_words():
         is_valid_word(3, Word.from_string("aaabb"))
     with pytest.raises(ValueError):
         is_valid_word(2, Word(letters=(1, 3, 1, 3), profile=(2, 0, 2)))
+    with pytest.raises(ValueError, match="outside"):
+        is_valid_word(2, Word(letters=(1, 3, 1, 3), profile=(2, 2)))
+    with pytest.raises(ValueError, match="do not match"):
+        is_valid_word(2, Word(letters=(1, 2, 1, 1), profile=(2, 2)))
 
 
 def test_count_words_spot_values():
@@ -642,11 +648,21 @@ def test_e_table_boundary_and_scaling():
             table.e(14, 0)
 
 
+def test_e_table_refuses_a_slice_that_breaks_its_recurrence(monkeypatch):
+    corrupted = dict(b_max_table_binomial(2, 4))
+    corrupted[(2, 2)] += 1
+    monkeypatch.setattr(words, "b_max_table_binomial", lambda d, n_max: corrupted)
+    with pytest.raises(ExactnessError, match="N=4, M=0"):
+        e_table(2, 4)
+
+
 def test_word_class_argument_validation():
     with pytest.raises(ValueError):
         count_words(1, 3, 0)
     with pytest.raises(ValueError):
         count_words(2, 3, 4)
+    with pytest.raises(ValueError):
+        count_words_direct(2, 3, 4)
     with pytest.raises(ValueError):
         count_words(2, -1, 0)
     assert count_words(2, 0, 0) == 1
