@@ -52,10 +52,20 @@ bounds.  When d has no pass yet, it starts one only if that costs no more
 cells than the truncated pass, so a one-shot call never computes more
 than before; when d has one, it extends it if that costs at most twice
 the truncated pass, so a call pays at most twice its own cells and every
-later call for d reuses the rows.  tc_table and count_words stay single
+later call for d reuses the rows.  tc_table and count_words stay
 uncached passes: a table asks for each cell once, and keeping its rows
 would only hold memory.  For d = 2..5 up to n = 100 the cache holds about
 8.9 MiB (tracemalloc).
+
+From SPLIT_CELLS = 150 000 cells on (n_max >= 77 at any d), tc_table runs
+its one pass as two processes that split each row by strand: strand k of
+a row reads only strands k and k-1 of the row before, so a forked child
+builds strands k < K = 2 n_max // 5 and sends strand K-1 and its word
+counts of each row down a pipe, and this process builds strands k >= K
+from them (_split_count_rows).  The threshold, the split rule and the
+fallbacks are fixed: one serial pass runs below the threshold, without
+os.fork or os.sched_getaffinity, on fewer than two CPUs, in a process that
+runs other threads, and when the fork fails.
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
 two-term rational recurrence and an integer binomial form, both
@@ -69,15 +79,17 @@ two-neighbor recurrence whose verification is part of table construction.
 """
 from __future__ import annotations
 
+import marshal
+import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb, factorial
 from operator import add, mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
-from .params import ExactnessError, Params, at_least, exact_shift, integral, within
+from .params import ExactnessError, Params, at_least, exact_div, exact_shift, integral, within
 
 
 @dataclass(frozen=True)
@@ -262,54 +274,61 @@ def _direct_row(d: int, n: int) -> list[int]:
 # b(n, k, m) recurrence
 
 
-def _word_rows(d: int, k_max: int | None = None) -> Iterator[list[list[int]]]:
+def _word_rows(d: int, k_max: int | None = None, k_min: int = 0) -> Iterator[list[list[int]]]:
     """Prefix-sum rows n = 1, 2, ... of the b-table:
-    row[k][m-1] = S(n, k, m) = sum_{j<=m} b(n, k, j) for
-    0 <= k <= min(n, k_max) and 1 <= m <= n; every k when k_max is None.
-    The word count c(n, k) is the row's last entry, row[k][-1].
+    row[k-k_min][m-1] = S(n, k, m) = sum_{j<=m} b(n, k, j) for
+    k_min <= k <= min(n, k_max) and 1 <= m <= n; every k >= k_min when
+    k_max is None.  The word count c(n, k) is the strand's last entry.
 
     b(n, k, m) = P_k[m] + binom(n+m+k(d-1)-2, d-1) * P_{k-1}[m]  with
     P_k[m] = S(n-1, k, min(m, n-1)),
 
     so each strand row[k] is the running sum of the cells built from the
     previous row's strands k and k-1, with O(n * k_max) big-integer
-    operations a row.  The new strand k replaces the old one as soon as it
-    is built: the extended copy of old strand k that built it is the
-    P_{k-1} of strand k+1, so no other old strand is read again.  The
-    working set is one row plus the strand being rebuilt and the old strand
-    below it, as long as the consumer does not hold a yielded row while the
-    next one is built: a held row keeps every old strand alive.  A yielded
-    row is a shallow copy of the row, and no strand is ever mutated, so a
-    yielded row is never mutated.
+    operations a row.  Strand k_min's neighbour k_min-1 is the value sent
+    into the pass after it yields a row: strand k_min-1 of that row, as
+    another pass over k < k_min built it, or None (what next() sends) for
+    the zero strand, which is strand 0's neighbour.  The new strand k
+    replaces the old one as soon as it is built: the extended copy of old
+    strand k that built it is the P_{k-1} of strand k+1, so no other old
+    strand is read again.  The working set is one row plus the strand being
+    rebuilt and the old strand below it, as long as the consumer does not
+    hold a yielded row while the next one is built: a held row keeps every
+    old strand alive.  A yielded row is a shallow copy of the row, and no
+    strand is ever mutated, so a yielded row is never mutated.
     binom(a, d-1) is computed only for the a a row reads: the window
     [lo, lo+n) with lo = n-1+k(d-1), whole for a new k and only its two
     new end indices for a k the previous row had, so the cost does not
-    grow with d beyond the binomials' own size.
+    grow with d beyond the binomials' own size.  Each is rolled from
+    binom(a-1, d-1) by one exact division when that one is known and not
+    zero, so math.comb runs about once per new strand.
     """
-    row = [[1], [1]] if k_max is None or k_max >= 1 else [[1]]
+    top = 1 if k_max is None else min(1, k_max)
+    row = [[1] for _ in range(k_min, top + 1)]
     binoms: list[int | None] = []  # binoms[a] = binom(a, d-1) once a row reads it
     n = 1
     while True:
-        yield list(row)
+        edge = yield list(row)
         n += 1
         top = n if k_max is None else min(n, k_max)
         binoms.extend([None] * (2 * n - 1 + top * (d - 1) - len(binoms)))
-        # P_k extends the previous row's strand k to m = n; a new list, pointers only
-        below = row[0] + row[0][-1:]
-        row[0] = list(accumulate(below))
-        for k in range(1, top + 1):
-            lo = n - 1 + k * (d - 1)
-            for a in range(lo if k >= len(row) else lo + n - 2, lo + n):
-                if binoms[a] is None:
-                    binoms[a] = comb(a, d - 1)
-            cells = map(mul, binoms[lo : lo + n], below)
-            if k == len(row):  # k = n, where P_k is zero
+        # P_{k-1} extends the previous row's strand k-1 to m = n; a new list, pointers only
+        below = None if edge is None else edge + edge[-1:]
+        for i, k in enumerate(range(k_min, top + 1)):
+            if below is not None:
+                lo = n - 1 + k * (d - 1)
+                for a in range(lo if i >= len(row) else lo + n - 2, lo + n):
+                    if binoms[a] is None:
+                        known = binoms[a - 1]
+                        binoms[a] = exact_div(known * a, a - d + 1) if known else comb(a, d - 1)
+                cells = map(mul, binoms[lo : lo + n], below)
+            if i == len(row):  # k = n, where P_k is zero
                 row.append(list(accumulate(cells)))
             else:
-                same = row[k] + row[k][-1:]
-                row[k] = list(accumulate(map(add, same, cells)))
+                same = row[i] + row[i][-1:]
+                row[i] = list(accumulate(same if below is None else map(add, same, cells)))
                 below = same
-        below = same = cells = None  # a resting pass holds no old strand
+        edge = below = same = cells = None  # a resting pass holds no old strand
 
 
 def _nth_row(d: int, n: int, k_max: int) -> list[list[int]]:
@@ -446,12 +465,130 @@ def count_tc_total(d: int, n: int) -> int:
     return sum(tc_row(d, n))
 
 
+# tc_table splits its pass across two processes from this many cells on,
+# which is n_max >= 77 at any d.  Below it the split saves too little to
+# risk: at d = 2 it was even with the serial pass at n_max = 45 and 14%
+# faster at n_max = 60 in a small process, where a fork costs 2 ms, and a
+# fork from a 50 MB process costs 2 ms more (2-vCPU Xeon, Python 3.11).
+SPLIT_CELLS = 150_000
+
+
+def _split_point(n_max: int) -> int | None:
+    """The strand k at which tc_table(d, n_max) splits its pass, 2 n_max // 5,
+    or None for one serial pass: when the pass computes fewer than
+    SPLIT_CELLS cells, when there is no os.fork, when this process may run
+    on fewer than two CPUs, or when it runs other threads, which a fork
+    would leave behind in the child holding whatever locks they held."""
+    if (_cells(0, n_max - 1) < SPLIT_CELLS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() > 1):
+        return None
+    return 2 * n_max // 5
+
+
+def _write_frames(d: int, n_max: int, split: int, fd: int) -> NoReturn:
+    """The child's side of _split_count_rows: word rows 1..n_max-1 of the
+    truncated pass _word_rows(d, split - 1), one frame each down the pipe
+    fd (an 8-byte little-endian length, then a marshal payload): the row's
+    top strand, which is strand split-1 from the first row that has it on
+    (the parent builds no strand before that row), and its word counts
+    c(n, k) for k < split.  A failure writes one frame naming its
+    exception class instead.  It touches no cache or lock and ends the
+    process by os._exit, 0 after the last frame, so it never returns into
+    the code that forked it."""
+    import gc
+
+    # the collector leaves the forked heap alone, so no finalizer of the
+    # caller's garbage runs here and its pages stay shared
+    gc.freeze()
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+
+            def send(frame: bytes) -> None:
+                pipe.write(len(frame).to_bytes(8, "little"))
+                pipe.write(frame)
+                pipe.flush()
+
+            try:
+                rows = islice(_word_rows(d, split - 1), n_max - 1)
+                for frame in map(marshal.dumps, ((row[-1], _last_cells(row)) for row in rows)):
+                    send(frame)
+                code = 0
+            except Exception as exc:  # reported to the parent, which raises
+                send(marshal.dumps(type(exc).__name__))
+    finally:
+        os._exit(code)
+
+
+def _split_count_rows(d: int, n_max: int, split: int) -> Iterator[list[int]]:
+    """The first n_max rows of _count_rows(d), built by two processes that
+    split each word row by strand.  Strand k of a row reads only strands k
+    and k-1 of the row before, so a forked child builds strands k < split
+    (_write_frames) and this process builds strands k >= split from the
+    boundary strand split-1 the child sends for each row: data flows one
+    way only.  Each count row joins the child's word counts to this
+    process's.  When the child fails, the rows end in MemoryError if it ran
+    out of memory or was killed by a signal (as the kernel's out-of-memory
+    killer does), else in ExactnessError.  However the rows end, closed
+    early or raising, the child is killed if it still runs and reaped.
+    When no process can be forked, the rows come from one serial pass."""
+    import signal
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory for one
+        os.close(r)
+        os.close(w)
+        yield from islice(_count_rows(d), n_max)
+        return
+    if pid == 0:
+        os.close(r)
+        _write_frames(d, n_max, split, w)
+    os.close(w)
+    reaped = False
+    try:
+        with open(r, "rb") as pipe:
+            upper = _word_rows(d, None, split)
+            tops = _last_cells(next(upper))  # word row 1's counts for k >= split
+            yield [1]
+            for n in range(1, n_max):
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little")
+                body = pipe.read(size) if len(head) == 8 else b""
+                frame = marshal.loads(body) if len(body) == size > 0 else None
+                if not isinstance(frame, tuple):  # an error frame, or the pipe ended early
+                    _, status = os.waitpid(pid, 0)
+                    reaped = True
+                    if frame == "MemoryError" or os.WIFSIGNALED(status):
+                        cause = frame or f"killed by signal {os.WTERMSIG(status)}"
+                        raise MemoryError(f"(tc_table's child process: {cause})")
+                    cause = frame or f"exit status {os.WEXITSTATUS(status)}"
+                    raise ExactnessError(
+                        f"tc_table's child process failed at word row {n}: {cause}")
+                edge, lows = frame
+                yield lows + tops
+                if n < n_max - 1:
+                    tops = _last_cells(upper.send(edge))
+    finally:
+        if not reaped and os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
     """{n: [TC(n,0), ..., TC(n,n-1)]} for n = 1..n_max, one rolling pass
-    that bypasses the tc_row cache."""
+    that bypasses the tc_row cache, split across two processes by strand
+    when _split_point gives a split."""
     at_least(2, d=d)
     at_least(1, n_max=n_max)
-    return {n: _tc_counts(n, counts) for n, counts in zip(range(1, n_max + 1), _count_rows(d))}
+    split = _split_point(n_max)
+    rows = _count_rows(d) if split is None else _split_count_rows(d, n_max, split)
+    try:
+        return {n: _tc_counts(n, counts) for n, counts in zip(range(1, n_max + 1), rows)}
+    finally:
+        rows.close()
 
 
 # ---------------------------------------------------------------------------

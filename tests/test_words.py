@@ -3,6 +3,9 @@ the rescaled slice."""
 import functools
 import gc
 import inspect
+import io
+import os
+import signal
 import sys
 import threading
 import tracemalloc
@@ -36,7 +39,7 @@ from treechild import (
     tc_table,
 )
 from treechild.distributions import ret_pmf
-from treechild import words
+from treechild import cli, words
 from treechild.words import _SLICE_SUMS, _TC_ROWS, _nth_row, _tc_counts
 
 # spot values fixed before the recurrence implementation existed
@@ -621,6 +624,152 @@ def test_a_resting_pass_holds_no_old_strand(d, k_max):
                 continue
             for held in _lists_reached(value):
                 assert any(held is s for s in strands), (n, name)
+
+
+def _serial_table(d, n_max):
+    rows = zip(range(1, n_max + 1), words._count_rows(d))
+    return {n: _tc_counts(n, counts) for n, counts in rows}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children forked from here on, on a machine taken to
+    have two CPUs, so that tc_table splits whatever CPUs this one has.  A
+    call still blocked after 60 s raises TimeoutError instead of hanging."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def expired(signum, frame):
+        raise TimeoutError("the split pass did not end")
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_split_rows_match_the_serial_pass(d):
+    for n_max in (1, 2, 5, 30):
+        want = list(islice(words._count_rows(d), n_max))
+        for split in range(1, n_max + 1):
+            assert list(words._split_count_rows(d, n_max, split)) == want, (n_max, split)
+    _no_child_left()
+
+
+def test_tables_split_from_the_threshold_on(forked):
+    below = max(n for n in range(1, 300) if words._cells(0, n - 1) < words.SPLIT_CELLS)
+    for n_max in (below, below + 1):
+        assert tc_table(2, n_max) == _serial_table(2, n_max), n_max
+    assert len(forked) == 1  # the table at the threshold, not the one below it
+    _no_child_left()
+
+
+def _fork_fails():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("serial_because",
+                         ["one CPU", "no fork", "a failed fork", "a second thread"])
+def test_tables_stay_serial_without_two_cpus_fork_or_a_lone_thread(
+        serial_because, forked, monkeypatch):
+    monkeypatch.setattr(words, "SPLIT_CELLS", 0)
+    if serial_because == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif serial_because == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif serial_because == "a failed fork":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    if serial_because == "a second thread":
+        waiting.start()
+    try:
+        assert tc_table(3, 30) == _serial_table(3, 30)
+    finally:
+        release.set()
+        if waiting.is_alive():
+            waiting.join(timeout=60)
+    assert forked == []
+
+
+def test_a_split_table_writes_the_serial_bytes(forked, monkeypatch):
+    argv = ["table", "tc", "--d", "2", "--n-max", "40", "--format", "csv"]
+    serial, split = io.StringIO(), io.StringIO()
+    assert cli.run(argv, out=serial) == 0
+    monkeypatch.setattr(words, "SPLIT_CELLS", 0)
+    assert cli.run(argv, out=split) == 0
+    assert split.getvalue() == serial.getvalue()
+    assert len(forked) == 1
+    _no_child_left()
+
+
+def test_a_failure_in_this_process_kills_the_child(forked, monkeypatch, capsys):
+    plain = words._tc_counts
+
+    def failing(n, counts, lo=0):
+        if n == 20:
+            raise ExactnessError("injected failure at row 20")
+        return plain(n, counts, lo)
+
+    monkeypatch.setattr(words, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(words, "_tc_counts", failing)
+    assert cli.run(["table", "tc", "--d", "2", "--n-max", "60"], out=io.StringIO()) == 1
+    assert capsys.readouterr().err == "verification failure: injected failure at row 20\n"
+    _no_child_left()
+    with pytest.raises(ExactnessError) as failure:
+        tc_table(2, 60)
+    # reaped while the traceback, and with it the pass, is still held
+    _no_child_left()
+    assert "row 20" in str(failure.value)
+    assert len(forked) == 2
+
+
+def _raise(error):
+    raise error
+
+
+@pytest.mark.parametrize("fail, code, message", [
+    (lambda: _raise(MemoryError()), 2,
+     "error: out of memory (tc_table's child process: MemoryError)\n"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), 2,
+     f"error: out of memory (tc_table's child process: killed by signal {int(signal.SIGKILL)})\n"),
+    (lambda: _raise(ValueError("injected")), 1,
+     "verification failure: tc_table's child process failed at word row 10: ValueError\n"),
+])
+def test_a_failed_child_ends_the_table_with_an_error(fail, code, message, forked, monkeypatch,
+                                                       capsys):
+    parent, plain = os.getpid(), words._word_rows
+
+    def failing(rows):
+        for n, row in enumerate(rows, start=1):
+            if n == 10:
+                fail()
+            yield row
+
+    def rows(d, k_max=None, k_min=0):
+        rows = plain(d, k_max, k_min)
+        return rows if os.getpid() == parent else failing(rows)
+
+    monkeypatch.setattr(words, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(words, "_word_rows", rows)
+    assert cli.run(["table", "tc", "--d", "2", "--n-max", "60"], out=io.StringIO()) == code
+    assert capsys.readouterr().err == message
+    assert len(forked) == 1
+    _no_child_left()
 
 
 def test_lambda_factor_values():
