@@ -68,14 +68,15 @@ os.fork or os.sched_getaffinity, on fewer than two CPUs, in a process that
 runs other threads, and when the fork fails.
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
-two-term rational recurrence and an integer binomial form, both
-implemented; the binomial form is several times faster and feeds the
-tables, one rolling row at a time, while the two-term form stays as a
-cross-check.  Its row sums c(n, n) have a cache of their own, kept by the
-same helper (_stored): one resumable pass per d and one integer per row,
-about 0.7 MiB for d = 2..5 up to n = 200, most of it the passes' current
-rows.  An exactly rational rescaling e(N, M) of that slice satisfies a
-two-neighbor recurrence whose verification is part of table construction.
+two-term rational recurrence and an integer binomial form.  The binomial
+form is the b-recurrence at k = n, not a second loop: band 0 of the row
+kernel keeps that one strand a row and feeds the tables, while the
+two-term form stays as a cross-check.  Its row sums c(n, n) have a cache
+of their own, kept by the same helper (_stored): one resumable pass per d
+and one integer per row, about 0.7 MiB for d = 2..5 up to n = 200, most of
+it the passes' current rows.  An exactly rational rescaling e(N, M) of
+that slice satisfies a two-neighbor recurrence whose verification is part
+of table construction.
 """
 from __future__ import annotations
 
@@ -84,9 +85,9 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, islice, repeat
+from itertools import accumulate, combinations, islice
 from math import comb, factorial
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Iterator, NoReturn
 
 from .params import ExactnessError, Params, at_least, exact_div, exact_shift, integral, within
@@ -274,11 +275,14 @@ def _direct_row(d: int, n: int) -> list[int]:
 # b(n, k, m) recurrence
 
 
-def _word_rows(d: int, k_max: int | None = None, k_min: int = 0) -> Iterator[list[list[int]]]:
+def _word_rows(d: int, k_max: int | None = None, k_min: int = 0,
+               band: int | None = None) -> Iterator[list[list[int]]]:
     """Prefix-sum rows n = 1, 2, ... of the b-table:
     row[k-k_min][m-1] = S(n, k, m) = sum_{j<=m} b(n, k, j) for
     k_min <= k <= min(n, k_max) and 1 <= m <= n; every k >= k_min when
     k_max is None.  The word count c(n, k) is the strand's last entry.
+    A band pass raises k_min to n-band as n grows, and the strand it drops
+    is the new strand k_min's neighbour; band 0 is the all-heavy slice.
 
     b(n, k, m) = P_k[m] + binom(n+m+k(d-1)-2, d-1) * P_{k-1}[m]  with
     P_k[m] = S(n-1, k, min(m, n-1)),
@@ -301,27 +305,35 @@ def _word_rows(d: int, k_max: int | None = None, k_min: int = 0) -> Iterator[lis
     new end indices for a k the previous row had, so the cost does not
     grow with d beyond the binomials' own size.  Each is rolled from
     binom(a-1, d-1) by one exact division when that one is known and not
-    zero, so math.comb runs about once per new strand.
+    zero, so math.comb runs about once per new strand.  No later row reads
+    below the lowest window, so the binomials there are dropped: band 0's
+    windows [nd-1, nd+n-2] do not overlap while n <= d.
     """
     top = 1 if k_max is None else min(1, k_max)
+    if band is not None:
+        k_min = max(k_min, 1 - band)
     row = [[1] for _ in range(k_min, top + 1)]
-    binoms: list[int | None] = []  # binoms[a] = binom(a, d-1) once a row reads it
+    binoms: list[int | None] = []  # binoms[a-base] = binom(a, d-1) once a row reads it
+    base = 0  # every later row reads only a > base
     n = 1
     while True:
         edge = yield list(row)
         n += 1
+        if band is not None and n - band > k_min:  # the bound rises past the lowest strand
+            k_min, edge = k_min + 1, row.pop(0)
         top = n if k_max is None else min(n, k_max)
-        binoms.extend([None] * (2 * n - 1 + top * (d - 1) - len(binoms)))
+        binoms.extend([None] * (2 * n - 1 + top * (d - 1) - base - len(binoms)))
         # P_{k-1} extends the previous row's strand k-1 to m = n; a new list, pointers only
         below = None if edge is None else edge + edge[-1:]
         for i, k in enumerate(range(k_min, top + 1)):
             if below is not None:
                 lo = n - 1 + k * (d - 1)
                 for a in range(lo if i >= len(row) else lo + n - 2, lo + n):
-                    if binoms[a] is None:
-                        known = binoms[a - 1]
-                        binoms[a] = exact_div(known * a, a - d + 1) if known else comb(a, d - 1)
-                cells = map(mul, binoms[lo : lo + n], below)
+                    j = a - base
+                    if binoms[j] is None:
+                        known = binoms[j - 1]
+                        binoms[j] = exact_div(known * a, a - d + 1) if known else comb(a, d - 1)
+                cells = map(mul, binoms[lo - base : lo - base + n], below)
             if i == len(row):  # k = n, where P_k is zero
                 row.append(list(accumulate(cells)))
             else:
@@ -329,6 +341,9 @@ def _word_rows(d: int, k_max: int | None = None, k_min: int = 0) -> Iterator[lis
                 row[i] = list(accumulate(same if below is None else map(add, same, cells)))
                 below = same
         edge = below = same = cells = None  # a resting pass holds no old strand
+        lo = n - 1 + k_min * (d - 1)  # no later row reads below strand k_min's window
+        del binoms[: lo - base]
+        base = lo
 
 
 def _nth_row(d: int, n: int, k_max: int) -> list[list[int]]:
@@ -365,8 +380,9 @@ def _count_rows(d: int) -> Iterator[list[int]]:
 
 
 def _slice_sums(d: int) -> Iterator[int]:
-    """c(n, n), the sum of all-heavy slice row n, for n = 1, 2, ..."""
-    return map(sum, _slice_rows(d))
+    """c(n, n), the sum of all-heavy slice row n, for n = 1, 2, ...: the
+    last cell of band 0's one strand."""
+    return map(lambda row: row[0][-1], _word_rows(d, band=0))
 
 
 # d -> (its resumable pass, the entries n = 1, 2, ... it has yielded, the
@@ -614,39 +630,16 @@ def b_max_table(d: int, n_max: int) -> dict:
     return b
 
 
-def _slice_rows(d: int) -> Iterator[list[int]]:
-    """Rows n = 1, 2, ... of the all-heavy slice, row[m-1] = b(n, m) for
-    1 <= m <= n, by the binomial form
-    b(n, m) = binom(m+nd-2, d-1) * sum_{j<=min(m,n-1)} b(n-1, j);
-    only the current row and its binomials are kept.  The running sums are
-    drawn lazily as the next row is built, so the peak is two rows, the one
-    read and the one built; a consumer that holds a yielded row past the
-    next draw adds that row to the peak.  Each binom(a, d-1) is computed once:
-    row n reads a = nd-1, ..., nd+n-2, and the next row keeps the part of
-    that window it reads too, so once n > d a row computes d+1 new
-    binomials, and no binomial is computed that no row reads."""
-    row = [1]
-    binoms: list[int] = []  # binom(a, d-1) for the a = nd-1, ..., nd+n-2 row n read
-    n = 1
-    while True:
-        yield row
-        n += 1
-        # the window moves up by d and grows by one: keep the overlap
-        lo = n * d - 1
-        binoms = binoms[d:]
-        binoms += map(comb, range(lo + len(binoms), lo + n), repeat(d - 1))
-        # sum_{j<=min(m,n-1)} b(n-1, j) for m = 1..n: the last sum repeats
-        row = list(map(mul, binoms, accumulate(chain(row, (0,)))))
-
-
 def b_max_table_binomial(d: int, n_max: int) -> dict:
-    """The slice of b_max_table by the binomial form of _slice_rows."""
+    """The slice of b_max_table by its binomial form
+    b(n, m) = binom(m+nd-2, d-1) * sum_{j<=min(m,n-1)} b(n-1, j), which is
+    the word recurrence at k = n: the differences of band 0's prefix sums."""
     at_least(2, d=d)
     at_least(1, n_max=n_max)
     return {
         (n, m): v
-        for n, row in zip(range(1, n_max + 1), _slice_rows(d))
-        for m, v in enumerate(row, start=1)
+        for n, (sums,) in zip(range(1, n_max + 1), _word_rows(d, band=0))
+        for m, v in enumerate(map(sub, sums, [0] + sums), start=1)
     }
 
 

@@ -127,6 +127,21 @@ def test_envelope_ratio_keeps_one_slice_row():
     assert peak < 2 * 2**20, peak
 
 
+def test_envelope_ratio_at_large_d_keeps_one_binomial_window():
+    # at d = 100 the slice rows' binomial windows [nd - 1, nd + n - 2] do not
+    # overlap up to n = 100, so a pass that kept every window it read would
+    # hold them all; 1.81 MiB after the call and 3.02 MiB at the peak are what
+    # one window and one slice row take (tracemalloc)
+    tracemalloc.start()
+    try:
+        tc_envelope_ratio(100, [120])
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 1.05 * 1.81 * 2**20, current
+    assert peak < 1.05 * 3.02 * 2**20, peak
+
+
 def test_envelope_value_is_finite_log():
     env = tc_envelope(4, 30)
     assert math.isfinite(env.ln)

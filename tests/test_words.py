@@ -40,6 +40,7 @@ from treechild import (
 )
 from treechild.distributions import ret_pmf
 from treechild import cli, words
+from treechild.params import exact_div
 from treechild.words import _SLICE_SUMS, _TC_ROWS, _nth_row, _tc_counts
 
 # spot values fixed before the recurrence implementation existed
@@ -394,14 +395,14 @@ def test_failed_advance_drops_the_pass(monkeypatch):
 def test_a_blocked_slice_pass_blocks_no_word_row(monkeypatch):
     tc_row(2, 5)
     entered, release = threading.Event(), threading.Event()
-    plain = words._slice_rows
+    plain = words._slice_sums
 
     def blocked(d):
         entered.set()
         release.wait(timeout=60)
         yield from plain(d)
 
-    monkeypatch.setattr(words, "_slice_rows", blocked)
+    monkeypatch.setattr(words, "_slice_sums", blocked)
     slow = threading.Thread(target=words._slice_sum, args=(2, 10))
     got: list = []
     quick = threading.Thread(target=lambda: got.append(tc_row(2, 6)))
@@ -522,21 +523,56 @@ def test_cached_slice_sums_answer_like_a_recomputed_slice(requests):
         assert len(_SLICE_SUMS[d][1]) == top[d], (d, n)  # rolled only as far as asked
 
 
+def _slice_cells(d, n_max):
+    """Rows 1..n_max of the all-heavy slice, [b(n, 1), ..., b(n, n)], the
+    differences of band 0's prefix sums."""
+    rows = islice(words._word_rows(d, band=0), n_max)
+    return [list(map(sub, sums, [0] + sums)) for (sums,) in rows]
+
+
 @pytest.mark.parametrize("d", [2, 3, 7, 50])
 def test_slice_rows_compute_each_binomial_once(d, monkeypatch):
-    calls = []
+    # band 0 makes binom(a, d - 1) by comb or by the roll from
+    # binom(a - 1, d - 1), which divides by a - d + 1
+    made = []
 
-    def counted(a, r):
-        calls.append(a)
+    def counted_comb(a, r):
+        made.append(a)
         return comb(a, r)
 
-    monkeypatch.setattr(words, "comb", counted)
-    rows = list(islice(words._slice_rows(d), 30))
+    def counted_div(num, den):
+        made.append(den + d - 1)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(words, "comb", counted_comb)
+    monkeypatch.setattr(words, "exact_div", counted_div)
+    rows = _slice_cells(d, 30)
     read = {m + n * d - 2 for n in range(2, 31) for m in range(1, n + 1)}
-    assert sorted(calls) == sorted(read)  # every a read, none twice, no other
+    assert sorted(made) == sorted(read)  # every a read, none twice, no other
     monkeypatch.undo()
     two_term = b_max_table(d, 30)
     assert rows == [[two_term[(n, m)] for m in range(1, n + 1)] for n in range(1, 31)]
+
+
+@pytest.mark.parametrize("band", [0, 1, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_a_band_pass_yields_the_top_strands_of_the_full_pass(d, band):
+    full = islice(words._word_rows(d), 40)
+    banded = words._word_rows(d, band=band)
+    for n, (row, top) in enumerate(zip(full, banded), start=1):
+        assert top == row[max(0, n - band):], (n, band)
+
+
+@pytest.mark.parametrize("d, n_max", [
+    (2, 80), (3, 80), (4, 80), (5, 80), (7, 30), (50, 30), (100, 30),
+])
+def test_band_zero_matches_the_two_term_slice(d, n_max):
+    # the rows' binomial windows [nd - 1, nd + n - 2] overlap from n = d + 1
+    # on: at d = 7 from n = 8, at d = 50 and 100 not up to n = 30, so there
+    # each row starts its window afresh
+    two_term = b_max_table(d, n_max)
+    rows = _slice_cells(d, n_max)
+    assert rows == [[two_term[(n, m)] for m in range(1, n + 1)] for n in range(1, n_max + 1)]
 
 
 @pytest.mark.parametrize("d", [100, 1000, 10000])
