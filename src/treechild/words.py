@@ -32,45 +32,30 @@ effective-count vector alone, not on which letters are heavy, and one memo
 per (d, n) of those completion counts (_completions) serves every heavy
 subset and every k; a subset only picks the start vector.
 
-The recurrence rolls prefix-sum rows S(n, k, m) = sum_{j<=m} b(n, k, j):
-each row advances straight from the previous row's prefix sums, so c(n, k)
-is the row's last entry with no second pass over the cells.  The binomials
-binom(a, d-1) the recurrence multiplies by are computed only at the a a
-row reads, so a large d costs the size of those binomials and not a table
-of every a below them.
+The recurrence rolls prefix-sum rows S(n, k, m) = sum_{j<=m} b(n, k, j)
+in one row kernel (_word_rows), so c(n, k) is a strand's last entry, and
+computes each binomial binom(a, d-1) only at the a a row reads.
 
 tc_row reads a per-process cache: for each d, one resumable full-row pass
 and the word-count rows [c(n-1, 0), ..., c(n-1, n-1)] it has produced so
 far, advanced under the pass's own lock only as far as the largest n asked
-for, so a long advance for one d blocks no call for another.  The
-counts become networks, TC(n, k) = n! * c(n-1, k) >> (n-k-1) by the
-checked shift params.exact_shift, only for the cells a call returns: the
-whole row for tc_row, one cell for count_tc_words.  count_tc_words
-routes by cell count (_cells): it advances the shared pass to n unless a
-private pass truncated at its k computes fewer cells, with two fixed
-bounds.  When d has no pass yet, it starts one only if that costs no more
-cells than the truncated pass, so a one-shot call never computes more
-than before; when d has one, it extends it if that costs at most twice
-the truncated pass, so a call pays at most twice its own cells and every
-later call for d reuses the rows.  tc_table and count_words stay
-uncached passes: a table asks for each cell once, and keeping its rows
-would only hold memory.  For d = 2..5 up to n = 100 the cache holds about
+for, so a long advance for one d blocks no call for another.  The counts
+become networks, TC(n, k) = n! * c(n-1, k) >> (n-k-1) by the checked
+shift params.exact_shift, only for the cells a call returns: the row for
+tc_row, one cell for count_tc_words, which advances the shared pass or
+runs a private one truncated at its k by two fixed bounds on their cells
+(_cells).  tc_table and count_words stay uncached passes: a table asks
+for each cell once.  For d = 2..5 up to n = 100 the cache holds about
 8.9 MiB (tracemalloc).
 
-From SPLIT_CELLS = 150 000 cells on (n_max >= 77 at any d), tc_table runs
-its one pass as two processes that split each row by strand: strand k of
-a row reads only strands k and k-1 of the row before, so a forked child
-builds strands k < K = 2 n_max // 5 and sends strand K-1 and its word
-counts of each row down a pipe, and this process builds strands k >= K
-from them (_split_count_rows).  The threshold, the split rule and the
-fallbacks are fixed: one serial pass runs below the threshold, without
-os.fork or os.sched_getaffinity, on fewer than two CPUs, in a process that
-runs other threads, and when the fork fails.
+From SPLIT_CELLS = 150 000 cells on, tc_table splits word row n of its pass
+at strand K(n) = 3n // 5 across two processes (_split_count_rows); the
+threshold, the rule and the serial fallbacks (_splits) are fixed.
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
 two-term rational recurrence and an integer binomial form.  The binomial
-form is the b-recurrence at k = n, not a second loop: band 0 of the row
-kernel keeps that one strand a row and feeds the tables, while the
+form is the b-recurrence at k = n, not a second loop: the row kernel's
+window k = n keeps that one strand a row and feeds the tables, while the
 two-term form stays as a cross-check.  Its row sums c(n, n) have a cache
 of their own, kept by the same helper (_stored): one resumable pass per d
 and one integer per row, about 0.7 MiB for d = 2..5 up to n = 200, most of
@@ -83,6 +68,7 @@ from __future__ import annotations
 import marshal
 import os
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
@@ -275,65 +261,60 @@ def _direct_row(d: int, n: int) -> list[int]:
 # b(n, k, m) recurrence
 
 
-def _word_rows(d: int, k_max: int | None = None, k_min: int = 0,
-               band: int | None = None) -> Iterator[list[list[int]]]:
-    """Prefix-sum rows n = 1, 2, ... of the b-table:
-    row[k-k_min][m-1] = S(n, k, m) = sum_{j<=m} b(n, k, j) for
-    k_min <= k <= min(n, k_max) and 1 <= m <= n; every k >= k_min when
-    k_max is None.  The word count c(n, k) is the strand's last entry.
-    A band pass raises k_min to n-band as n grows, and the strand it drops
-    is the new strand k_min's neighbour; band 0 is the all-heavy slice.
+def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = lambda n: (0, n)
+               ) -> Iterator[list[list[int]]]:
+    """Prefix-sum rows n = 1, 2, ... of the b-table: row[k-lo][m-1] =
+    S(n, k, m) = sum_{j<=m} b(n, k, j) for 1 <= m <= n and the strands
+    lo <= k <= hi of (lo, hi) = window(n), 0 <= lo <= hi <= n, each bound
+    rising by at most one a row.  c(n, k) is the strand's last entry.
 
     b(n, k, m) = P_k[m] + binom(n+m+k(d-1)-2, d-1) * P_{k-1}[m]  with
     P_k[m] = S(n-1, k, min(m, n-1)),
 
-    so each strand row[k] is the running sum of the cells built from the
-    previous row's strands k and k-1, with O(n * k_max) big-integer
-    operations a row.  Strand k_min's neighbour k_min-1 is the value sent
-    into the pass after it yields a row: strand k_min-1 of that row, as
-    another pass over k < k_min built it, or None (what next() sends) for
-    the zero strand, which is strand 0's neighbour.  The new strand k
-    replaces the old one as soon as it is built: the extended copy of old
-    strand k that built it is the P_{k-1} of strand k+1, so no other old
-    strand is read again.  The working set is one row plus the strand being
-    rebuilt and the old strand below it, as long as the consumer does not
-    hold a yielded row while the next one is built: a held row keeps every
-    old strand alive.  A yielded row is a shallow copy of the row, and no
-    strand is ever mutated, so a yielded row is never mutated.
-    binom(a, d-1) is computed only for the a a row reads: the window
-    [lo, lo+n) with lo = n-1+k(d-1), whole for a new k and only its two
-    new end indices for a k the previous row had, so the cost does not
-    grow with d beyond the binomials' own size.  Each is rolled from
-    binom(a-1, d-1) by one exact division when that one is known and not
-    zero, so math.comb runs about once per new strand.  No later row reads
-    below the lowest window, so the binomials there are dropped: band 0's
-    windows [nd-1, nd+n-2] do not overlap while n <= d.
+    so strand k is the running sum of cells built from the previous row's
+    strands k and k-1.  Strand lo's neighbour is the zero strand when
+    lo = 0, the old lowest strand, popped, when lo rises, and else the value
+    sent in after the previous row was yielded: its strand lo-1, built by a
+    pass below.  When hi rises to n, strand n starts from the zero strand;
+    when it rises below n, the value sent in is strand hi of the previous
+    row, built by a pass above, and joins as the top strand (lo is then 0).
+    A new strand k replaces the old one once built: only the extended copy
+    of old strand k, the P_{k-1} of strand k+1, is read again.  So the pass
+    holds one row plus two strands, unless the consumer holds a yielded row
+    (a shallow copy; strands are never mutated) while the next is built,
+    which keeps every old strand alive.  binom(a, d-1) is computed only for
+    the a a row reads, [w, w+n) with w = n-1+k(d-1): whole for a strand the
+    previous row did not build here (at large d no other window covers it),
+    else its two new ends.  Each is rolled from binom(a-1, d-1) by one exact
+    division when that is known and not zero, so math.comb runs about once
+    per new strand, and binomials below the lowest window are dropped.
     """
-    top = 1 if k_max is None else min(1, k_max)
-    if band is not None:
-        k_min = max(k_min, 1 - band)
-    row = [[1] for _ in range(k_min, top + 1)]
+    lo, hi = window(1)
+    row = [[1] for _ in range(lo, hi + 1)]
     binoms: list[int | None] = []  # binoms[a-base] = binom(a, d-1) once a row reads it
     base = 0  # every later row reads only a > base
     n = 1
     while True:
         edge = yield list(row)
         n += 1
-        if band is not None and n - band > k_min:  # the bound rises past the lowest strand
-            k_min, edge = k_min + 1, row.pop(0)
-        top = n if k_max is None else min(n, k_max)
-        binoms.extend([None] * (2 * n - 1 + top * (d - 1) - base - len(binoms)))
+        (was_lo, was_hi), (lo, hi) = (lo, hi), window(n)
+        if lo > was_lo:  # the bound rises past the lowest strand
+            edge = row.pop(0)
+        fresh = len(row)  # strands from here on have no binomial window yet
+        if n > hi > was_hi:  # the strand sent in joins at the top; strand 0's neighbour is zero
+            row, edge = row + [edge], None
+        binoms.extend([None] * (2 * n - 1 + hi * (d - 1) - base - len(binoms)))
         # P_{k-1} extends the previous row's strand k-1 to m = n; a new list, pointers only
         below = None if edge is None else edge + edge[-1:]
-        for i, k in enumerate(range(k_min, top + 1)):
+        for i, k in enumerate(range(lo, hi + 1)):
             if below is not None:
-                lo = n - 1 + k * (d - 1)
-                for a in range(lo if i >= len(row) else lo + n - 2, lo + n):
+                w = n - 1 + k * (d - 1)
+                for a in range(w if i >= fresh else w + n - 2, w + n):
                     j = a - base
                     if binoms[j] is None:
                         known = binoms[j - 1]
                         binoms[j] = exact_div(known * a, a - d + 1) if known else comb(a, d - 1)
-                cells = map(mul, binoms[lo - base : lo - base + n], below)
+                cells = map(mul, binoms[w - base : w - base + n], below)
             if i == len(row):  # k = n, where P_k is zero
                 row.append(list(accumulate(cells)))
             else:
@@ -341,13 +322,14 @@ def _word_rows(d: int, k_max: int | None = None, k_min: int = 0,
                 row[i] = list(accumulate(same if below is None else map(add, same, cells)))
                 below = same
         edge = below = same = cells = None  # a resting pass holds no old strand
-        lo = n - 1 + k_min * (d - 1)  # no later row reads below strand k_min's window
-        del binoms[: lo - base]
-        base = lo
+        w = n - 1 + lo * (d - 1)  # no later row reads below strand lo's window
+        del binoms[: w - base]
+        base = w
 
 
-def _nth_row(d: int, n: int, k_max: int) -> list[list[int]]:
-    return next(islice(_word_rows(d, k_max), n - 1, None))
+def _nth_row(d: int, n: int, k_max: int | None) -> list[list[int]]:
+    rows = _word_rows(d, lambda n: (0, n if k_max is None else min(n, k_max)))
+    return next(islice(rows, n - 1, None))
 
 
 def _cells(start: int, stop: int, k_max: int | None = None) -> int:
@@ -372,17 +354,16 @@ def _last_cells(row: list[list[int]]) -> list[int]:
 def _count_rows(d: int) -> Iterator[list[int]]:
     """[c(n-1, 0), ..., c(n-1, n-1)] for n = 1, 2, ...: the word counts
     that row n of TC is converted from, one full-row pass.  The word rows
-    are mapped, not bound to a loop variable: a row held while the pass
-    advances would keep every old strand alive next to its replacement,
-    two rows instead of one."""
+    are mapped, not bound to a name that would hold one while the next is
+    built."""
     yield [1]  # the empty word
     yield from map(_last_cells, _word_rows(d))
 
 
 def _slice_sums(d: int) -> Iterator[int]:
     """c(n, n), the sum of all-heavy slice row n, for n = 1, 2, ...: the
-    last cell of band 0's one strand."""
-    return map(lambda row: row[0][-1], _word_rows(d, band=0))
+    last cell of the one strand of the kernel's window k = n."""
+    return map(lambda row: row[0][-1], _word_rows(d, lambda n: (n, n)))
 
 
 # d -> (its resumable pass, the entries n = 1, 2, ... it has yielded, the
@@ -482,36 +463,54 @@ def count_tc_total(d: int, n: int) -> int:
 
 
 # tc_table splits its pass across two processes from this many cells on,
-# which is n_max >= 77 at any d.  Below it the split saves too little to
-# risk: at d = 2 it was even with the serial pass at n_max = 45 and 14%
-# faster at n_max = 60 in a small process, where a fork costs 2 ms, and a
-# fork from a 50 MB process costs 2 ms more (2-vCPU Xeon, Python 3.11).
+# n_max >= 77 at any d.  Below it the split saves too little to risk: at
+# d = 2 a split at a fixed strand was even with the serial pass at n_max =
+# 45 and 14% faster at 60, and a fork costs 2-4 ms (2-vCPU Xeon, 3.11).
 SPLIT_CELLS = 150_000
 
 
-def _split_point(n_max: int) -> int | None:
-    """The strand k at which tc_table(d, n_max) splits its pass, 2 n_max // 5,
-    or None for one serial pass: when the pass computes fewer than
-    SPLIT_CELLS cells, when there is no os.fork, when this process may run
-    on fewer than two CPUs, or when it runs other threads, which a fork
-    would leave behind in the child holding whatever locks they held."""
-    if (_cells(0, n_max - 1) < SPLIT_CELLS or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-            or threading.active_count() > 1):
-        return None
-    return 2 * n_max // 5
+def _splits(n_max: int) -> bool:
+    """Whether tc_table(d, n_max) splits: from SPLIT_CELLS cells on, with
+    os.fork, two CPUs and no other thread, whose locks a fork leaves held."""
+    return (_cells(0, n_max - 1) >= SPLIT_CELLS and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1)
 
 
-def _write_frames(d: int, n_max: int, split: int, fd: int) -> NoReturn:
-    """The child's side of _split_count_rows: word rows 1..n_max-1 of the
-    truncated pass _word_rows(d, split - 1), one frame each down the pipe
-    fd (an 8-byte little-endian length, then a marshal payload): the row's
-    top strand, which is strand split-1 from the first row that has it on
-    (the parent builds no strand before that row), and its word counts
-    c(n, k) for k < split.  A failure writes one frame naming its
-    exception class instead.  It touches no cache or lock and ends the
-    process by os._exit, 0 after the last frame, so it never returns into
-    the code that forked it."""
+def _boundary(n: int) -> int:
+    """K(n): a split pass builds strands k >= K(n) of word row n here and
+    the rest in the child.  This side also converts the counts, and 3n/5
+    beat 11n/20 and 13n/20 at d = 2 (`table tc`, 2-vCPU Xeon, Python 3.11)."""
+    return max(1, 3 * n // 5)
+
+
+def _hands_down(n: int, n_max: int) -> bool:
+    """Whether this process hands strand K(n) down after word row n."""
+    return n < n_max - 1 and _boundary(n + 1) > _boundary(n)
+
+
+def _send(fd: int, value) -> None:
+    """Write value down the pipe fd: an 8-byte length, then its marshal."""
+    frame = marshal.dumps(value)
+    view = memoryview(len(frame).to_bytes(8, "little") + frame)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(pipe):
+    """The value of the next frame on the pipe, or None when it ends first."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    body = pipe.read(size) if len(head) == 8 else b""
+    return marshal.loads(body) if len(body) == size > 0 else None
+
+
+def _write_frames(d: int, n_max: int, fd: int, handed: int) -> NoReturn:
+    """The child's side of _split_count_rows: word rows 1..n_max-1 below
+    K(n), a frame a row down fd (strand K(n)-1, None when K rises, and the
+    counts c(n, k)), handed strands read from `handed`, or a frame naming
+    the exception that ended it.  It touches no cache or lock and ends by
+    os._exit, so it never returns into the code that forked it."""
     import gc
 
     # the collector leaves the forked heap alone, so no finalizer of the
@@ -519,61 +518,61 @@ def _write_frames(d: int, n_max: int, split: int, fd: int) -> NoReturn:
     gc.freeze()
     code = 1
     try:
-        with open(fd, "wb") as pipe:
-
-            def send(frame: bytes) -> None:
-                pipe.write(len(frame).to_bytes(8, "little"))
-                pipe.write(frame)
-                pipe.flush()
-
+        with open(handed, "rb") as strands:
             try:
-                rows = islice(_word_rows(d, split - 1), n_max - 1)
-                for frame in map(marshal.dumps, ((row[-1], _last_cells(row)) for row in rows)):
-                    send(frame)
+                rows, strand = _word_rows(d, lambda n: (0, _boundary(n) - 1)), None
+                for n in range(1, n_max):
+                    rises = _hands_down(n, n_max)
+                    row = rows.send(strand)
+                    _send(fd, (None if rises else row[-1], _last_cells(row)))
+                    # no yielded row is held while the next is built
+                    row, strand = None, _receive(strands) if rises else None
                 code = 0
             except Exception as exc:  # reported to the parent, which raises
-                send(marshal.dumps(type(exc).__name__))
+                _send(fd, type(exc).__name__)
     finally:
         os._exit(code)
 
 
-def _split_count_rows(d: int, n_max: int, split: int) -> Iterator[list[int]]:
-    """The first n_max rows of _count_rows(d), built by two processes that
-    split each word row by strand.  Strand k of a row reads only strands k
-    and k-1 of the row before, so a forked child builds strands k < split
-    (_write_frames) and this process builds strands k >= split from the
-    boundary strand split-1 the child sends for each row: data flows one
-    way only.  Each count row joins the child's word counts to this
-    process's.  When the child fails, the rows end in MemoryError if it ran
-    out of memory or was killed by a signal (as the kernel's out-of-memory
-    killer does), else in ExactnessError.  However the rows end, closed
-    early or raising, the child is killed if it still runs and reaped.
-    When no process can be forked, the rows come from one serial pass."""
-    import signal
+def _split_count_rows(d: int, n_max: int) -> Iterator[list[int]]:
+    """The first n_max rows of _count_rows(d), word row n split by strand at
+    K(n) = _boundary(n): a forked child builds strands k < K(n)
+    (_write_frames), this process the rest.  One boundary strand crosses a
+    row: the child's strand K(n)-1 when K stays, else this process's strand
+    K(n), which it also pops as its own lowest strand's neighbour.  This
+    process reads the child's frame before it writes, and the child writes
+    before it reads, so frames larger than a pipe buffer block neither for
+    good.  A failed child ends the rows in MemoryError if it ran out of
+    memory or was killed by a signal (as the out-of-memory killer does),
+    else in ExactnessError; however they end, it is killed if it still runs
+    and reaped.  When no process can be forked, one serial pass gives them."""
+    import signal  # imported here: its enums cost 1.3 ms of every start-up
 
-    r, w = os.pipe()
+    (r, w), (handed, hand) = os.pipe(), os.pipe()
     try:
         pid = os.fork()
     except OSError:  # out of processes or memory for one
-        os.close(r)
-        os.close(w)
+        for fd in (r, w, handed, hand):
+            os.close(fd)
         yield from islice(_count_rows(d), n_max)
         return
     if pid == 0:
         os.close(r)
-        _write_frames(d, n_max, split, w)
+        os.close(hand)
+        _write_frames(d, n_max, w, handed)
     os.close(w)
+    os.close(handed)
     reaped = False
     try:
         with open(r, "rb") as pipe:
-            upper = _word_rows(d, None, split)
-            tops = _last_cells(next(upper))  # word row 1's counts for k >= split
+            upper = _word_rows(d, lambda n: (_boundary(n), n))
+            mine = next(upper)
             yield [1]
             for n in range(1, n_max):
-                head = pipe.read(8)
-                size = int.from_bytes(head, "little")
-                body = pipe.read(size) if len(head) == 8 else b""
-                frame = marshal.loads(body) if len(body) == size > 0 else None
+                frame = _receive(pipe)
+                if isinstance(frame, tuple) and _hands_down(n, n_max):
+                    with suppress(BrokenPipeError):  # the child ended; its next frame says how
+                        _send(hand, mine[0])
                 if not isinstance(frame, tuple):  # an error frame, or the pipe ended early
                     _, status = os.waitpid(pid, 0)
                     reaped = True
@@ -584,10 +583,12 @@ def _split_count_rows(d: int, n_max: int, split: int) -> Iterator[list[int]]:
                     raise ExactnessError(
                         f"tc_table's child process failed at word row {n}: {cause}")
                 edge, lows = frame
+                tops, mine = _last_cells(mine), None  # no row is held while the next is built
                 yield lows + tops
                 if n < n_max - 1:
-                    tops = _last_cells(upper.send(edge))
+                    mine = upper.send(edge)
     finally:
+        os.close(hand)
         if not reaped and os.waitpid(pid, os.WNOHANG)[0] == 0:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -596,11 +597,10 @@ def _split_count_rows(d: int, n_max: int, split: int) -> Iterator[list[int]]:
 def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
     """{n: [TC(n,0), ..., TC(n,n-1)]} for n = 1..n_max, one rolling pass
     that bypasses the tc_row cache, split across two processes by strand
-    when _split_point gives a split."""
+    when _splits says so."""
     at_least(2, d=d)
     at_least(1, n_max=n_max)
-    split = _split_point(n_max)
-    rows = _count_rows(d) if split is None else _split_count_rows(d, n_max, split)
+    rows = _split_count_rows(d, n_max) if _splits(n_max) else _count_rows(d)
     try:
         return {n: _tc_counts(n, counts) for n, counts in zip(range(1, n_max + 1), rows)}
     finally:
@@ -633,12 +633,12 @@ def b_max_table(d: int, n_max: int) -> dict:
 def b_max_table_binomial(d: int, n_max: int) -> dict:
     """The slice of b_max_table by its binomial form
     b(n, m) = binom(m+nd-2, d-1) * sum_{j<=min(m,n-1)} b(n-1, j), which is
-    the word recurrence at k = n: the differences of band 0's prefix sums."""
+    the word recurrence at k = n: the differences of its prefix sums."""
     at_least(2, d=d)
     at_least(1, n_max=n_max)
     return {
         (n, m): v
-        for n, (sums,) in zip(range(1, n_max + 1), _word_rows(d, band=0))
+        for n, (sums,) in zip(range(1, n_max + 1), _word_rows(d, lambda n: (n, n)))
         for m, v in enumerate(map(sub, sums, [0] + sums), start=1)
     }
 

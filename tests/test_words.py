@@ -154,6 +154,12 @@ def test_enumeration_streams_each_valid_word_once(d, n, data):
     assert len(seen) == count_words(d, n, k)
 
 
+def _window(k_max):
+    """The strand window of a pass truncated at k_max; every strand when
+    k_max is None."""
+    return lambda n: (0, n if k_max is None else min(n, k_max))
+
+
 def _b_cells(d, n, k_max=None):
     """{(k, m): b(n, k, m)}: consecutive differences of the prefix sums of
     row n, _nth_row(d, n, k_max)."""
@@ -257,7 +263,7 @@ def test_cache_reaches_only_the_largest_n_asked_for():
 @pytest.mark.parametrize("k_max", [None, 0, 1, 2, 5, 9])
 def test_cell_count_matches_the_rows_yielded(k_max):
     for d in (2, 3):
-        sizes = [sum(map(len, row)) for row in islice(words._word_rows(d, k_max), 12)]
+        sizes = [sum(map(len, row)) for row in islice(words._word_rows(d, _window(k_max)), 12)]
         for start in range(12):
             for stop in range(start, 13):
                 assert words._cells(start, stop, k_max) == sum(sizes[start:stop]), (start, stop)
@@ -269,8 +275,8 @@ def cells_computed(monkeypatch):
     seen = []
     plain = words._word_rows
 
-    def counted(d, k_max=None):
-        for row in plain(d, k_max):
+    def counted(*args):
+        for row in plain(*args):
             seen.append(sum(map(len, row)))
             yield row
 
@@ -525,14 +531,14 @@ def test_cached_slice_sums_answer_like_a_recomputed_slice(requests):
 
 def _slice_cells(d, n_max):
     """Rows 1..n_max of the all-heavy slice, [b(n, 1), ..., b(n, n)], the
-    differences of band 0's prefix sums."""
-    rows = islice(words._word_rows(d, band=0), n_max)
+    differences of the prefix sums of the slice window k = n."""
+    rows = islice(words._word_rows(d, lambda n: (n, n)), n_max)
     return [list(map(sub, sums, [0] + sums)) for (sums,) in rows]
 
 
 @pytest.mark.parametrize("d", [2, 3, 7, 50])
 def test_slice_rows_compute_each_binomial_once(d, monkeypatch):
-    # band 0 makes binom(a, d - 1) by comb or by the roll from
+    # the slice pass makes binom(a, d - 1) by comb or by the roll from
     # binom(a - 1, d - 1), which divides by a - d + 1
     made = []
 
@@ -558,7 +564,7 @@ def test_slice_rows_compute_each_binomial_once(d, monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_a_band_pass_yields_the_top_strands_of_the_full_pass(d, band):
     full = islice(words._word_rows(d), 40)
-    banded = words._word_rows(d, band=band)
+    banded = words._word_rows(d, lambda n: (max(0, n - band), n))
     for n, (row, top) in enumerate(zip(full, banded), start=1):
         assert top == row[max(0, n - band):], (n, band)
 
@@ -586,7 +592,7 @@ def test_large_d_cell_matches_the_two_term_slice(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_yielded_rows_are_never_mutated(d, k_max):
     for n in range(1, 9):
-        rows = words._word_rows(d, k_max)
+        rows = words._word_rows(d, _window(k_max))
         held = next(islice(rows, n - 1, None))
         next(rows)  # drawing row n + 1 must leave row n as it was
         assert held == _nth_row(d, n, k_max), (n, k_max)
@@ -596,7 +602,7 @@ def test_yielded_rows_are_never_mutated(d, k_max):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_rows_held_from_one_pass_match_fresh_passes(d, k_max):
     # every row of one pass held at once, as strands are replaced in place
-    held = list(islice(words._word_rows(d, k_max), 12))
+    held = list(islice(words._word_rows(d, _window(k_max)), 12))
     for n, row in enumerate(held, start=1):
         assert row == _nth_row(d, n, k_max), (n, k_max)
 
@@ -627,7 +633,7 @@ def test_a_pass_holds_about_one_row(d, k_max, n, bound):
         _, peak = _traced(lambda: deque(islice(words._count_rows(d), n), maxlen=0))
     else:
         largest, _ = _traced(lambda: _nth_row(d, n, k_max))
-        _, peak = _traced(lambda: deque(islice(words._word_rows(d, k_max), n), maxlen=0))
+        _, peak = _traced(lambda: deque(islice(words._word_rows(d, _window(k_max)), n), maxlen=0))
     assert peak < bound * largest, (peak, largest)
 
 
@@ -648,7 +654,7 @@ def _lists_reached(value):
 
 @pytest.mark.parametrize("d, k_max", [(2, None), (3, 10), (3, 1), (2, 0)])
 def test_a_resting_pass_holds_no_old_strand(d, k_max):
-    rows = words._word_rows(d, k_max)
+    rows = words._word_rows(d, _window(k_max))
     for n in range(1, 13):
         next(rows)
         # the suspended pass binds its strands through `row` only: a name
@@ -697,12 +703,56 @@ def forked(monkeypatch):
     signal.signal(signal.SIGALRM, old)
 
 
+def _rises_and_stays(n_max):
+    """The word rows of a split pass of n_max count rows after which K
+    rises, and those after which it stays."""
+    rows = range(1, n_max - 1)
+    return [n for n in rows if words._hands_down(n, n_max)], [
+        n for n in rows if not words._hands_down(n, n_max)]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_split_rows_match_the_serial_pass(d):
-    for n_max in (1, 2, 5, 30):
+    rises, stays = _rises_and_stays(80)
+    assert rises and stays
+    for n_max in (1, 2, 5, 30, 80):
         want = list(islice(words._count_rows(d), n_max))
-        for split in range(1, n_max + 1):
-            assert list(words._split_count_rows(d, n_max, split)) == want, (n_max, split)
+        assert list(words._split_count_rows(d, n_max)) == want, n_max
+    _no_child_left()
+
+
+def test_a_strand_handed_to_the_child_gets_its_whole_binomial_window():
+    # at d = 50 the binomial windows of neighbouring strands do not overlap,
+    # so nothing the child computed covers a strand this process hands it
+    rises, _ = _rises_and_stays(30)
+    assert rises
+    assert list(words._split_count_rows(50, 30)) == list(islice(words._count_rows(50), 30))
+    _no_child_left()
+
+
+def test_a_large_split_table_ends(forked):
+    # frames and handed strands outgrow a 64 KiB pipe buffer near n = 200,
+    # so a side that wrote before it read would block the other for good
+    assert tc_table(2, 200) == _serial_table(2, 200)
+    assert len(forked) == 1
+    _no_child_left()
+
+
+def test_a_split_table_holds_no_row_across_the_next_build(forked, monkeypatch):
+    # 8.5 MiB, most of it the table; a pass here that holds each yielded
+    # row while the next is built peaks at 12.2 MiB
+    fork = os.fork
+
+    def untraced_child():
+        pid = fork()
+        if pid == 0:
+            tracemalloc.stop()  # the child's memory is not measured; tracing it would slow it
+        return pid
+
+    monkeypatch.setattr(os, "fork", untraced_child)
+    _, peak = _traced(lambda: tc_table(2, 200))
+    assert peak <= 10.0 * 2**20, peak
+    assert len(forked) == 1
     _no_child_left()
 
 
@@ -788,24 +838,55 @@ def _raise(error):
 ])
 def test_a_failed_child_ends_the_table_with_an_error(fail, code, message, forked, monkeypatch,
                                                        capsys):
-    parent, plain = os.getpid(), words._word_rows
+    # the child fails building word row 10, then on a second table taking
+    # the strand handed down after row 9, where K rises; there this process
+    # writes the strand only once the child has ended, into a closed pipe
+    assert words._hands_down(9, 60)
+    parent, plain_rows, plain_send, plain_receive = (
+        os.getpid(), words._word_rows, words._send, words._receive)
+    handed, broken = [], []
 
     def failing(rows):
-        for n, row in enumerate(rows, start=1):
-            if n == 10:
-                fail()
-            yield row
+        sent = None
+        for n in range(1, 10):
+            sent = yield rows.send(sent)
+        fail()
 
-    def rows(d, k_max=None, k_min=0):
-        rows = plain(d, k_max, k_min)
+    def rows(d, window):
+        rows = plain_rows(d, window)
         return rows if os.getpid() == parent else failing(rows)
 
+    earlier = [n for n in range(1, 9) if words._hands_down(n, 60)]  # handovers before row 9's
+
+    def receive(pipe):
+        if os.getpid() == parent or earlier and earlier.pop():
+            return plain_receive(pipe)
+        return fail()
+
+    def send(fd, value):
+        if os.getpid() == parent:
+            handed.append(fd)
+            if len(handed) > len(earlier):
+                os.waitid(os.P_PID, forked[-1], os.WEXITED | os.WNOWAIT)
+            try:
+                plain_send(fd, value)
+            except BrokenPipeError:
+                broken.append(fd)
+                raise
+        else:
+            plain_send(fd, value)
+
     monkeypatch.setattr(words, "SPLIT_CELLS", 0)
-    monkeypatch.setattr(words, "_word_rows", rows)
-    assert cli.run(["table", "tc", "--d", "2", "--n-max", "60"], out=io.StringIO()) == code
-    assert capsys.readouterr().err == message
-    assert len(forked) == 1
-    _no_child_left()
+    argv = ["table", "tc", "--d", "2", "--n-max", "60"]
+    for fake in ({"_word_rows": rows}, {"_receive": receive, "_send": send}):
+        with monkeypatch.context() as patched:
+            for name, value in fake.items():
+                patched.setattr(words, name, value)
+            assert cli.run(argv, out=io.StringIO()) == code
+        assert capsys.readouterr().err == message
+        _no_child_left()
+    assert len(forked) == 2
+    assert len(broken) == 1  # the handover write met the closed pipe, and no traceback escaped
 
 
 def test_lambda_factor_values():
