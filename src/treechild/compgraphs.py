@@ -279,31 +279,25 @@ def count_tc_genfun_k1(d: int, n: int) -> int:
     return exact_div(factorial(n) * z_coefficient(fs[d] * fs[0], n), factorial(d) * 2 ** n)
 
 
-def count_tc_genfun_k2(d: int, n: int, form: str = "direct") -> int:
-    """TC(n, 2) from the series route.
-
-    form="direct":
-        n!/(d! 2^(n-3)) sum_{l=0..d} [z^n] f_{2d-l} f_l f_0 / ((d-l)! l!)
-        - n!/(d!^2 2^(n-2)) [z^n] f_{2d} f_0^2
-    form="merged" folds the l = 0 term into the correction (the two are
-    algebraically equal; both stay available so tests can pin that).
+def count_tc_genfun_k2(d: int, n: int) -> int:
+    """TC(n, 2) from the series route:
+    n!/(d! 2^(n-3)) sum_{l=0..d} [z^n] f_{2d-l} f_l f_0 / ((d-l)! l!)
+    - n!/(d!^2 2^(n-2)) [z^n] f_{2d} f_0^2.
     With F_g = 2 f_g and c_l = [z^n] F_{2d-l} F_l F_0 this is n! N /
-    (d!^2 2^(n+1)), N = 2 sum_{l=0..d} C(d, l) c_l - c_0 (direct) or
-    2 sum_{l=1..d} C(d, l) c_l + c_0 (merged), one sweep F_0..F_2d.
+    (d!^2 2^(n+1)), N = 2 sum_{l=0..d} C(d, l) c_l - c_0, one sweep
+    F_0..F_2d.
     """
     at_least(2, d=d)
     at_least(3, n=n)
-    if form not in ("direct", "merged"):
-        raise ValueError(f"unknown form {form!r}")
     fs = _f_sweep(2 * d)
     f0 = fs[0]
 
     def c(l: int) -> int:
         return z_coefficient(fs[2 * d - l] * fs[l] * f0, n)
 
-    s, c0 = sum(comb(d, l) * c(l) for l in range(1, d + 1)), c(0)
-    total = 2 * (c0 + s) - c0 if form == "direct" else 2 * s + c0
-    return exact_div(factorial(n) * total, factorial(d) ** 2 * 2 ** (n + 1))
+    cs = [comb(d, l) * c(l) for l in range(d + 1)]
+    return exact_div(factorial(n) * (2 * sum(cs) - cs[0]),
+                     factorial(d) ** 2 * 2 ** (n + 1))
 
 
 def tc_k1_closed_form(d: int, n: int) -> int:

@@ -160,27 +160,28 @@ _CROSS_METHOD_N_TOP = 12
 def suite_cross_method(d: int | None = None, n_max: int | None = None):
     """words == blow-up for n up to n_max (6 by default) and k up to the
     BLOWUP_K ceiling; series == closed forms == words for k = 1, 2 up to
-    n_max (12 by default), each route on its domain; both series forms
-    equal.  Both checks read an n_max above 12 as 12.
+    n_max (12 by default), each route on its domain, with the blow-up in the
+    k = 2 comparisons while BLOWUP_K allows k = 2.  Both checks read an
+    n_max above 12 as 12.  Every route is a `COUNT_ROUTES` entry.
 
     What each comparison is independent of: the word recurrence shares no
     code with the blow-up or the series, so words vs blow-up and words vs
     series are independent.  The blow-up and the series both extract
-    coefficients of products of the derived series f_g, and at k = 1 the
+    coefficients of products of the derived series f_g.  At k = 1 the
     blow-up series is literally 2 F_d F_0, the product the series route
-    evaluates; so the independent checks are the words route and the tier-1
-    sum over block-size shapes, which meets the series without f_g."""
+    evaluates, so the blow-up sits in the series check at k = 2 only: there
+    its series S(3) is built from marked sinks and shares only the f_g
+    sweep with the series route's sum over l.  The independent checks are
+    the words route and the tier-1 sum over block-size shapes, which meets
+    the series without f_g."""
     tc = COUNT_ROUTES["tc"]
     by_words, by_compgraph = tc["words"][0], tc["compgraph"][0]
-    # the merged k = 2 series is a second form of the genfun route, checked
-    # here only
-    merged = _route(lambda d, n, k: compgraphs.count_tc_genfun_k2(d, n, form="merged"),
-                    covers=lambda d, k: k == 2)
-    series = [tc["genfun"], merged, tc["closedform"]]
+    m_top = ceiling("BLOWUP_K") + 1
+    blowup_k2 = (by_compgraph, lambda d, n, k: k == 2 and m_top > 2)
+    series = [tc["genfun"], blowup_k2, tc["closedform"]]
     results = []
     d_values = [d] if d is not None else [2, 3]
     blow_n = 6 if n_max is None else min(n_max, _CROSS_METHOD_N_TOP)
-    m_top = ceiling("BLOWUP_K") + 1
     for dv in d_values:
         cells = [(n, k) for n in range(1, blow_n + 1) for k in range(min(m_top, n))]
         compare = _same(partial(by_words, dv), partial(by_compgraph, dv))

@@ -185,7 +185,7 @@ def enumerate_words(d: int, n: int, k: int) -> Iterator[Word]:
         eff = list(start)
         prefix = []
 
-        def rec() -> Iterator[Word]:
+        def rec(again) -> Iterator[Word]:
             if len(prefix) == length:
                 yield Word(letters=tuple(prefix), profile=mult)
                 return
@@ -194,11 +194,11 @@ def enumerate_words(d: int, n: int, k: int) -> Iterator[Word]:
                     eff[i] += 1
                     prefix.append(i + 1)
                     if _append_ok(eff, i, d, n):
-                        yield from rec()
+                        yield from again(again)
                     prefix.pop()
                     eff[i] -= 1
 
-        yield from rec()
+        yield from rec(rec)
 
 
 def _completions(d: int, n: int) -> Callable[[tuple], int]:
@@ -209,13 +209,15 @@ def _completions(d: int, n: int) -> Callable[[tuple], int]:
     of (d, n): every heavy subset and every k.  It is keyed by the
     mixed-radix index sum eff[i] * (d+2)^i of one list `eff` that the walk
     bumps and restores in place, with no tuple per state.  Validity is
-    decided by `_append_ok` on each appended letter.
+    decided by `_append_ok` on each appended letter.  The walk is handed
+    itself as `again` rather than closing over its own name, so the memo
+    is freed when `finish` is, not by the cyclic collector.
     """
     weights = [(d + 2) ** i for i in range(n)]
     eff = [0] * n
     memo = {(d + 1) * sum(weights): 1}
 
-    def rec(key: int) -> int:
+    def rec(key: int, again) -> int:
         r = memo.get(key)
         if r is not None:
             return r
@@ -224,14 +226,14 @@ def _completions(d: int, n: int) -> Callable[[tuple], int]:
             if eff[i] <= d:
                 eff[i] += 1
                 if _append_ok(eff, i, d, n):
-                    r += rec(key + weights[i])
+                    r += again(key + weights[i], again)
                 eff[i] -= 1
         memo[key] = r
         return r
 
     def finish(start: tuple) -> int:
         eff[:] = start
-        return rec(sum(map(mul, start, weights)))
+        return rec(sum(map(mul, start, weights)), rec)
 
     return finish
 

@@ -124,8 +124,26 @@ def test_a_failed_verify_check_exits_1_after_every_record(monkeypatch, capsys):
     blowup = results["words-vs-compgraph d=2"]
     assert blowup["passed"] is False
     assert "first mismatch" in blowup["details"]
-    assert results["series-and-closed-forms d=2"]["passed"] is True
+    # the blow-up is also the series check's k = 2 comparison
+    series = results["series-and-closed-forms d=2"]
+    assert series["passed"] is False
+    assert series["details"] == "7 comparisons; first mismatch (3, 2, 43, 42)"
     assert capsys.readouterr().err.startswith("verification failure:")
+
+
+def test_the_series_check_compares_the_blowup_past_the_graph_check(monkeypatch):
+    # a blow-up wrong only from n = 7 on: words-vs-compgraph stops at n = 6
+    # by default, and the series check's k = 2 comparison runs to n = 12
+    original = compgraphs.count_tc_compgraph
+    monkeypatch.setattr(compgraphs, "count_tc_compgraph",
+                        lambda p: original(p) + (p.n >= 7))
+    code, text = invoke("verify", "--suite", "cross-method", "--d", "2")
+    assert code == 1
+    results = {r["results"]["check"]: r["results"] for r in records(text)}
+    assert results["words-vs-compgraph d=2"]["passed"] is True
+    assert results["series-and-closed-forms d=2"] == {
+        "check": "series-and-closed-forms d=2", "passed": False,
+        "details": "52 comparisons; first mismatch (7, 2, 16418431, 16418430)"}
 
 
 def test_an_exactness_failure_in_a_verify_cell_fails_only_its_check(monkeypatch, capsys):
@@ -661,6 +679,8 @@ def test_oracle_follows_n_max_up_to_the_word_ceiling(monkeypatch):
     (None, {"TREECHILD_BLOWUP_K_CEILING": "2"}, 15),
     # an --n-max above 12 reads as 12, as for the series check
     ("30", {}, 42),
+    # below BLOWUP_K = 2 the blow-up leaves the series check as well
+    (None, {"TREECHILD_BLOWUP_K_CEILING": "1"}, 11),
 ])
 def test_cross_method_follows_n_max_up_to_the_blowup_ceilings(n_max, env, cells, monkeypatch):
     for var, value in env.items():
@@ -671,6 +691,13 @@ def test_cross_method_follows_n_max_up_to_the_blowup_ceilings(n_max, env, cells,
     code, text = invoke(*argv)
     assert code == 0
     assert _details(text, "words-vs-compgraph d=2") == f"{cells} cells"
+    # the series check runs to n = 12: genfun and the closed form at each
+    # k = 1 cell (n >= 2) and each k = 2 cell (n >= 3), and the blow-up at
+    # each k = 2 cell while BLOWUP_K >= 2
+    top = min(int(n_max or 12), 12)
+    k2_routes = 3 if env.get("TREECHILD_BLOWUP_K_CEILING") != "1" else 2
+    comparisons = 2 * (top - 1) + k2_routes * (top - 2)
+    assert _details(text, "series-and-closed-forms d=2") == f"{comparisons} comparisons"
 
 
 @pytest.mark.parametrize("argv", [

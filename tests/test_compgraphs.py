@@ -549,9 +549,6 @@ def test_coefficient_extraction_basics():
 def test_series_counts_match_golden_values():
     assert count_tc_genfun_k1(2, 4) == 228
     assert count_tc_genfun_k2(2, 5) == 30300
-    assert count_tc_genfun_k2(2, 5, form="merged") == 30300
-    with pytest.raises(ValueError):
-        count_tc_genfun_k2(2, 5, form="bogus")
 
 
 def test_series_counts_match_word_count_at_large_d():
@@ -569,14 +566,7 @@ def test_series_and_blowup_counts_match_the_words():
             if n >= 3:
                 want = count_tc_words(Params(d, n, 2))
                 assert count_tc_genfun_k2(d, n) == want, (d, n)
-                assert count_tc_genfun_k2(d, n, form="merged") == want, (d, n)
                 assert count_tc_compgraph(Params(d, n, 2)) == want, (d, n)
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=2, max_value=5), st.integers(min_value=3, max_value=10))
-def test_series_forms_agree(d, n):
-    assert count_tc_genfun_k2(d, n) == count_tc_genfun_k2(d, n, form="merged")
 
 
 def test_closed_forms_match_series():

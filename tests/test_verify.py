@@ -34,10 +34,14 @@ def test_suite_dimension_filter():
 
 
 def test_cross_method_counts_only_covered_routes():
-    # d = 4 has no closed form: genfun and the merged k = 2 series only
+    # d = 4 and d = 5 have no closed form: genfun, and the blow-up at k = 2
     results = run_suite("cross-method", d=4, n_max=4)
     series = [r for r in results if r.name == "series-and-closed-forms d=4"]
     assert [r.details for r in series] == ["7 comparisons"]
+    # 11 cells at k = 1 and 10 at k = 2, the blow-up at d = 5 up to n = 12
+    results = run_suite("cross-method", d=5, n_max=12)
+    series = [r for r in results if r.name == "series-and-closed-forms d=5"]
+    assert series == [CheckResult("series-and-closed-forms d=5", True, "31 comparisons")]
 
 
 def test_the_check_runner_holds_its_three_rules():

@@ -128,6 +128,23 @@ def test_direct_row_equals_the_single_class_counts(d):
         assert words._direct_row(d, n) == [count_words_direct(d, n, k) for k in range(n + 1)]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: count_words_direct(3, 5, 2),
+    lambda: words._direct_row(3, 5),
+    lambda: list(enumerate_words(2, 3, 1)),
+], ids=["count_words_direct", "_direct_row", "enumerate_words"])
+def test_oracle_walks_leave_no_cycle(call):
+    # each recursive walk takes itself as an argument, so its memo and
+    # state are freed when the call returns, not at the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumeration_ceiling_guard(monkeypatch):
     with pytest.raises(ValueError):
         list(enumerate_words(2, 6, 0))
