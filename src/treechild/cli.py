@@ -14,6 +14,15 @@ all agree.  A method that does not cover the cell is a usage error.
 `asymp ratio` adds the word-route fields `tc_total_over_max_k` and
 `tc_ratio_reference` only for n up to the GENERAL ceiling.
 
+`table` writes a table of FORMAT_BITS = 8 000 000 bits of counts or more
+on two processes when `words._may_fork` allows: once the counts are built,
+a forked child formats the later rows (55% of the work, estimated from
+the rows' bit lengths) into its own memory while this process writes the
+earlier rows, then sends its text back raw for this process to copy, so
+stdout is the same to the byte.  A failed child ends the call as a failed
+split pass does: exit 2 if it ran out of memory or was killed by a
+signal, else 1, with stdout a prefix of the table.
+
 Handlers only write records or raise; `run` alone turns a failure into an
 exit code.  Exit codes: 0 success; 1 verification failure, printed as
 "verification failure: ..." (a `params.ExactnessError`: a failed exactness
@@ -33,11 +42,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import accumulate, islice
 
 from . import distributions, verify, words
 from .asymptotics import (
@@ -64,8 +76,7 @@ def _count(v: int) -> str:
         return format(Decimal(v), "f")
 
 
-def _ratio(fr) -> dict:
-    fr = Fraction(fr)
+def _ratio(fr: Fraction) -> dict:
     return {"numerator": _count(fr.numerator), "denominator": _count(fr.denominator)}
 
 
@@ -129,17 +140,20 @@ def _cmd_count(args, out) -> None:
 # table
 
 
-def _cmd_table(args, out) -> None:
-    at_least(2, d=args.d)
-    at_least(1, n_max=args.n_max)
-    if args.target == "tc":
-        rows, method = words.tc_table(args.d, args.n_max).items(), "words"
-    else:
-        rows = [(n, otc_row(args.d, n)) for n in range(1, args.n_max + 1)]
-        method = "closedform"
+# table formats its later rows in a forked child (_send_text) from this
+# many bits of counts on, the rows' total bit_length.  Formatting alone, in
+# a small process, took 11.5 ms in one process and 13.2 ms with the child
+# for `table tc --d 2 --n-max 110` (4.5 million bits), 22.4 and 21.0 ms at
+# n_max = 132 (8.1 million) and 40.5 and 33.7 ms at 150 (12.2 million); for
+# `table otc --d 2 --n-max 80` (1.5 million) 5.9 and 9.4 ms (medians of 15,
+# 2-vCPU Xeon, Python 3.11).
+FORMAT_BITS = 8_000_000
+
+
+def _write_rows(args, method: str, rows, out) -> None:
+    """The records of rows, (n, counts) pairs, as CSV lines or JSON records."""
     if args.format == "csv":
         writer = csv.writer(out)
-        writer.writerow(["n"] + [f"k={k}" for k in range(args.n_max)])
         for n, values in rows:
             writer.writerow([n] + [_count(v) for v in values] + [""] * (args.n_max - n))
     else:
@@ -151,6 +165,59 @@ def _cmd_table(args, out) -> None:
                 method,
                 out,
             )
+
+
+def _send_text(write, rows, fd: int, handed: int) -> None:
+    """The formatter child's work (words._forked): the text write(rows, ...)
+    makes, in its own memory, then sent down fd raw after a frame giving
+    its length."""
+    text = io.TextIOWrapper(io.BytesIO(), "ascii", newline="")
+    write(rows, text)
+    text.flush()
+    data = text.buffer.getbuffer()
+    words._send(fd, len(data))
+    words._write_all(fd, data)
+
+
+def _copy_text(child, out) -> None:
+    """Write to out the text the formatter child sends (_send_text), read in
+    chunks of at most 64 KiB."""
+    left = words._receive(child.frames)
+    if not isinstance(left, int):  # an error frame, or the pipe ended first
+        child.fail(left)
+    while left:
+        chunk = child.frames.read(min(left, 1 << 16))
+        if not chunk:
+            child.fail(None)
+        out.write(chunk.decode("ascii"))
+        left -= len(chunk)
+
+
+def _cmd_table(args, out) -> None:
+    at_least(2, d=args.d)
+    at_least(1, n_max=args.n_max)
+    if args.target == "tc":
+        table, method = words.tc_table(args.d, args.n_max), "words"
+    else:
+        table = {n: otc_row(args.d, n) for n in range(1, args.n_max + 1)}
+        method = "closedform"
+    if args.format == "csv":
+        csv.writer(out).writerow(["n"] + [f"k={k}" for k in range(args.n_max)])
+    write, rows = partial(_write_rows, args, method), table.items()
+    bits = [sum(map(int.bit_length, values)) for values in table.values()]
+    if sum(bits) >= FORMAT_BITS and words._may_fork():
+        # str() of an int takes time quadratic in its length, so a row costs
+        # about its bits squared over its length; this process formats 45%
+        # of that, as it also copies the child's text
+        work = list(accumulate(b * b // len(values) for b, values in zip(bits, table.values())))
+        cut = bisect_left(work, 0.45 * work[-1])
+        later = partial(_send_text, write, islice(rows, cut, None))
+        with words._forked("table's formatter process", later) as child:
+            if child is not None:
+                write(islice(rows, cut), out)
+                _copy_text(child, out)
+                return
+    write(rows, out)
 
 
 # ---------------------------------------------------------------------------

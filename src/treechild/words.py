@@ -50,7 +50,10 @@ for each cell once.  For d = 2..5 up to n = 100 the cache holds about
 
 From SPLIT_CELLS = 150 000 cells on, tc_table splits word row n of its pass
 at strand K(n) = 3n // 5 across two processes (_split_count_rows); the
-threshold, the rule and the serial fallbacks (_splits) are fixed.
+threshold, the rule and the serial fallbacks (_splits) are fixed.  The
+fork, its pipes, the child's error frame and the reap are _forked's, which
+the CLI's table formatter shares, as it shares the rule of when a process
+may fork (_may_fork).
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
 two-term rational recurrence and an integer binomial form.  The binomial
@@ -68,9 +71,10 @@ from __future__ import annotations
 import marshal
 import os
 import threading
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, combinations, islice
 from math import comb, factorial
 from operator import add, mul, sub
@@ -335,8 +339,9 @@ def _nth_row(d: int, n: int, k_max: int | None) -> list[list[int]]:
 
 
 def _cells(start: int, stop: int, k_max: int | None = None) -> int:
-    """Prefix-sum cells _word_rows(d, k_max) computes for its rows
-    start < n <= stop: row n holds n cells for each k <= min(n, k_max)."""
+    """Prefix-sum cells _word_rows computes for its rows start < n <= stop
+    with the window (0, min(n, k_max)): row n holds n cells for each
+    k <= min(n, k_max)."""
     return sum(
         n * (n + 1 if k_max is None else min(n, k_max) + 1) for n in range(start + 1, stop + 1)
     )
@@ -471,12 +476,17 @@ def count_tc_total(d: int, n: int) -> int:
 SPLIT_CELLS = 150_000
 
 
+def _may_fork() -> bool:
+    """Whether work may be shared with a forked child: with os.fork, two
+    CPUs and no other thread, whose locks a fork leaves held."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
+
+
 def _splits(n_max: int) -> bool:
-    """Whether tc_table(d, n_max) splits: from SPLIT_CELLS cells on, with
-    os.fork, two CPUs and no other thread, whose locks a fork leaves held."""
-    return (_cells(0, n_max - 1) >= SPLIT_CELLS and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-            and threading.active_count() == 1)
+    """Whether tc_table(d, n_max) splits: from SPLIT_CELLS cells on, when
+    _may_fork."""
+    return _cells(0, n_max - 1) >= SPLIT_CELLS and _may_fork()
 
 
 def _boundary(n: int) -> int:
@@ -491,12 +501,17 @@ def _hands_down(n: int, n_max: int) -> bool:
     return n < n_max - 1 and _boundary(n + 1) > _boundary(n)
 
 
+def _write_all(fd: int, data) -> None:
+    """Write the bytes of data down the pipe fd, however many writes it takes."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
 def _send(fd: int, value) -> None:
     """Write value down the pipe fd: an 8-byte length, then its marshal."""
     frame = marshal.dumps(value)
-    view = memoryview(len(frame).to_bytes(8, "little") + frame)
-    while view:
-        view = view[os.write(fd, view):]
+    _write_all(fd, len(frame).to_bytes(8, "little") + frame)
 
 
 def _receive(pipe):
@@ -507,33 +522,92 @@ def _receive(pipe):
     return marshal.loads(body) if len(body) == size > 0 else None
 
 
-def _write_frames(d: int, n_max: int, fd: int, handed: int) -> NoReturn:
+class _Child:
+    """This process's side of a child forked by _forked: its pid, the file
+    `frames` it writes to and the fd `hand` it reads from."""
+
+    def __init__(self, pid: int, what: str, frames, hand: int):
+        self.pid, self.what, self.frames, self.hand = pid, what, frames, hand
+        self.reaped = False
+
+    def fail(self, frame, where: str = "") -> NoReturn:
+        """Reap the child, whose last frame was `frame`, an error frame or
+        None when the pipe ended first, and raise: MemoryError if it ran out
+        of memory or was killed by a signal (as the out-of-memory killer
+        does), else ExactnessError."""
+        _, status = os.waitpid(self.pid, 0)
+        self.reaped = True
+        if frame == "MemoryError" or os.WIFSIGNALED(status):
+            cause = frame or f"killed by signal {os.WTERMSIG(status)}"
+            raise MemoryError(f"({self.what}: {cause})")
+        cause = frame or f"exit status {os.WEXITSTATUS(status)}"
+        raise ExactnessError(f"{self.what} failed{where}: {cause}")
+
+
+@contextmanager
+def _forked(what: str, work: Callable[[int, int], None]) -> Iterator[_Child | None]:
+    """Run work(fd, handed) in a forked child, which writes to the pipe fd
+    and may read what this process hands it from the pipe handed, and yield
+    this process's side of it: a _Child, named `what` in its errors.  The
+    child sends a frame naming the exception that ended work, if one did,
+    and ends by os._exit, so it never returns into the code that forked it.
+    When no process can be forked (out of processes or memory for one) this
+    yields None, and the caller does the work itself.  However the block
+    ends, the child is killed if it still runs and reaped."""
+    import signal  # imported here: its enums cost 1.3 ms of every start-up
+
+    (r, w), (handed, hand) = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid is None:
+        for fd in (r, w, handed, hand):
+            os.close(fd)
+        yield None
+        return
+    if pid == 0:
+        import gc
+
+        # the collector leaves the forked heap alone, so no finalizer of the
+        # caller's garbage runs here and its pages stay shared
+        gc.freeze()
+        code = 1
+        try:
+            os.close(r)
+            os.close(hand)
+            work(w, handed)
+            code = 0
+        except Exception as exc:  # reported to the parent, which raises
+            _send(w, type(exc).__name__)
+        finally:
+            os._exit(code)
+    os.close(w)
+    os.close(handed)
+    child = _Child(pid, what, open(r, "rb"), hand)
+    try:
+        yield child
+    finally:
+        child.frames.close()
+        os.close(hand)
+        if not child.reaped and os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _write_frames(d: int, n_max: int, fd: int, handed: int) -> None:
     """The child's side of _split_count_rows: word rows 1..n_max-1 below
     K(n), a frame a row down fd (strand K(n)-1, None when K rises, and the
-    counts c(n, k)), handed strands read from `handed`, or a frame naming
-    the exception that ended it.  It touches no cache or lock and ends by
-    os._exit, so it never returns into the code that forked it."""
-    import gc
-
-    # the collector leaves the forked heap alone, so no finalizer of the
-    # caller's garbage runs here and its pages stay shared
-    gc.freeze()
-    code = 1
-    try:
-        with open(handed, "rb") as strands:
-            try:
-                rows, strand = _word_rows(d, lambda n: (0, _boundary(n) - 1)), None
-                for n in range(1, n_max):
-                    rises = _hands_down(n, n_max)
-                    row = rows.send(strand)
-                    _send(fd, (None if rises else row[-1], _last_cells(row)))
-                    # no yielded row is held while the next is built
-                    row, strand = None, _receive(strands) if rises else None
-                code = 0
-            except Exception as exc:  # reported to the parent, which raises
-                _send(fd, type(exc).__name__)
-    finally:
-        os._exit(code)
+    counts c(n, k)), and handed strands read from `handed`.  It touches no
+    cache or lock."""
+    with open(handed, "rb") as strands:
+        rows, strand = _word_rows(d, lambda n: (0, _boundary(n) - 1)), None
+        for n in range(1, n_max):
+            rises = _hands_down(n, n_max)
+            row = rows.send(strand)
+            _send(fd, (None if rises else row[-1], _last_cells(row)))
+            # no yielded row is held while the next is built
+            row, strand = None, _receive(strands) if rises else None
 
 
 def _split_count_rows(d: int, n_max: int) -> Iterator[list[int]]:
@@ -544,56 +618,29 @@ def _split_count_rows(d: int, n_max: int) -> Iterator[list[int]]:
     K(n), which it also pops as its own lowest strand's neighbour.  This
     process reads the child's frame before it writes, and the child writes
     before it reads, so frames larger than a pipe buffer block neither for
-    good.  A failed child ends the rows in MemoryError if it ran out of
-    memory or was killed by a signal (as the out-of-memory killer does),
-    else in ExactnessError; however they end, it is killed if it still runs
-    and reaped.  When no process can be forked, one serial pass gives them."""
-    import signal  # imported here: its enums cost 1.3 ms of every start-up
-
-    (r, w), (handed, hand) = os.pipe(), os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # out of processes or memory for one
-        for fd in (r, w, handed, hand):
-            os.close(fd)
-        yield from islice(_count_rows(d), n_max)
-        return
-    if pid == 0:
-        os.close(r)
-        os.close(hand)
-        _write_frames(d, n_max, w, handed)
-    os.close(w)
-    os.close(handed)
-    reaped = False
-    try:
-        with open(r, "rb") as pipe:
-            upper = _word_rows(d, lambda n: (_boundary(n), n))
-            mine = next(upper)
-            yield [1]
-            for n in range(1, n_max):
-                frame = _receive(pipe)
-                if isinstance(frame, tuple) and _hands_down(n, n_max):
-                    with suppress(BrokenPipeError):  # the child ended; its next frame says how
-                        _send(hand, mine[0])
-                if not isinstance(frame, tuple):  # an error frame, or the pipe ended early
-                    _, status = os.waitpid(pid, 0)
-                    reaped = True
-                    if frame == "MemoryError" or os.WIFSIGNALED(status):
-                        cause = frame or f"killed by signal {os.WTERMSIG(status)}"
-                        raise MemoryError(f"(tc_table's child process: {cause})")
-                    cause = frame or f"exit status {os.WEXITSTATUS(status)}"
-                    raise ExactnessError(
-                        f"tc_table's child process failed at word row {n}: {cause}")
-                edge, lows = frame
-                tops, mine = _last_cells(mine), None  # no row is held while the next is built
-                yield lows + tops
-                if n < n_max - 1:
-                    mine = upper.send(edge)
-    finally:
-        os.close(hand)
-        if not reaped and os.waitpid(pid, os.WNOHANG)[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    good.  A failed child ends the rows in MemoryError or ExactnessError
+    (_Child.fail); however they end, it is killed if it still runs and
+    reaped (_forked).  When no process can be forked, one serial pass gives
+    them."""
+    with _forked("tc_table's child process", partial(_write_frames, d, n_max)) as child:
+        if child is None:
+            yield from islice(_count_rows(d), n_max)
+            return
+        upper = _word_rows(d, lambda n: (_boundary(n), n))
+        mine = next(upper)
+        yield [1]
+        for n in range(1, n_max):
+            frame = _receive(child.frames)
+            if isinstance(frame, tuple) and _hands_down(n, n_max):
+                with suppress(BrokenPipeError):  # the child ended; its next frame says how
+                    _send(child.hand, mine[0])
+            if not isinstance(frame, tuple):  # an error frame, or the pipe ended early
+                child.fail(frame, f" at word row {n}")
+            edge, lows = frame
+            tops, mine = _last_cells(mine), None  # no row is held while the next is built
+            yield lows + tops
+            if n < n_max - 1:
+                mine = upper.send(edge)
 
 
 def tc_table(d: int, n_max: int) -> dict[int, list[int]]:

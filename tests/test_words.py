@@ -4,6 +4,7 @@ import functools
 import gc
 import inspect
 import io
+import json
 import os
 import signal
 import sys
@@ -789,7 +790,11 @@ def _fork_fails():
                          ["one CPU", "no fork", "a failed fork", "a second thread"])
 def test_tables_stay_serial_without_two_cpus_fork_or_a_lone_thread(
         serial_because, forked, monkeypatch):
+    # neither the split pass nor the table formatter forks
+    argv = ["table", "otc", "--d", "2", "--n-max", "30", "--format", "csv"]
+    formatted = _table(argv)
     monkeypatch.setattr(words, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(cli, "FORMAT_BITS", 0)
     if serial_because == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     elif serial_because == "no fork":
@@ -802,6 +807,7 @@ def test_tables_stay_serial_without_two_cpus_fork_or_a_lone_thread(
         waiting.start()
     try:
         assert tc_table(3, 30) == _serial_table(3, 30)
+        assert _table(argv) == formatted
     finally:
         release.set()
         if waiting.is_alive():
@@ -904,6 +910,129 @@ def test_a_failed_child_ends_the_table_with_an_error(fail, code, message, forked
         _no_child_left()
     assert len(forked) == 2
     assert len(broken) == 1  # the handover write met the closed pipe, and no traceback escaped
+
+
+def _table(argv):
+    """(exit code, stdout) of one CLI call."""
+    out = io.StringIO()
+    return cli.run(argv, out=out), out.getvalue()
+
+
+def _table_bits(target, d, n_max):
+    """The rows' total bit_length, which cli.FORMAT_BITS is compared with."""
+    rows = tc_table(d, n_max).values() if target == "tc" else [
+        cli.otc_row(d, n) for n in range(1, n_max + 1)]
+    return sum(v.bit_length() for values in rows for v in values)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("target", ["tc", "otc"])
+def test_tables_formatted_on_two_processes_write_the_serial_bytes(target, fmt, forked,
+                                                                   monkeypatch):
+    # the threshold is lowered to the size of the n_max = 30 table, so the
+    # table below it is written here alone and the one at it on two processes
+    serial = {n_max: _table(["table", target, "--d", "2", "--n-max", str(n_max),
+                             "--format", fmt]) for n_max in (29, 30)}
+    assert forked == []
+    monkeypatch.setattr(cli, "FORMAT_BITS", _table_bits(target, 2, 30))
+    assert _table_bits(target, 2, 29) < cli.FORMAT_BITS
+    for n_max, want in serial.items():
+        got = _table(["table", target, "--d", "2", "--n-max", str(n_max), "--format", fmt])
+        assert got == want, n_max
+    assert len(forked) == 1  # the table at the threshold, not the one below it
+    _no_child_left()
+
+
+def test_large_query_mix_tables_format_on_one_process(forked):
+    # the benchmark's short calls stop at n_max = 20
+    for target in ("tc", "otc"):
+        assert _table(["table", target, "--d", "5", "--n-max", "20"])[0] == 0
+    assert forked == []
+
+
+def test_a_cell_the_formatter_writes_is_the_cell_tc_table_returned(forked, monkeypatch):
+    # the formatter forks after tc_table returns, so a cell changed in the
+    # returned table (as perfbench's self-test does) is the cell written
+    plain = words.tc_table
+
+    def corrupted(d, n_max):
+        table = plain(d, n_max)
+        table[n_max][3] += 1
+        return table
+
+    argv = ["table", "tc", "--d", "2", "--n-max", "30"]
+    want = json.loads(_table(argv)[1].splitlines()[-1])["results"]["counts"]
+    monkeypatch.setattr(cli, "FORMAT_BITS", 0)
+    monkeypatch.setattr(words, "tc_table", corrupted)
+    code, out = _table(argv)
+    assert code == 0 and len(forked) == 1
+    got = json.loads(out.splitlines()[-1])["results"]["counts"]
+    assert got[3] == str(int(want[3]) + 1)
+    assert got[:3] + got[4:] == want[:3] + want[4:]
+    _no_child_left()
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("when, fail, code, message", [
+    ("formatting", lambda: _raise(MemoryError()), 2,
+     "error: out of memory (table's formatter process: MemoryError)\n"),
+    ("formatting", _kill_self, 2,
+     f"error: out of memory (table's formatter process: killed by signal {int(signal.SIGKILL)})\n"),
+    ("formatting", lambda: _raise(ValueError("injected")), 1,
+     "verification failure: table's formatter process failed: ValueError\n"),
+    ("sending", _kill_self, 2,
+     f"error: out of memory (table's formatter process: killed by signal {int(signal.SIGKILL)})\n"),
+])
+def test_a_failed_formatter_ends_the_table_with_an_error(when, fail, code, message, forked,
+                                                          monkeypatch, capsys):
+    # the child fails while it formats its rows, or is killed once half its
+    # text has crossed the pipe; stdout then holds a prefix of the table
+    argv = ["table", "tc", "--d", "2", "--n-max", "40"]
+    serial = _table(argv)[1]
+    parent, plain_count, plain_write = os.getpid(), cli._count, words._write_all
+
+    def count(v):
+        if os.getpid() != parent:
+            fail()
+        return plain_count(v)
+
+    def write_all(fd, data):
+        if os.getpid() != parent and len(data) > 1000:  # the text, not its length frame
+            plain_write(fd, data[: len(data) // 2])
+            fail()
+        plain_write(fd, data)
+
+    monkeypatch.setattr(cli, "FORMAT_BITS", 0)
+    if when == "formatting":
+        monkeypatch.setattr(cli, "_count", count)
+    else:
+        monkeypatch.setattr(words, "_write_all", write_all)
+    got, out = _table(argv)
+    assert (got, capsys.readouterr().err) == (code, message)
+    assert serial.startswith(out) and 0 < len(out) < len(serial)
+    # the text of the child killed while sending ends inside a record
+    assert out.endswith("\n") == (when == "formatting")
+    assert len(forked) == 1
+    _no_child_left()
+
+
+def test_a_failure_in_this_process_kills_the_formatter(forked, monkeypatch, capsys):
+    parent, plain = os.getpid(), cli._count
+
+    def count(v):
+        if os.getpid() == parent and v == 42:  # TC(3, 2) at d = 2, in a row this process writes
+            raise ExactnessError("injected failure in row 3")
+        return plain(v)
+
+    monkeypatch.setattr(cli, "FORMAT_BITS", 0)
+    monkeypatch.setattr(cli, "_count", count)
+    assert _table(["table", "tc", "--d", "2", "--n-max", "40"])[0] == 1
+    assert capsys.readouterr().err == "verification failure: injected failure in row 3\n"
+    assert len(forked) == 1
+    _no_child_left()
 
 
 def test_lambda_factor_values():
