@@ -15,13 +15,14 @@ all agree.  A method that does not cover the cell is a usage error.
 `tc_ratio_reference` only for n up to the GENERAL ceiling.
 
 `table` writes a table of FORMAT_BITS = 8 000 000 bits of counts or more
-on two processes when `words._may_fork` allows: once the counts are built,
-a forked child formats the later rows (55% of the work, estimated from
-the rows' bit lengths) into its own memory while this process writes the
-earlier rows, then sends its text back raw for this process to copy, so
-stdout is the same to the byte.  A failed child ends the call as a failed
-split pass does: exit 2 if it ran out of memory or was killed by a
-signal, else 1, with stdout a prefix of the table.
+on two processes when `words._forked` can fork: once the counts are
+built, a forked child formats the later rows (55% of the work, estimated
+from the rows' bit lengths) into its own memory while this process writes
+the earlier rows, then sends its text back in the split pass's frames,
+which this process writes out as they arrive, so stdout is the same to
+the byte.  A failed child ends the call as a failed split pass does: exit
+2 if it ran out of memory or was killed by a signal, else 1, with stdout
+a prefix of the table.
 
 Handlers only write records or raise; `run` alone turns a failure into an
 exit code.  Exit codes: 0 success; 1 verification failure, printed as
@@ -167,30 +168,19 @@ def _write_rows(args, method: str, rows, out) -> None:
             )
 
 
-def _send_text(write, rows, fd: int, handed: int) -> None:
-    """The formatter child's work (words._forked): the text write(rows, ...)
-    makes, in its own memory, then sent down fd raw after a frame giving
-    its length."""
+def _send_text(write, rows, handed):
+    """The formatter child's frames (words._forked): the text write(rows, ...)
+    makes, in its own memory, in frames of at most 64 KiB, then an empty
+    frame."""
     text = io.TextIOWrapper(io.BytesIO(), "ascii", newline="")
     write(rows, text)
     text.flush()
-    data = text.buffer.getbuffer()
-    words._send(fd, len(data))
-    words._write_all(fd, data)
-
-
-def _copy_text(child, out) -> None:
-    """Write to out the text the formatter child sends (_send_text), read in
-    chunks of at most 64 KiB."""
-    left = words._receive(child.frames)
-    if not isinstance(left, int):  # an error frame, or the pipe ended first
-        child.fail(left)
-    while left:
-        chunk = child.frames.read(min(left, 1 << 16))
-        if not chunk:
-            child.fail(None)
-        out.write(chunk.decode("ascii"))
-        left -= len(chunk)
+    # released before text's finalizer closes the BytesIO, which a live
+    # export of its buffer forbids
+    with text.buffer.getbuffer() as data:
+        for start in range(0, len(data), 1 << 16):
+            yield data[start : start + (1 << 16)]
+    yield b""
 
 
 def _cmd_table(args, out) -> None:
@@ -205,7 +195,7 @@ def _cmd_table(args, out) -> None:
         csv.writer(out).writerow(["n"] + [f"k={k}" for k in range(args.n_max)])
     write, rows = partial(_write_rows, args, method), table.items()
     bits = [sum(map(int.bit_length, values)) for values in table.values()]
-    if sum(bits) >= FORMAT_BITS and words._may_fork():
+    if sum(bits) >= FORMAT_BITS:
         # str() of an int takes time quadratic in its length, so a row costs
         # about its bits squared over its length; this process formats 45%
         # of that, as it also copies the child's text
@@ -215,7 +205,8 @@ def _cmd_table(args, out) -> None:
         with words._forked("table's formatter process", later) as child:
             if child is not None:
                 write(islice(rows, cut), out)
-                _copy_text(child, out)
+                while chunk := child.receive():
+                    out.write(chunk.decode("ascii"))
                 return
     write(rows, out)
 

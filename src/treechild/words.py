@@ -50,10 +50,9 @@ for each cell once.  For d = 2..5 up to n = 100 the cache holds about
 
 From SPLIT_CELLS = 150 000 cells on, tc_table splits word row n of its pass
 at strand K(n) = 3n // 5 across two processes (_split_count_rows); the
-threshold, the rule and the serial fallbacks (_splits) are fixed.  The
-fork, its pipes, the child's error frame and the reap are _forked's, which
-the CLI's table formatter shares, as it shares the rule of when a process
-may fork (_may_fork).
+threshold and the rule are fixed.  _forked, shared with the CLI's table
+formatter, alone decides whether to fork (_may_fork) and runs the child,
+whose frames _Child.receive reads and whose failures it raises.
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
 two-term rational recurrence and an integer binomial form.  The binomial
@@ -78,7 +77,7 @@ from functools import partial
 from itertools import accumulate, combinations, islice
 from math import comb, factorial
 from operator import add, mul, sub
-from typing import Callable, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .params import ExactnessError, Params, at_least, exact_div, exact_shift, integral, within
 
@@ -483,12 +482,6 @@ def _may_fork() -> bool:
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
 
 
-def _splits(n_max: int) -> bool:
-    """Whether tc_table(d, n_max) splits: from SPLIT_CELLS cells on, when
-    _may_fork."""
-    return _cells(0, n_max - 1) >= SPLIT_CELLS and _may_fork()
-
-
 def _boundary(n: int) -> int:
     """K(n): a split pass builds strands k >= K(n) of word row n here and
     the rest in the child.  This side also converts the counts, and 3n/5
@@ -524,17 +517,20 @@ def _receive(pipe):
 
 class _Child:
     """This process's side of a child forked by _forked: its pid, the file
-    `frames` it writes to and the fd `hand` it reads from."""
+    `frames` it sends on and the fd `handing` it reads from."""
 
-    def __init__(self, pid: int, what: str, frames, hand: int):
-        self.pid, self.what, self.frames, self.hand = pid, what, frames, hand
+    def __init__(self, pid: int, what: str, frames, handing: int):
+        self.pid, self.what, self.frames, self.handing = pid, what, frames, handing
         self.reaped = False
 
-    def fail(self, frame, where: str = "") -> NoReturn:
-        """Reap the child, whose last frame was `frame`, an error frame or
-        None when the pipe ended first, and raise: MemoryError if it ran out
-        of memory or was killed by a signal (as the out-of-memory killer
-        does), else ExactnessError."""
+    def receive(self, where: str = ""):
+        """The child's next data frame.  An error frame (a str) or the end
+        of the pipe reaps the child and raises: MemoryError if it ran out of
+        memory or was killed by a signal (as the out-of-memory killer does),
+        else ExactnessError."""
+        frame = _receive(self.frames)
+        if frame is not None and not isinstance(frame, str):
+            return frame
         _, status = os.waitpid(self.pid, 0)
         self.reaped = True
         if frame == "MemoryError" or os.WIFSIGNALED(status):
@@ -543,86 +539,88 @@ class _Child:
         cause = frame or f"exit status {os.WEXITSTATUS(status)}"
         raise ExactnessError(f"{self.what} failed{where}: {cause}")
 
+    def hand(self, value) -> None:
+        """Send value to the child; if it has ended, its next frame says how."""
+        with suppress(BrokenPipeError):
+            _send(self.handing, value)
+
 
 @contextmanager
-def _forked(what: str, work: Callable[[int, int], None]) -> Iterator[_Child | None]:
-    """Run work(fd, handed) in a forked child, which writes to the pipe fd
-    and may read what this process hands it from the pipe handed, and yield
-    this process's side of it: a _Child, named `what` in its errors.  The
-    child sends a frame naming the exception that ended work, if one did,
-    and ends by os._exit, so it never returns into the code that forked it.
-    When no process can be forked (out of processes or memory for one) this
-    yields None, and the caller does the work itself.  However the block
-    ends, the child is killed if it still runs and reaped."""
+def _forked(what: str, work: Callable[[BinaryIO], Iterable]) -> Iterator[_Child | None]:
+    """Send the frames of work(handed) from a forked child, handed being the
+    file of what this process hands it, and yield this process's side of
+    it: a _Child, named `what` in its errors.  The child sends a frame
+    naming the exception that ended work, if one did, and ends by os._exit.
+    When no process may (_may_fork) or can be forked, this yields None and
+    the caller does the work itself.  However the block ends, the child is
+    killed if it still runs and reaped."""
     import signal  # imported here: its enums cost 1.3 ms of every start-up
 
-    (r, w), (handed, hand) = os.pipe(), os.pipe()
+    pipes = os.pipe() + os.pipe() if _may_fork() else ()
     try:
-        pid = os.fork()
+        pid = os.fork() if pipes else None
     except OSError:
         pid = None
     if pid is None:
-        for fd in (r, w, handed, hand):
+        for fd in pipes:
             os.close(fd)
         yield None
         return
+    r, w, handed, handing = pipes
     if pid == 0:
         import gc
 
         # the collector leaves the forked heap alone, so no finalizer of the
         # caller's garbage runs here and its pages stay shared
         gc.freeze()
-        code = 1
         try:
             os.close(r)
-            os.close(hand)
-            work(w, handed)
-            code = 0
+            os.close(handing)
+            for frame in work(open(handed, "rb")):
+                _send(w, frame)
+            os._exit(0)
         except Exception as exc:  # reported to the parent, which raises
             _send(w, type(exc).__name__)
         finally:
-            os._exit(code)
+            os._exit(1)
     os.close(w)
     os.close(handed)
-    child = _Child(pid, what, open(r, "rb"), hand)
+    child = _Child(pid, what, open(r, "rb"), handing)
     try:
         yield child
     finally:
         child.frames.close()
-        os.close(hand)
+        os.close(handing)
         if not child.reaped and os.waitpid(pid, os.WNOHANG)[0] == 0:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _write_frames(d: int, n_max: int, fd: int, handed: int) -> None:
+def _low_frames(d: int, n_max: int, strands) -> Iterator[tuple]:
     """The child's side of _split_count_rows: word rows 1..n_max-1 below
-    K(n), a frame a row down fd (strand K(n)-1, None when K rises, and the
-    counts c(n, k)), and handed strands read from `handed`.  It touches no
-    cache or lock."""
-    with open(handed, "rb") as strands:
-        rows, strand = _word_rows(d, lambda n: (0, _boundary(n) - 1)), None
-        for n in range(1, n_max):
-            rises = _hands_down(n, n_max)
-            row = rows.send(strand)
-            _send(fd, (None if rises else row[-1], _last_cells(row)))
-            # no yielded row is held while the next is built
-            row, strand = None, _receive(strands) if rises else None
+    K(n), a frame a row (strand K(n)-1, None when K rises, and the counts
+    c(n, k)), and strands handed down read from the pipe `strands`.  It
+    touches no cache or lock."""
+    rows, strand = _word_rows(d, lambda n: (0, _boundary(n) - 1)), None
+    for n in range(1, n_max):
+        rises = _hands_down(n, n_max)
+        row = rows.send(strand)
+        yield None if rises else row[-1], _last_cells(row)
+        # no yielded row is held while the next is built
+        row, strand = None, _receive(strands) if rises else None
 
 
 def _split_count_rows(d: int, n_max: int) -> Iterator[list[int]]:
     """The first n_max rows of _count_rows(d), word row n split by strand at
     K(n) = _boundary(n): a forked child builds strands k < K(n)
-    (_write_frames), this process the rest.  One boundary strand crosses a
+    (_low_frames), this process the rest.  One boundary strand crosses a
     row: the child's strand K(n)-1 when K stays, else this process's strand
     K(n), which it also pops as its own lowest strand's neighbour.  This
     process reads the child's frame before it writes, and the child writes
     before it reads, so frames larger than a pipe buffer block neither for
-    good.  A failed child ends the rows in MemoryError or ExactnessError
-    (_Child.fail); however they end, it is killed if it still runs and
-    reaped (_forked).  When no process can be forked, one serial pass gives
-    them."""
-    with _forked("tc_table's child process", partial(_write_frames, d, n_max)) as child:
+    good.  A failed child ends the rows in an error (_Child.receive).  When
+    no process may or can be forked, one serial pass gives them."""
+    with _forked("tc_table's child process", partial(_low_frames, d, n_max)) as child:
         if child is None:
             yield from islice(_count_rows(d), n_max)
             return
@@ -630,13 +628,9 @@ def _split_count_rows(d: int, n_max: int) -> Iterator[list[int]]:
         mine = next(upper)
         yield [1]
         for n in range(1, n_max):
-            frame = _receive(child.frames)
-            if isinstance(frame, tuple) and _hands_down(n, n_max):
-                with suppress(BrokenPipeError):  # the child ended; its next frame says how
-                    _send(child.hand, mine[0])
-            if not isinstance(frame, tuple):  # an error frame, or the pipe ended early
-                child.fail(frame, f" at word row {n}")
-            edge, lows = frame
+            edge, lows = child.receive(f" at word row {n}")
+            if _hands_down(n, n_max):
+                child.hand(mine[0])
             tops, mine = _last_cells(mine), None  # no row is held while the next is built
             yield lows + tops
             if n < n_max - 1:
@@ -646,10 +640,10 @@ def _split_count_rows(d: int, n_max: int) -> Iterator[list[int]]:
 def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
     """{n: [TC(n,0), ..., TC(n,n-1)]} for n = 1..n_max, one rolling pass
     that bypasses the tc_row cache, split across two processes by strand
-    when _splits says so."""
+    from SPLIT_CELLS cells on (_split_count_rows)."""
     at_least(2, d=d)
     at_least(1, n_max=n_max)
-    rows = _split_count_rows(d, n_max) if _splits(n_max) else _count_rows(d)
+    rows = _split_count_rows(d, n_max) if _cells(0, n_max - 1) >= SPLIT_CELLS else _count_rows(d)
     try:
         return {n: _tc_counts(n, counts) for n, counts in zip(range(1, n_max + 1), rows)}
     finally:

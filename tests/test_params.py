@@ -94,6 +94,25 @@ def test_ceiling_policy_lives_in_params():
     assert readers == {"verify.py", "cli.py"}
 
 
+def test_only_words_forks_and_frames():
+    # the second process, its pipes and its frame format are words._forked's;
+    # every other module goes through it
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                names = {f"os.{node.attr}"}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+            elif isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            else:
+                continue
+            if names & {"os.fork", "os.pipe", "os.waitpid", "marshal"}:
+                users.add(path.name)
+    assert users == {"words.py"}
+
+
 def test_every_private_helper_is_used():
     # a private module-level function or class that nothing else in the
     # package names is dead code; a call from its own body does not count

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -985,14 +986,20 @@ def _kill_self():
      "verification failure: table's formatter process failed: ValueError\n"),
     ("sending", _kill_self, 2,
      f"error: out of memory (table's formatter process: killed by signal {int(signal.SIGKILL)})\n"),
+    ("ending", None, 1,
+     "verification failure: table's formatter process failed: exit status 0\n"),
 ])
 def test_a_failed_formatter_ends_the_table_with_an_error(when, fail, code, message, forked,
                                                           monkeypatch, capsys):
-    # the child fails while it formats its rows, or is killed once half its
-    # text has crossed the pipe; stdout then holds a prefix of the table
+    # the child fails while it formats its rows, is killed once half its
+    # first frame has crossed the pipe, or ends cleanly without sending its
+    # text; stdout then holds the rows this process wrote, as a frame cut
+    # short writes nothing
     argv = ["table", "tc", "--d", "2", "--n-max", "40"]
     serial = _table(argv)[1]
-    parent, plain_count, plain_write = os.getpid(), cli._count, words._write_all
+    parent, plain_count, plain_write, plain_rows = (
+        os.getpid(), cli._count, words._write_all, cli._write_rows)
+    mine = []
 
     def count(v):
         if os.getpid() != parent:
@@ -1000,23 +1007,54 @@ def test_a_failed_formatter_ends_the_table_with_an_error(when, fail, code, messa
         return plain_count(v)
 
     def write_all(fd, data):
-        if os.getpid() != parent and len(data) > 1000:  # the text, not its length frame
+        if os.getpid() != parent and len(data) > 1000:  # a frame of the text, not the empty one
             plain_write(fd, data[: len(data) // 2])
             fail()
         plain_write(fd, data)
 
+    def write_rows(args, method, rows, out):
+        if os.getpid() == parent:
+            rows = list(rows)
+            mine.extend(rows)
+        plain_rows(args, method, rows, out)
+
     monkeypatch.setattr(cli, "FORMAT_BITS", 0)
+    monkeypatch.setattr(cli, "_write_rows", write_rows)
     if when == "formatting":
         monkeypatch.setattr(cli, "_count", count)
-    else:
+    elif when == "sending":
         monkeypatch.setattr(words, "_write_all", write_all)
+    else:
+        monkeypatch.setattr(cli, "_send_text", lambda *args: ())
     got, out = _table(argv)
     assert (got, capsys.readouterr().err) == (code, message)
     assert serial.startswith(out) and 0 < len(out) < len(serial)
-    # the text of the child killed while sending ends inside a record
-    assert out.endswith("\n") == (when == "formatting")
+    assert out == "".join(serial.splitlines(keepends=True)[: len(mine)])
     assert len(forked) == 1
     _no_child_left()
+
+
+def test_the_formatter_writes_nothing_to_stderr():
+    # a buffer export still alive when the formatter's text was finalized
+    # made Python 3.13 print "Exception ignored ... BufferError" on every
+    # call that forked the formatter, with exit 0 and the right stdout
+    script = "\n".join([
+        "import os, sys",
+        "from treechild import cli",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "cli.FORMAT_BITS = 0",
+        "forks, fork = [], os.fork",
+        "os.fork = lambda: forks.append(1) or fork()",
+        "code = cli.run(['table', 'tc', '--d', '2', '--n-max', '30'])",
+        "sys.exit(code or 3 * (forks != [1]))",
+    ])
+    src = os.path.dirname(os.path.dirname(words.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _table(["table", "tc", "--d", "2", "--n-max", "30"])[1]
 
 
 def test_a_failure_in_this_process_kills_the_formatter(forked, monkeypatch, capsys):
