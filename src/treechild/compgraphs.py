@@ -21,7 +21,7 @@ Also here: a generating-function route for k = 1 and k = 2 built on a small
 Laurent-polynomial calculus in X = sqrt(1-4z), its closed forms for
 d in {2, 3}, and the fixed-k first-order asymptotic.  The only denominator
 of the series is the 1/2 in f_0, so the sweep holds F_g = 2 f_g in integers
-and each series or blow-up count divides once, remainder-checked.
+and each series, blow-up or closed-form count divides once, remainder-checked.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import Iterator
 
 from .logvalue import LogValue
 from .onecomp import double_factorial
-from .params import ExactnessError, Params, at_least, exact_div, integral, within
+from .params import ExactnessError, Params, at_least, exact_div, within
 
 
 @dataclass(frozen=True)
@@ -301,35 +301,35 @@ def count_tc_genfun_k2(d: int, n: int) -> int:
 
 
 def tc_k1_closed_form(d: int, n: int) -> int:
-    """Closed forms for TC(n, 1), available for d in {2, 3}."""
+    """Closed forms for TC(n, 1), available for d in {2, 3}: at d = 2
+    n((2n-1)!! - (2n-2)!!), at d = 3 the numerator
+    n(2n+1)(2n-1)!! - 3n^2(2n-2)!! divided once by 3."""
     at_least(2, d=d, n=n)
     if d == 2:
         return n * (double_factorial(2 * n - 1) - double_factorial(2 * n - 2))
     if d == 3:
-        v = Fraction(n * (2 * n + 1), 3) * double_factorial(
-            2 * n - 1
-        ) - n * n * double_factorial(2 * n - 2)
-        return integral(v, f"k=1 closed form at d=3, n={n}")
+        return exact_div(n * (2 * n + 1) * double_factorial(2 * n - 1)
+                         - 3 * n * n * double_factorial(2 * n - 2), 3)
     raise ValueError(f"no k=1 closed form implemented for d={d}")
 
 
 def tc_k2_closed_form(d: int, n: int) -> int:
-    """Closed forms for TC(n, 2), available for d in {2, 3}."""
+    """Closed forms for TC(n, 2), available for d in {2, 3}, each an integer
+    numerator divided once: at d = 2 n(n-1)((3n+2)(2n-1)!! - 3(2n)!!) by 3,
+    at d = 3 n(n-1)(16(70n^2+244n+177)(2n+1)!! - 105(16n+13)(2n+2)!!) by
+    5040 = lcm(315, 48)."""
     at_least(2, d=d)
     at_least(3, n=n)
     if d == 2:
-        v = n * (n - 1) * (
-            Fraction(3 * n + 2, 3) * double_factorial(2 * n - 1)
-            - double_factorial(2 * n)
+        return exact_div(n * (n - 1) * ((3 * n + 2) * double_factorial(2 * n - 1)
+                                        - 3 * double_factorial(2 * n)), 3)
+    if d == 3:
+        return exact_div(
+            n * (n - 1) * (16 * (70 * n * n + 244 * n + 177) * double_factorial(2 * n + 1)
+                           - 105 * (16 * n + 13) * double_factorial(2 * n + 2)),
+            5040,
         )
-    elif d == 3:
-        v = n * (n - 1) * (
-            Fraction(70 * n * n + 244 * n + 177, 315) * double_factorial(2 * n + 1)
-            - Fraction(16 * n + 13, 48) * double_factorial(2 * n + 2)
-        )
-    else:
-        raise ValueError(f"no k=2 closed form implemented for d={d}")
-    return integral(v, f"k=2 closed form at d={d}, n={n}")
+    raise ValueError(f"no k=2 closed form implemented for d={d}")
 
 
 def structural_k1_polynomial(d: int) -> list[Fraction]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import erfc, factorial, lcm, sqrt
 
 from .onecomp import otc_row
-from .params import at_least, within
+from .params import at_least, exact_div, within
 from .words import tc_row
 
 TAIL_BOUND = Fraction(1, 10**15)
@@ -96,7 +96,8 @@ def moment(pmf: Pmf, r: int, about=0) -> Fraction:
 
 def _truncated(term, ratio_bound: Fraction) -> Pmf:
     """The law proportional to the exact rational terms term(0), ..., term(T)
-    at T = TRUNCATION, scaled to integers over their common denominator.
+    at T = TRUNCATION, scaled to integers by the lcm of their denominators
+    (exact_div by each denominator is exact by construction).
 
     ratio_bound must dominate term(j+1)/term(j) for every j >= T, so the
     dropped tail is geometrically bounded; the certificate is exact rational."""
@@ -104,7 +105,7 @@ def _truncated(term, ratio_bound: Fraction) -> Pmf:
         raise ValueError(f"truncation {TRUNCATION} is below the mode; raise it")
     terms = [term(k) for k in range(TRUNCATION + 1)]
     scale = lcm(*(t.denominator for t in terms))
-    weights = [t.numerator * (scale // t.denominator) for t in terms]
+    weights = [t.numerator * exact_div(scale, t.denominator) for t in terms]
     tail = weights[-1] * ratio_bound / ((1 - ratio_bound) * sum(weights))
     if tail >= TAIL_BOUND:
         raise ValueError(

@@ -24,18 +24,17 @@ variable TREECHILD_<name>_CEILING overrides its default.  Every refusal
 goes through `within(name, value, what)` and reads alike, e.g. "n = 6
 exceeds the WORD ceiling 5 (set TREECHILD_WORD_CEILING to raise it)".
 
-Every exact division of the package goes through `exact_div(num, den)`,
-or, when the divisor is a power of two 2^e, through `exact_shift(num, e)`,
-and every rational that must be an integer through `integral(value,
-what)`; all three raise ExactnessError on a remainder.  Their messages name
-the operands by bit length only, so building one never fails, however large
-the count.
+Every exact division of the package goes through one of two helpers:
+`exact_div(num, den)`, or, when the divisor is a power of two 2^e,
+`exact_shift(num, e)`.  Both raise ExactnessError on a remainder, so a
+count that must be an integer is computed in ints and divided once through
+one of them.  Their messages name the operands by bit length only, so
+building one never fails, however large the count.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 # default safety ceilings of the exponential routes: brute-force word
 # enumeration (n; the word length 2n+(d-1)k stays around 20), the literal
@@ -85,7 +84,7 @@ def within(name: str, value: int, what: str) -> None:
 
 
 class ExactnessError(ArithmeticError):
-    """A remainder, integrality or recurrence check failed, or two routes
+    """A remainder or recurrence check failed, or two routes
     to the same value disagree, or a verify suite caught a failure: the
     arithmetic went wrong, not the input.  The CLI reports it as a
     verification failure (exit 1).  Its messages never print a large operand
@@ -105,23 +104,12 @@ def exact_div(num: int, den: int) -> int:
 
 
 def exact_shift(num: int, e: int) -> int:
-    """num >> e, the value of exact_div(num, 2**e) without a long division,
-    refused with ExactnessError and exact_div's message when the low e bits
-    of num are not all zero."""
+    """num >> e, the value of exact_div(num, 2**e) without a long division.
+    When the low e bits of num are not all zero, the refusal is exact_div's,
+    message and all."""
     if num & ((1 << e) - 1):
-        raise ExactnessError(
-            f"division of a {num.bit_length()}-bit integer by a "
-            f"{e + 1}-bit integer is not exact"
-        )
+        exact_div(num, 1 << e)  # not exact, so this raises
     return num >> e
-
-
-def integral(value: Fraction, what: str) -> int:
-    """The rational `value` as an int, refused with ExactnessError naming
-    `what` when it is not one: "k=1 series count at d=2, n=4 not integral"."""
-    if value.denominator != 1:
-        raise ExactnessError(f"{what} not integral")
-    return value.numerator
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ from math import comb, factorial
 from operator import add, mul, sub
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .params import ExactnessError, Params, at_least, exact_div, exact_shift, integral, within
+from .params import ExactnessError, Params, at_least, exact_div, exact_shift, within
 
 
 @dataclass(frozen=True)
@@ -576,8 +576,9 @@ def _forked(what: str, work: Callable[[BinaryIO], Iterable]) -> Iterator[_Child 
         try:
             os.close(r)
             os.close(handing)
-            for frame in work(open(handed, "rb")):
-                _send(w, frame)
+            with open(handed, "rb") as handed_file:
+                for frame in work(handed_file):
+                    _send(w, frame)
             os._exit(0)
         except Exception as exc:  # reported to the parent, which raises
             _send(w, type(exc).__name__)
@@ -658,18 +659,18 @@ def b_max_table(d: int, n_max: int) -> dict:
     """b(n, m) for the all-heavy slice via its two-term recurrence.
 
     b(n, m) = (dn+m-2)/(dn+m-d-1) * b(n, m-1) + binom(dn+m-2, d-1) * b(n-1, m)
-    with b(1, 1) = 1.  Individual terms are rationals; sums are integers.
+    with b(1, 1) = 1, so each cell divides once: the numerator
+    (dn+m-2) b(n, m-1) + (dn+m-d-1) binom(dn+m-2, d-1) b(n-1, m) by
+    dn+m-d-1.  Its first term alone need not be a multiple; the sum is.
     """
     at_least(2, d=d)
     at_least(1, n_max=n_max)
     b: dict = {(1, 1): 1}
     for n in range(2, n_max + 1):
         for m in range(1, n + 1):
-            v = Fraction(comb(d * n + m - 2, d - 1) * b.get((n - 1, m), 0))
-            if m >= 2:
-                v += Fraction(d * n + m - 2, d * n + m - d - 1) * b.get((n, m - 1), 0)
-            if v:
-                b[(n, m)] = integral(v, f"slice cell at n={n}, m={m}")
+            a, den = d * n + m - 2, d * n + m - d - 1
+            b[(n, m)] = exact_div(a * b.get((n, m - 1), 0)
+                                  + den * comb(a, d - 1) * b.get((n - 1, m), 0), den)
     return b
 
 

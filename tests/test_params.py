@@ -3,7 +3,6 @@ its one gate, the exactness helpers, and package hygiene."""
 import ast
 import inspect
 import re
-from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -16,8 +15,7 @@ from treechild.compgraphs import LaurentPoly
 from treechild.distributions import Pmf
 from treechild.logvalue import LogValue, log_of_int
 from treechild.params import (
-    CEILINGS, ExactnessError, Params, at_least, ceiling, exact_div, exact_shift, integral,
-    within,
+    CEILINGS, ExactnessError, Params, at_least, ceiling, exact_div, exact_shift, within,
 )
 
 SRC = Path(treechild.__file__).resolve().parent
@@ -136,6 +134,16 @@ def test_every_private_helper_is_used():
             ref == name and stmt is not definition for stmt, ref in references
         )
         assert used, f"{module}: {name} is never used"
+    # a helper of params that no other module names is dead code too
+    others = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for module, tree in trees.items() if module != "params.py"
+        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    helpers = [stmt.name for stmt in trees["params.py"].body if isinstance(stmt, ast.FunctionDef)]
+    assert "exact_div" in helpers
+    for name in helpers:
+        assert name in others, f"params.py: {name} is named by no other module"
 
 
 def _star(d, n, k):
@@ -360,14 +368,6 @@ def test_exact_shift_names_its_operands_by_bit_length():
         exact_shift(10**5000 + 2**9, 10)
 
 
-def test_integral():
-    assert integral(Fraction(12, 4), "x") == 3
-    assert type(integral(Fraction(12, 4), "x")) is int
-    with pytest.raises(ExactnessError) as refused:
-        integral(Fraction(10**5000 + 1, 10), "star count at d=2, n=3, k=1")
-    assert str(refused.value) == "star count at d=2, n=3, k=1 not integral"
-
-
 def test_exactness_checks_live_in_params():
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
@@ -377,6 +377,14 @@ def test_exactness_checks_live_in_params():
             assert "divmod" not in text, path.name
             # a failed check is an ExactnessError, never a bare ArithmeticError
             assert "raise ArithmeticError" not in text, path.name
+        # exact_div and exact_shift are the only exactness helpers
+        assert not re.search(r"\bintegral\b", text), path.name
+    # the integer routes compute in ints and divide once through exact_div
+    for fn in (words.b_max_table, compgraphs.tc_k1_closed_form, compgraphs.tc_k2_closed_form):
+        tree = ast.parse(inspect.getsource(fn))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "Fraction" not in names, fn.__name__
+        assert "exact_div" in names, fn.__name__
 
 
 def test_only_cli_run_chooses_an_exit_code():

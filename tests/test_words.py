@@ -228,8 +228,10 @@ def test_truncated_rows_match_closed_forms():
     # k = 1, 2 only advance the first rows' low-k cells, far past n <= 12
     for d in (2, 3):
         for n in (100, 200, 300, 500):
-            assert count_tc_words(Params(d, n, 1)) == tc_k1_closed_form(d, n), (d, n)
-            assert count_tc_words(Params(d, n, 2)) == tc_k2_closed_form(d, n), (d, n)
+            k1, k2 = tc_k1_closed_form(d, n), tc_k2_closed_form(d, n)
+            assert type(k1) is type(k2) is int, (d, n)
+            assert count_tc_words(Params(d, n, 1)) == k1, (d, n)
+            assert count_tc_words(Params(d, n, 2)) == k2, (d, n)
 
 
 def _cold(d, n, k=None):
@@ -510,7 +512,9 @@ def test_all_heavy_slice_three_routes_agree():
         assert two_term == b_max_table_binomial(d, 10)
     for d in (2, 3, 4, 5):
         binomial = b_max_table_binomial(d, 30)
-        assert b_max_table(d, 30) == binomial, d
+        two_term = b_max_table(d, 30)
+        assert two_term == binomial, d
+        assert all(type(v) is int for v in two_term.values()), d
         diagonal = {
             (n, m): v
             for n in range(1, 31)
@@ -518,6 +522,10 @@ def test_all_heavy_slice_three_routes_agree():
             if k == n
         }
         assert diagonal == binomial, d
+    # at a large d the single division of each cell is by dn+m-d-1 >= 100
+    two_term = b_max_table(100, 20)
+    assert two_term == b_max_table_binomial(100, 20)
+    assert all(type(v) is int for v in two_term.values())
 
 
 def test_top_column_of_the_shared_pass_matches_the_slice():
@@ -1037,8 +1045,12 @@ def test_a_failed_formatter_ends_the_table_with_an_error(when, fail, code, messa
 def test_the_formatter_writes_nothing_to_stderr():
     # a buffer export still alive when the formatter's text was finalized
     # made Python 3.13 print "Exception ignored ... BufferError" on every
-    # call that forked the formatter, with exit 0 and the right stdout
-    script = "\n".join([
+    # call that forked the formatter, with exit 0 and the right stdout; and
+    # a child that left the file it is handed unclosed printed "Exception
+    # ignored ... ResourceWarning: unclosed file" under -W error, which a
+    # child whose work returns at once shows every time, as receive reaps it
+    # with a blocking wait
+    table = "\n".join([
         "import os, sys",
         "from treechild import cli",
         "os.sched_getaffinity = lambda pid: {0, 1}",
@@ -1048,13 +1060,29 @@ def test_the_formatter_writes_nothing_to_stderr():
         "code = cli.run(['table', 'tc', '--d', '2', '--n-max', '30'])",
         "sys.exit(code or 3 * (forks != [1]))",
     ])
+    returns_at_once = "\n".join([
+        "import os",
+        "from treechild import words",
+        "from treechild.params import ExactnessError",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "with words._forked('probe', lambda handed: ()) as child:",
+        "    try:",
+        "        child.receive()",
+        "    except ExactnessError as failed:",
+        "        print(failed)",
+    ])
     src = os.path.dirname(os.path.dirname(words.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == _table(["table", "tc", "--d", "2", "--n-max", "30"])[1]
+    want = {
+        table: _table(["table", "tc", "--d", "2", "--n-max", "30"])[1],
+        returns_at_once: "probe failed: exit status 0\n",
+    }
+    for script, stdout in want.items():
+        proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), script
+        assert proc.stdout == stdout, script
 
 
 def test_a_failure_in_this_process_kills_the_formatter(forked, monkeypatch, capsys):
