@@ -328,11 +328,12 @@ COUNT_ROUTES = {
         "words": _route(lambda d, n, k: words.count_tc_words(Params(d, n, k)),
                         lambda d, n: words.count_tc_total(d, n)),
         "compgraph": _route(lambda d, n, k: compgraphs.count_tc_compgraph(Params(d, n, k))),
-        "genfun": _route(lambda d, n, k: compgraphs.count_tc_genfun_k1(d, n) if k == 1
-                         else compgraphs.count_tc_genfun_k2(d, n),
+        "genfun": _route(lambda d, n, k: (compgraphs.count_tc_genfun_k1 if Params(d, n, k).k == 1
+                                          else compgraphs.count_tc_genfun_k2)(d, n),
                          covers=lambda d, k: k in (1, 2)),
-        "closedform": _route(lambda d, n, k: compgraphs.tc_k1_closed_form(d, n) if k == 1
-                             else compgraphs.tc_k2_closed_form(d, n),
+        "closedform": _route(lambda d, n, k: (compgraphs.tc_k1_closed_form
+                                              if Params(d, n, k).k == 1
+                                              else compgraphs.tc_k2_closed_form)(d, n),
                              covers=lambda d, k: k in (1, 2) and d in (2, 3)),
     },
     "otc": {

@@ -43,9 +43,10 @@ for, so a long advance for one d blocks no call for another.  The counts
 become networks, TC(n, k) = n! * c(n-1, k) >> (n-k-1) by the checked
 shift params.exact_shift, only for the cells a call returns: the row for
 tc_row, one cell for count_tc_words, which advances the shared pass or
-runs a private one truncated at its k by two fixed bounds on their cells
-(_cells).  tc_table and count_words stay uncached passes: a table asks
-for each cell once.  For d = 2..5 up to n = 100 the cache holds about
+runs count_words' private pass over the cone of strands the cell depends
+on, by a fixed rule on two cell estimates (_cells), the private one an
+upper bound on the cone.  tc_table and count_words stay uncached: a table
+asks for each cell once.  For d = 2..5 up to n = 100 the cache holds about
 8.9 MiB (tracemalloc).
 
 From SPLIT_CELLS = 150 000 cells on, tc_table splits word row n of its pass
@@ -332,11 +333,6 @@ def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = lambda n: (0, 
         base = w
 
 
-def _nth_row(d: int, n: int, k_max: int | None) -> list[list[int]]:
-    rows = _word_rows(d, lambda n: (0, n if k_max is None else min(n, k_max)))
-    return next(islice(rows, n - 1, None))
-
-
 def _cells(start: int, stop: int, k_max: int | None = None) -> int:
     """Prefix-sum cells _word_rows computes for its rows start < n <= stop
     with the window (0, min(n, k_max)): row n holds n cells for each
@@ -407,52 +403,50 @@ def _stored(cache: dict, make_pass: Callable, d: int, n: int):
             return done[n - 1]
 
 
-def _tc_rows_reached(d: int) -> int | None:
-    """How many rows d's cached pass has produced; None when d has none.
-    Read without waiting for an advance in progress, so it may be stale."""
-    state = _TC_ROWS.get(d)
-    return None if state is None else len(state[1])
-
-
 def _slice_sum(d: int, n: int) -> int:
     """c(n, n), the sum of all-heavy slice row n, from d's cached slice pass."""
     return _stored(_SLICE_SUMS, _slice_sums, d, n)
 
 
 def count_words(d: int, n: int, k: int) -> int:
-    """c(n, k): valid words with n letters, k heavy, via the b-recurrence."""
+    """c(n, k): valid words with n letters, k heavy, via the b-recurrence
+    over the cone c(n, k) depends on: strand k' of row j reads strands k'
+    and k'-1 of row j-1, so row j needs only max(0, k-n+j) <= k' <= min(j, k)."""
     at_least(2, d=d)
     at_least(0, n=n, k=k)
     if k > n:
         raise ValueError(f"need k <= n, got k={k} with n={n}")
     if n == 0:
         return 1  # the empty word, k = 0
-    return _nth_row(d, n, k)[k][-1]
+    rows = _word_rows(d, lambda j: (max(0, k - n + j), min(j, k)))
+    return next(islice(rows, n - 1, None))[0][-1]
 
 
 def count_tc_words(p: Params) -> int:
     """Tree-child networks with n leaves and k reticulation nodes.
 
     n! * c(n-1, k) / 2^(n-k-1); the division is exact and checked.  The
-    call takes whichever of two passes computes fewer cells, counted by
-    _cells: advancing d's shared full pass to n (`extend`, zero when it
-    already reaches n, a whole pass when d has none) or a private pass
-    truncated at k (`trunc`).  A cold d starts the shared pass only when
-    extend <= trunc, so a one-shot call never computes more cells than the
-    truncated pass; a warm d extends it when extend <= 2 * trunc, so a call
-    pays at most twice its own cells and later calls for d reuse the rows.
-    Both passes give the same integer; a stale extent only picks the other.
+    call advances d's shared full pass to n or runs count_words' private
+    cone, by two cell counts from _cells: `extend` for the advance (zero
+    when the pass reaches n, a whole pass when d has none) and `trunc` for
+    a pass truncated at k, an upper bound on the cone.  A cold d starts the
+    shared pass only when extend <= trunc, so a one-shot call never computes
+    more cells than a truncated pass would; a warm d extends it when extend
+    <= 2 * trunc, so a call pays at most twice that and later calls for d
+    reuse the rows.  Both passes give the same integer.  d's extent is read
+    without waiting for an advance; a stale one only picks the other pass.
     """
     d, n, k = p.d, p.n, p.k
     if n == 1:
         return 1
-    reached = _tc_rows_reached(d)
+    state = _TC_ROWS.get(d)
+    reached = None if state is None else len(state[1])
     extend = _cells(max((reached or 0) - 1, 0), n - 1)
     trunc = _cells(0, n - 1, k)
     if extend <= (trunc if reached is None else 2 * trunc):
         c = _stored(_TC_ROWS, _count_rows, d, n)[k]
     else:
-        c = _nth_row(d, n - 1, k)[k][-1]
+        c = count_words(d, n - 1, k)
     return _tc_counts(n, [c], k)[0]
 
 

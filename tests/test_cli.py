@@ -712,6 +712,19 @@ def test_count_without_k_names_the_missing_k(argv, capsys):
     assert "k=None" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--d", "2", "--n", "2", "--k", "2", "--method", "genfun"),
+    ("--d", "2", "--n", "2", "--k", "2", "--method", "closedform"),
+    ("--d", "2", "--n", "1", "--k", "1", "--method", "genfun"),
+    ("--d", "2", "--n", "1", "--k", "1", "--method", "closedform"),
+], ids=" ".join)
+def test_series_routes_name_k_when_it_reaches_n(argv, capsys):
+    # Params' rule runs before a route's own bound on n, as for words
+    assert invoke("count", "tc", *argv) == (2, "")
+    err = capsys.readouterr().err
+    assert "reticulation count k must satisfy 0 <= k <= n-1" in err, err
+
+
 @pytest.mark.parametrize("target", ["tc", "otc"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("d, n_max", [(2, 0), (0, -3), (1, 3)])

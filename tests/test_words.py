@@ -43,7 +43,7 @@ from treechild import (
 from treechild.distributions import ret_pmf
 from treechild import cli, words
 from treechild.params import exact_div
-from treechild.words import _SLICE_SUMS, _TC_ROWS, _nth_row, _tc_counts
+from treechild.words import _SLICE_SUMS, _TC_ROWS, _tc_counts
 
 # spot values fixed before the recurrence implementation existed
 C_VALUES = {
@@ -179,6 +179,11 @@ def _window(k_max):
     return lambda n: (0, n if k_max is None else min(n, k_max))
 
 
+def _nth_row(d, n, k_max):
+    """Row n of a fresh pass truncated at k_max (every strand when None)."""
+    return next(islice(words._word_rows(d, _window(k_max)), n - 1, None))
+
+
 def _b_cells(d, n, k_max=None):
     """{(k, m): b(n, k, m)}: consecutive differences of the prefix sums of
     row n, _nth_row(d, n, k_max)."""
@@ -305,10 +310,31 @@ def cells_computed(monkeypatch):
     return seen
 
 
+def _cone_cells(n, k):
+    """Cells of count_words' pass for c(n, k): row j holds j cells for each
+    strand max(0, k-n+j) <= k' <= min(j, k)."""
+    return sum(j * (min(j, k) - max(0, k - n + j) + 1) for j in range(1, n + 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_count_words_matches_the_full_pass(d):
+    for n, counts in enumerate(islice(words._count_rows(d), 41)):
+        assert [count_words(d, n, k) for k in range(n + 1)] == counts, n
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_count_words_computes_only_its_cone(d, cells_computed):
+    for n in range(16):
+        for k in range(n + 1):
+            cells_computed.clear()
+            count_words(d, n, k)
+            assert sum(cells_computed) == _cone_cells(n, k), (n, k)
+
+
 def test_cold_low_k_call_leaves_the_cache_alone(cells_computed):
     assert count_tc_words(Params(2, 200, 1)) == tc_k1_closed_form(2, 200)
     assert _TC_ROWS == {}
-    assert sum(cells_computed) == words._cells(0, 199, 1)
+    assert sum(cells_computed) == _cone_cells(199, 1)
 
 
 @pytest.mark.parametrize("d", [2, 3])
