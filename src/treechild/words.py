@@ -32,46 +32,38 @@ effective-count vector alone, not on which letters are heavy, and one memo
 per (d, n) of those completion counts (_completions) serves every heavy
 subset and every k; a subset only picks the start vector.
 
-The recurrence rolls prefix-sum rows S(n, k, m) = sum_{j<=m} b(n, k, j)
-in one row kernel (_word_rows), so c(n, k) is a strand's last entry, and
-computes each binomial binom(a, d-1) only at the a a row reads.
+One row kernel (_word_rows) rolls prefix-sum rows S(n, k, m) =
+sum_{j<=m} b(n, k, j).  tc_row reads a per-process cache: for each d, the
+word-count rows [c(n-1, 0), ..., c(n-1, n-1)] so far and the word row they
+end on, where the kernel resumes, under d's own lock, only as far as the
+largest n asked for.  Only the cells a call returns become networks,
+TC(n, k) = n! * c(n-1, k) >> (n-k-1) by the checked params.exact_shift.
+count_tc_words advances the cache or runs count_words' pass over the cone
+its cell depends on (_cells).  tc_table and count_words are uncached.  For
+d = 2..5 up to n = 100 the cache holds about 8.7 MiB (tracemalloc).
 
-tc_row reads a per-process cache: for each d, one resumable full-row pass
-and the word-count rows [c(n-1, 0), ..., c(n-1, n-1)] it has produced so
-far, advanced under the pass's own lock only as far as the largest n asked
-for, so a long advance for one d blocks no call for another.  The counts
-become networks, TC(n, k) = n! * c(n-1, k) >> (n-k-1) by the checked
-shift params.exact_shift, only for the cells a call returns: the row for
-tc_row, one cell for count_tc_words, which advances the shared pass or
-runs count_words' private pass over the cone of strands the cell depends
-on, by a fixed rule on two cell estimates (_cells), the private one an
-upper bound on the cone.  tc_table and count_words stay uncached: a table
-asks for each cell once.  For d = 2..5 up to n = 100 the cache holds about
-8.9 MiB (tracemalloc).
-
-From SPLIT_CELLS = 150 000 cells on, tc_table splits word row n of its pass
-at strand K(n) = 3n // 5 across two processes (_split_count_rows); the
-threshold and the rule are fixed.  _forked, shared with the CLI's table
-formatter, alone decides whether to fork (_may_fork) and runs the child,
-whose frames _Child.receive reads and whose failures it raises.
+A pass of SPLIT_CELLS = 150 000 cells or more, tc_table's or a cache
+advance, splits word row n at strand K(n) = 3n // 5 across two processes
+(_split_count_rows), and an advance takes the child's strands back.
+_forked, shared with the CLI's table formatter, alone decides whether to
+fork and runs the child, whose failures _Child.receive raises.
 
 The k = n slice (every letter heavy, maximally reticulated networks) has a
 two-term rational recurrence and an integer binomial form.  The binomial
 form is the b-recurrence at k = n, not a second loop: the row kernel's
 window k = n keeps that one strand a row and feeds the tables, while the
-two-term form stays as a cross-check.  Its row sums c(n, n) have a cache
-of their own, kept by the same helper (_stored): one resumable pass per d
-and one integer per row, about 0.7 MiB for d = 2..5 up to n = 200, most of
-it the passes' current rows.  An exactly rational rescaling e(N, M) of
-that slice satisfies a two-neighbor recurrence whose verification is part
-of table construction.
+two-term form stays as a cross-check.  Its row sums c(n, n) are cached by
+the same helper (_stored), one suspended pass and one integer a row per d,
+about 0.7 MiB for d = 2..5 up to n = 200.  An exactly rational rescaling
+e(N, M) of that slice satisfies a two-neighbor recurrence whose
+verification is part of table construction.
 """
 from __future__ import annotations
 
 import marshal
 import os
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -267,12 +259,15 @@ def _direct_row(d: int, n: int) -> list[int]:
 # b(n, k, m) recurrence
 
 
-def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = lambda n: (0, n)
-               ) -> Iterator[list[list[int]]]:
+def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = lambda n: (0, n),
+               start: tuple | None = None) -> Iterator[list[list[int]]]:
     """Prefix-sum rows n = 1, 2, ... of the b-table: row[k-lo][m-1] =
     S(n, k, m) = sum_{j<=m} b(n, k, j) for 1 <= m <= n and the strands
     lo <= k <= hi of (lo, hi) = window(n), 0 <= lo <= hi <= n, each bound
-    rising by at most one a row.  c(n, k) is the strand's last entry.
+    rising by at most one a row; c(n, k) is the strand's last entry.
+    start = (j, word row j, every strand) resumes the pass from that row:
+    it yields rows j+1, j+2, ... (1, 2, ... without start), and row j+1
+    takes the strand it would be sent from row j.
 
     b(n, k, m) = P_k[m] + binom(n+m+k(d-1)-2, d-1) * P_{k-1}[m]  with
     P_k[m] = S(n-1, k, min(m, n-1)),
@@ -284,43 +279,41 @@ def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = lambda n: (0, 
     pass below.  When hi rises to n, strand n starts from the zero strand;
     when it rises below n, the value sent in is strand hi of the previous
     row, built by a pass above, and joins as the top strand (lo is then 0).
-    A new strand k replaces the old one once built: only the extended copy
-    of old strand k, the P_{k-1} of strand k+1, is read again.  So the pass
-    holds one row plus two strands, unless the consumer holds a yielded row
-    (a shallow copy; strands are never mutated) while the next is built,
-    which keeps every old strand alive.  binom(a, d-1) is computed only for
-    the a a row reads, [w, w+n) with w = n-1+k(d-1): whole for a strand the
-    previous row did not build here (at large d no other window covers it),
-    else its two new ends.  Each is rolled from binom(a-1, d-1) by one exact
-    division when that is known and not zero, so math.comb runs about once
-    per new strand, and binomials below the lowest window are dropped.
+    A new strand replaces the old one once built, so the pass holds one row
+    plus two strands while no yielded row (a shallow copy; strands are
+    never mutated) is held.  binom(a, d-1) is computed once a pass, only
+    for the a a row reads, [w, w+n) with w = n-1+k(d-1), and rolled from
+    binom(a-1, d-1) by one exact division when that is known and not zero.
     """
-    lo, hi = window(1)
-    row = [[1] for _ in range(lo, hi + 1)]
+    n, whole = start or (1, None)
+    lo, hi = window(n)
+    row, start = (whole or [[1], [1]])[lo : hi + 1], None
     binoms: list[int | None] = []  # binoms[a-base] = binom(a, d-1) once a row reads it
     base = 0  # every later row reads only a > base
-    n = 1
+    if not whole:
+        edge = yield list(row)  # row 1
     while True:
-        edge = yield list(row)
         n += 1
         (was_lo, was_hi), (lo, hi) = (lo, hi), window(n)
+        if whole:  # the first row takes the strand it would be sent from the whole row
+            edge, whole = whole[hi] if n > hi > was_hi else lo and whole[lo - 1] or None, None
         if lo > was_lo:  # the bound rises past the lowest strand
             edge = row.pop(0)
-        fresh = len(row)  # strands from here on have no binomial window yet
+        fresh = len(row) if binoms else 0  # strands from here on have no binomial window yet
         if n > hi > was_hi:  # the strand sent in joins at the top; strand 0's neighbour is zero
             row, edge = row + [edge], None
         binoms.extend([None] * (2 * n - 1 + hi * (d - 1) - base - len(binoms)))
         # P_{k-1} extends the previous row's strand k-1 to m = n; a new list, pointers only
-        below = None if edge is None else edge + edge[-1:]
+        below, top = None if edge is None else edge + edge[-1:], 0
         for i, k in enumerate(range(lo, hi + 1)):
             if below is not None:
                 w = n - 1 + k * (d - 1)
-                for a in range(w if i >= fresh else w + n - 2, w + n):
+                for a in range(max(w if i >= fresh else w + n - 2, top), w + n):
                     j = a - base
                     if binoms[j] is None:
                         known = binoms[j - 1]
                         binoms[j] = exact_div(known * a, a - d + 1) if known else comb(a, d - 1)
-                cells = map(mul, binoms[w - base : w - base + n], below)
+                cells, top = map(mul, binoms[w - base : w - base + n], below), w + n
             if i == len(row):  # k = n, where P_k is zero
                 row.append(list(accumulate(cells)))
             else:
@@ -331,6 +324,7 @@ def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = lambda n: (0, 
         w = n - 1 + lo * (d - 1)  # no later row reads below strand lo's window
         del binoms[: w - base]
         base = w
+        edge = yield list(row)
 
 
 def _cells(start: int, stop: int, k_max: int | None = None) -> int:
@@ -353,49 +347,40 @@ def _last_cells(row: list[list[int]]) -> list[int]:
     return [cells[-1] for cells in row]
 
 
-def _count_rows(d: int) -> Iterator[list[int]]:
-    """[c(n-1, 0), ..., c(n-1, n-1)] for n = 1, 2, ...: the word counts
-    that row n of TC is converted from, one full-row pass.  The word rows
-    are mapped, not bound to a name that would hold one while the next is
-    built."""
-    yield [1]  # the empty word
-    yield from map(_last_cells, _word_rows(d))
+def _slice_sums(d: int, n: int, rest: list) -> Iterator[int]:
+    """c(j, j), the sum of all-heavy slice row j, for j up to n: the last
+    cell of the kernel's window k = j, from d's suspended pass in rest and
+    the count of sums it has yielded."""
+    if not rest:
+        rest += map(lambda row: row[0][-1], _word_rows(d, lambda n: (n, n))), 0
+    sums, rest[1] = islice(rest[0], n - rest[1]), n
+    return sums
 
 
-def _slice_sums(d: int) -> Iterator[int]:
-    """c(n, n), the sum of all-heavy slice row n, for n = 1, 2, ...: the
-    last cell of the one strand of the kernel's window k = n."""
-    return map(lambda row: row[0][-1], _word_rows(d, lambda n: (n, n)))
-
-
-# d -> (its resumable pass, the entries n = 1, 2, ... it has yielded, the
-# lock held while the pass advances): the word-count rows of _count_rows,
-# and the slice sums of _slice_sums.  _CACHE_LOCK guards only adding and
-# dropping entries, so a long advance of one pass blocks no other pass.
-_TC_ROWS: dict[int, tuple[Iterator[list[int]], list[list[int]], threading.Lock]] = {}
-_SLICE_SUMS: dict[int, tuple[Iterator[int], list[int], threading.Lock]] = {}
+# d -> (the state its advance resumes from, in a list; the entries n = 1,
+# 2, ...; the lock held while they advance): the word row (j, row j) the
+# rows of _split_count_rows end on, or _slice_sums' suspended pass.
+# _CACHE_LOCK guards only adding and dropping d.
+_TC_ROWS: dict[int, tuple[list, list[list[int]], threading.Lock]] = {}
+_SLICE_SUMS: dict[int, tuple[list, list[int], threading.Lock]] = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def _stored(cache: dict, make_pass: Callable, d: int, n: int):
-    """Entry n of d's pass in `cache`, advancing the pass to n first
-    (starting it by make_pass(d) when d has none).  The entry is the
-    cache's own: callers must not mutate it or hand it out."""
+def _stored(cache: dict, advance: Callable, d: int, n: int):
+    """Entry n of d's entries in `cache`, advanced first by advance(d, n,
+    rest).  Callers must not mutate the entry or hand it out."""
     while True:
         with _CACHE_LOCK:
-            state = cache.get(d)
-            if state is None:
-                state = cache[d] = (make_pass(d), [], threading.Lock())
-        items, done, lock = state
+            state = cache.setdefault(d, ([], [], threading.Lock()))
+        rest, done, lock = state
         with lock:
             if len(done) >= n:
                 return done[n - 1]
             if cache.get(d) is not state:
-                continue  # the pass raised and was dropped while this call waited
+                continue  # an advance raised and dropped d meanwhile
             try:
-                done.extend(islice(items, n - len(done)))
-            except BaseException:
-                # a pass that raised is finished; the next call starts over
+                done.extend(advance(d, n, rest))
+            except BaseException:  # an advance that raised left nothing to resume from
                 with _CACHE_LOCK:
                     if cache.get(d) is state:
                         del cache[d]
@@ -426,15 +411,14 @@ def count_tc_words(p: Params) -> int:
     """Tree-child networks with n leaves and k reticulation nodes.
 
     n! * c(n-1, k) / 2^(n-k-1); the division is exact and checked.  The
-    call advances d's shared full pass to n or runs count_words' private
-    cone, by two cell counts from _cells: `extend` for the advance (zero
-    when the pass reaches n, a whole pass when d has none) and `trunc` for
-    a pass truncated at k, an upper bound on the cone.  A cold d starts the
-    shared pass only when extend <= trunc, so a one-shot call never computes
-    more cells than a truncated pass would; a warm d extends it when extend
-    <= 2 * trunc, so a call pays at most twice that and later calls for d
-    reuse the rows.  Both passes give the same integer.  d's extent is read
-    without waiting for an advance; a stale one only picks the other pass.
+    call advances d's cached pass to n (on two processes when long) or runs
+    count_words' private cone, by two cell counts from _cells: `extend` for
+    the advance and `trunc` for a pass truncated at k, which bounds the
+    cone.  A cold d starts the cached pass only when extend <= trunc, so a
+    one-shot call never computes more cells than a truncated pass; a warm d
+    extends it when extend <= 2 * trunc, and later calls for d reuse the
+    rows.  Both give the same integer.  d's extent is read without waiting
+    for an advance; a stale one only picks the other pass.
     """
     d, n, k = p.d, p.n, p.k
     if n == 1:
@@ -444,17 +428,17 @@ def count_tc_words(p: Params) -> int:
     extend = _cells(max((reached or 0) - 1, 0), n - 1)
     trunc = _cells(0, n - 1, k)
     if extend <= (trunc if reached is None else 2 * trunc):
-        c = _stored(_TC_ROWS, _count_rows, d, n)[k]
+        c = _stored(_TC_ROWS, _split_count_rows, d, n)[k]
     else:
         c = count_words(d, n - 1, k)
     return _tc_counts(n, [c], k)[0]
 
 
 def tc_row(d: int, n: int) -> list[int]:
-    """[TC(n, 0), ..., TC(n, n-1)], tree-child networks with n leaves by
-    reticulation count, converted from the per-process cache's word counts."""
+    """[TC(n, 0), ..., TC(n, n-1)], networks with n leaves by reticulation
+    count, from the cache's word counts (long advances run on two processes)."""
     Params(d, n, 0)  # d and n by Params' rule, before the cache is touched
-    return _tc_counts(n, _stored(_TC_ROWS, _count_rows, d, n))
+    return _tc_counts(n, _stored(_TC_ROWS, _split_count_rows, d, n))
 
 
 def count_tc_total(d: int, n: int) -> int:
@@ -462,10 +446,9 @@ def count_tc_total(d: int, n: int) -> int:
     return sum(tc_row(d, n))
 
 
-# tc_table splits its pass across two processes from this many cells on,
-# n_max >= 77 at any d.  Below it the split saves too little to risk: at
-# d = 2 a split at a fixed strand was even with the serial pass at n_max =
-# 45 and 14% faster at 60, and a fork costs 2-4 ms (2-vCPU Xeon, 3.11).
+# A pass of this many cells or more (a table from n_max = 77) splits.  At
+# d = 2 a fixed split was even with the serial pass at n_max = 45 and 14%
+# faster at 60, and a fork costs 2-4 ms (2-vCPU Xeon, 3.11).
 SPLIT_CELLS = 150_000
 
 
@@ -591,54 +574,65 @@ def _forked(what: str, work: Callable[[BinaryIO], Iterable]) -> Iterator[_Child 
             os.waitpid(pid, 0)
 
 
-def _low_frames(d: int, n_max: int, strands) -> Iterator[tuple]:
-    """The child's side of _split_count_rows: word rows 1..n_max-1 below
-    K(n), a frame a row (strand K(n)-1, None when K rises, and the counts
-    c(n, k)), and strands handed down read from the pipe `strands`.  It
-    touches no cache or lock."""
-    rows, strand = _word_rows(d, lambda n: (0, _boundary(n) - 1)), None
-    for n in range(1, n_max):
+def _low_frames(d: int, n_max: int, rest: list, keep: bool, strands) -> Iterator[tuple]:
+    """The child's side of _split_count_rows: word rows after rest's below
+    K(n), a frame a row (strand K(n)-1, None when K rises, and its counts),
+    with keep the last row's strands, one a frame, and strands handed down
+    read from `strands`."""
+    j = rest[0][0]
+    rows, strand = _word_rows(d, lambda n: (0, _boundary(n) - 1), rest.pop()), None
+    for n in range(j + 1, n_max):
         rises = _hands_down(n, n_max)
         row = rows.send(strand)
         yield None if rises else row[-1], _last_cells(row)
-        # no yielded row is held while the next is built
-        row, strand = None, _receive(strands) if rises else None
+        if keep and n == n_max - 1:
+            yield from row
+        row, strand = None, _receive(strands) if rises else None  # no row is held past its frame
 
 
-def _split_count_rows(d: int, n_max: int) -> Iterator[list[int]]:
-    """The first n_max rows of _count_rows(d), word row n split by strand at
-    K(n) = _boundary(n): a forked child builds strands k < K(n)
-    (_low_frames), this process the rest.  One boundary strand crosses a
-    row: the child's strand K(n)-1 when K stays, else this process's strand
-    K(n), which it also pops as its own lowest strand's neighbour.  This
-    process reads the child's frame before it writes, and the child writes
-    before it reads, so frames larger than a pipe buffer block neither for
-    good.  A failed child ends the rows in an error (_Child.receive).  When
-    no process may or can be forked, one serial pass gives them."""
-    with _forked("tc_table's child process", partial(_low_frames, d, n_max)) as child:
-        if child is None:
-            yield from islice(_count_rows(d), n_max)
-            return
-        upper = _word_rows(d, lambda n: (_boundary(n), n))
-        mine = next(upper)
-        yield [1]
-        for n in range(1, n_max):
-            edge, lows = child.receive(f" at word row {n}")
-            if _hands_down(n, n_max):
+def _split_count_rows(d: int, n_max: int, rest: list, keep: bool = True) -> Iterator[list[int]]:
+    """[c(n-1, 0), ..., c(n-1, n-1)], the word counts of TC row n, for
+    n = 1..max(n_max, 2) from an empty list rest, or n = j+2..n_max when it
+    holds (j, word row j), leaving (n_max-1, its row) there when keep.
+    From SPLIT_CELLS cells on, a forked child builds strands k < K(n) =
+    _boundary(n) of word row n (_low_frames), this process the rest.  One
+    boundary strand crosses a row: the child's strand K(n)-1 when K stays,
+    else this process's strand K(n), which it also pops as its own lowest
+    strand's neighbour.  This process reads the child's frame before it
+    writes, and the child writes before it reads, so frames larger than a
+    pipe buffer block neither for good.  With keep, the child hands its
+    strands back.  A failed child raises; with none, this process builds
+    whole rows alone."""
+    if not rest:
+        yield from ([1], [1, 1])  # the empty word and word row 1
+        rest.append((1, [[1], [1]]))
+    j = rest[0][0]
+    if n_max - 1 <= j:
+        return
+    what = f"{'tc_row' if keep else 'tc_table'}'s child process"
+    work = partial(_low_frames, d, n_max, rest, keep)
+    with _forked(what, work) if _cells(j, n_max - 1) >= SPLIT_CELLS else nullcontext() as child:
+        cut = _boundary if child else partial(mul, 0)  # strands k < cut(n) are the child's
+        upper, edge = _word_rows(d, lambda n: (cut(n), n), rest.pop()), None
+        for n in range(j + 1, n_max):
+            mine = upper.send(edge)
+            edge, lows = child.receive(f" at word row {n}") if child else (None, [])
+            if child and _hands_down(n, n_max):
                 child.hand(mine[0])
+            if keep and n == n_max - 1:
+                back = [child.receive(f" at word row {n}") for _ in range(cut(n))]
+                rest.append((n, back + mine))
             tops, mine = _last_cells(mine), None  # no row is held while the next is built
             yield lows + tops
-            if n < n_max - 1:
-                mine = upper.send(edge)
 
 
 def tc_table(d: int, n_max: int) -> dict[int, list[int]]:
     """{n: [TC(n,0), ..., TC(n,n-1)]} for n = 1..n_max, one rolling pass
-    that bypasses the tc_row cache, split across two processes by strand
-    from SPLIT_CELLS cells on (_split_count_rows)."""
+    that bypasses the tc_row cache, split across two processes from
+    SPLIT_CELLS cells on (_split_count_rows)."""
     at_least(2, d=d)
     at_least(1, n_max=n_max)
-    rows = _split_count_rows(d, n_max) if _cells(0, n_max - 1) >= SPLIT_CELLS else _count_rows(d)
+    rows = _split_count_rows(d, n_max, [], False)
     try:
         return {n: _tc_counts(n, counts) for n, counts in zip(range(1, n_max + 1), rows)}
     finally:

@@ -184,6 +184,12 @@ def _nth_row(d, n, k_max):
     return next(islice(words._word_rows(d, _window(k_max)), n - 1, None))
 
 
+def _serial_rows(d, n_max):
+    """Count rows 1..n_max of one serial pass straight from the kernel: the
+    empty word, then the last cells of word rows 1..n_max-1."""
+    return [[1]] + [[cells[-1] for cells in row] for row in islice(words._word_rows(d), n_max - 1)]
+
+
 def _b_cells(d, n, k_max=None):
     """{(k, m): b(n, k, m)}: consecutive differences of the prefix sums of
     row n, _nth_row(d, n, k_max)."""
@@ -302,9 +308,11 @@ def cells_computed(monkeypatch):
     plain = words._word_rows
 
     def counted(*args):
-        for row in plain(*args):
+        rows = plain(*args)
+        row = next(rows)
+        while True:
             seen.append(sum(map(len, row)))
-            yield row
+            row = rows.send((yield row))
 
     monkeypatch.setattr(words, "_word_rows", counted)
     return seen
@@ -318,7 +326,7 @@ def _cone_cells(n, k):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_count_words_matches_the_full_pass(d):
-    for n, counts in enumerate(islice(words._count_rows(d), 41)):
+    for n, counts in enumerate(_serial_rows(d, 41)):
         assert [count_words(d, n, k) for k in range(n + 1)] == counts, n
 
 
@@ -428,15 +436,16 @@ def test_threads_sharing_the_cache_get_cold_values():
 
 
 def test_failed_advance_drops_the_pass(monkeypatch):
-    plain = words._count_rows
+    plain = words._split_count_rows
 
-    def failing(d):
-        for n, counts in enumerate(plain(d), start=1):
+    def failing(d, n_max, rest):
+        # count row j + 2 comes first after the word row j that rest holds
+        for n, counts in enumerate(plain(d, n_max, rest), start=rest[0][0] + 2 if rest else 1):
             if n == 7:
                 raise ExactnessError("injected failure at row 7")
             yield counts
 
-    monkeypatch.setattr(words, "_count_rows", failing)
+    monkeypatch.setattr(words, "_split_count_rows", failing)
     tc_row(2, 5)
     with pytest.raises(ExactnessError):
         tc_row(2, 9)
@@ -450,10 +459,10 @@ def test_a_blocked_slice_pass_blocks_no_word_row(monkeypatch):
     entered, release = threading.Event(), threading.Event()
     plain = words._slice_sums
 
-    def blocked(d):
+    def blocked(d, n, rest):
         entered.set()
         release.wait(timeout=60)
-        yield from plain(d)
+        yield from plain(d, n, rest)
 
     monkeypatch.setattr(words, "_slice_sums", blocked)
     slow = threading.Thread(target=words._slice_sum, args=(2, 10))
@@ -475,15 +484,15 @@ def test_a_blocked_slice_pass_blocks_no_word_row(monkeypatch):
 
 def test_a_call_waiting_on_a_failing_pass_starts_a_new_one(monkeypatch):
     entered, release = threading.Event(), threading.Event()
-    plain = words._count_rows
+    plain = words._split_count_rows
 
-    def failing(d):
-        yield from islice(plain(d), 4)
+    def failing(d, n_max, rest):
+        yield from islice(plain(d, n_max, rest), 4)
         entered.set()
         release.wait(timeout=60)
         raise ExactnessError("injected failure at row 5")
 
-    monkeypatch.setattr(words, "_count_rows", failing)
+    monkeypatch.setattr(words, "_split_count_rows", failing)
     outcomes: list = []
 
     def ask(n):
@@ -497,7 +506,7 @@ def test_a_call_waiting_on_a_failing_pass_starts_a_new_one(monkeypatch):
     first.start()
     try:
         assert entered.wait(timeout=60)
-        monkeypatch.setattr(words, "_count_rows", plain)
+        monkeypatch.setattr(words, "_split_count_rows", plain)
         waiting.start()
         waiting.join(timeout=0.2)  # time to queue on the failing pass's lock
     finally:
@@ -613,6 +622,43 @@ def test_slice_rows_compute_each_binomial_once(d, monkeypatch):
     assert rows == [[two_term[(n, m)] for m in range(1, n + 1)] for n in range(1, 31)]
 
 
+@pytest.mark.parametrize("window", [
+    lambda n: (0, n), lambda n: (n, n), lambda n: (max(0, n - 2), n),
+], ids=["full", "slice", "band"])
+@pytest.mark.parametrize("d", [2, 3, 50])
+def test_a_resumed_pass_gives_the_rows_of_an_unbroken_one(d, window):
+    # it resumes from every strand of word row j and keeps its window's
+    whole = list(islice(words._word_rows(d), 30))
+    unbroken = list(islice(words._word_rows(d, window), 30))
+    for j in (1, 2, 9, 29):
+        resumed = words._word_rows(d, window, (j, whole[j - 1]))
+        assert list(islice(resumed, 30 - j)) == unbroken[j:], j
+    assert whole == list(islice(words._word_rows(d), 30))  # and leaves that row alone
+
+
+@pytest.mark.parametrize("d", [2, 3, 50])
+def test_a_resumed_pass_computes_each_binomial_once(d, monkeypatch):
+    # row 21 after a resume computes every binomial its strands read, the
+    # windows [w, w + n) of strands k >= 1 with w = n - 1 + k(d - 1), once
+    start = (20, next(islice(words._word_rows(d), 19, None)))
+    made = []
+
+    def counted_comb(a, r):
+        made.append(a)
+        return comb(a, r)
+
+    def counted_div(num, den):
+        made.append(den + d - 1)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(words, "comb", counted_comb)
+    monkeypatch.setattr(words, "exact_div", counted_div)
+    deque(islice(words._word_rows(d, start=start), 10), maxlen=0)  # rows 21..30
+    read = {n - 1 + k * (d - 1) + i
+            for n in range(21, 31) for k in range(1, n + 1) for i in range(n)}
+    assert sorted(made) == sorted(read)
+
+
 @pytest.mark.parametrize("band", [0, 1, 3])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_a_band_pass_yields_the_top_strands_of_the_full_pass(d, band):
@@ -678,12 +724,13 @@ def _traced(call):
     # top strand is rebuilt, and the binomials add about 0.4 of a row (1.38x)
     (3, 10, 60, 1.5),
 ])
-def test_a_pass_holds_about_one_row(d, k_max, n, bound):
+def test_a_pass_holds_about_one_row(d, k_max, n, bound, monkeypatch):
     # a pass that keeps the whole previous row until the next is done peaks
     # at about twice the row (1.98x and 2.10x)
     if k_max is None:
+        monkeypatch.setattr(words, "SPLIT_CELLS", words._cells(0, n))  # the serial pass
         largest, _ = _traced(lambda: _nth_row(d, n - 1, k_max))
-        _, peak = _traced(lambda: deque(islice(words._count_rows(d), n), maxlen=0))
+        _, peak = _traced(lambda: deque(words._split_count_rows(d, n, [], False), maxlen=0))
     else:
         largest, _ = _traced(lambda: _nth_row(d, n, k_max))
         _, peak = _traced(lambda: deque(islice(words._word_rows(d, _window(k_max)), n), maxlen=0))
@@ -722,7 +769,7 @@ def test_a_resting_pass_holds_no_old_strand(d, k_max):
 
 
 def _serial_table(d, n_max):
-    rows = zip(range(1, n_max + 1), words._count_rows(d))
+    rows = zip(range(1, n_max + 1), _serial_rows(d, n_max))
     return {n: _tc_counts(n, counts) for n, counts in rows}
 
 
@@ -734,7 +781,7 @@ def _no_child_left():
 @pytest.fixture
 def forked(monkeypatch):
     """The pids of the children forked from here on, on a machine taken to
-    have two CPUs, so that tc_table splits whatever CPUs this one has.  A
+    have two CPUs, so that a long pass splits whatever CPUs this one has.  A
     call still blocked after 60 s raises TimeoutError instead of hanging."""
     pids, fork = [], os.fork
 
@@ -765,21 +812,84 @@ def _rises_and_stays(n_max):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_split_rows_match_the_serial_pass(d):
+def test_split_rows_match_the_serial_pass(d, forked, monkeypatch):
     rises, stays = _rises_and_stays(80)
     assert rises and stays
-    for n_max in (1, 2, 5, 30, 80):
-        want = list(islice(words._count_rows(d), n_max))
-        assert list(words._split_count_rows(d, n_max)) == want, n_max
+    monkeypatch.setattr(words, "SPLIT_CELLS", 0)
+    for n_max in (2, 5, 30, 80):
+        assert list(words._split_count_rows(d, n_max, [], False)) == _serial_rows(d, n_max), n_max
+    # count rows 1 and 2 are the pass's start, not a pass, and come both
+    assert list(words._split_count_rows(d, 1, [], False)) == _serial_rows(d, 2)
+    assert len(forked) == 3
     _no_child_left()
 
 
-def test_a_strand_handed_to_the_child_gets_its_whole_binomial_window():
+def test_a_strand_handed_to_the_child_gets_its_whole_binomial_window(forked, monkeypatch):
     # at d = 50 the binomial windows of neighbouring strands do not overlap,
     # so nothing the child computed covers a strand this process hands it
     rises, _ = _rises_and_stays(30)
     assert rises
-    assert list(words._split_count_rows(50, 30)) == list(islice(words._count_rows(50), 30))
+    monkeypatch.setattr(words, "SPLIT_CELLS", 0)
+    assert list(words._split_count_rows(50, 30, [], False)) == _serial_rows(50, 30)
+    assert len(forked) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("d, threshold, plans", [
+    # each plan: tc_row calls from a cold cache.  The first plan splits
+    # cold, then warm after a split, then stays serial for one row; the
+    # second stays serial cold, splits warm, then stays serial again
+    *((d, 2500, ((20, 40, 41), (5, 45, 46))) for d in (2, 3, 4, 5)),
+    # at d = 50 the strands' binomial windows do not overlap, so the first
+    # row after a resting row computes each window whole
+    (50, 700, ((15, 25, 26), (3, 25, 26))),
+])
+def test_split_cache_advances_give_the_serial_rows(d, threshold, plans, forked, monkeypatch):
+    monkeypatch.setattr(words, "SPLIT_CELLS", threshold)
+    want = _serial_rows(d, max(map(max, plans)))
+    splits = 0
+    for plan in plans:
+        _TC_ROWS.clear()
+        routes = []
+        for n in plan:
+            reached = len(_TC_ROWS[d][1]) if d in _TC_ROWS else 0
+            routes.append(words._cells(max(reached - 1, 1), n - 1) >= threshold)
+            assert tc_row(d, n) == _tc_counts(n, want[n - 1]), (plan, n)
+            assert _TC_ROWS[d][1] == want[:n], (plan, n)
+            # the advance rests on the serial pass's word row n - 1, whole
+            assert _TC_ROWS[d][0] == [(n - 1, _nth_row(d, n - 1, None))], (plan, n)
+            _no_child_left()
+        assert set(routes) == {True, False}, plan
+        splits += sum(routes)
+    assert len(forked) == splits  # one fork a split advance
+
+
+def _trace_no_child(monkeypatch):
+    """Stop tracemalloc in every child forked from here on: its memory is
+    not this process's, and tracing it would slow it."""
+    fork = os.fork
+
+    def untraced_child():
+        pid = fork()
+        if pid == 0:
+            tracemalloc.stop()
+        return pid
+
+    monkeypatch.setattr(os, "fork", untraced_child)
+
+
+def test_a_split_cache_advance_holds_about_one_row(forked, monkeypatch):
+    # a cold split advance to row 100, then a split advance to 120 at d = 2
+    # (244 200 cells).  Beyond what they leave (the cache's rows, its
+    # resting word row 119 and the returned row), they peak at 0.01 of word
+    # row 119 here, the child's strands coming back one at a time.  Handing
+    # them back in one frame peaks at 0.32, and keeping the resting row 99
+    # through the advance at 0.59
+    _trace_no_child(monkeypatch)
+    row, _ = _traced(lambda: _nth_row(2, 119, None))
+    kept, peak = _traced(lambda: tc_row(2, 100) and tc_row(2, 120))
+    assert peak < kept + 0.1 * row, (peak, kept, row)
+    assert len(forked) == 2
     _no_child_left()
 
 
@@ -794,15 +904,7 @@ def test_a_large_split_table_ends(forked):
 def test_a_split_table_holds_no_row_across_the_next_build(forked, monkeypatch):
     # 8.5 MiB, most of it the table; a pass here that holds each yielded
     # row while the next is built peaks at 12.2 MiB
-    fork = os.fork
-
-    def untraced_child():
-        pid = fork()
-        if pid == 0:
-            tracemalloc.stop()  # the child's memory is not measured; tracing it would slow it
-        return pid
-
-    monkeypatch.setattr(os, "fork", untraced_child)
+    _trace_no_child(monkeypatch)
     _, peak = _traced(lambda: tc_table(2, 200))
     assert peak <= 10.0 * 2**20, peak
     assert len(forked) == 1
@@ -825,7 +927,8 @@ def _fork_fails():
                          ["one CPU", "no fork", "a failed fork", "a second thread"])
 def test_tables_stay_serial_without_two_cpus_fork_or_a_lone_thread(
         serial_because, forked, monkeypatch):
-    # neither the split pass nor the table formatter forks
+    # neither the split pass, a table's or a cache advance, nor the table
+    # formatter forks
     argv = ["table", "otc", "--d", "2", "--n-max", "30", "--format", "csv"]
     formatted = _table(argv)
     monkeypatch.setattr(words, "SPLIT_CELLS", 0)
@@ -843,6 +946,7 @@ def test_tables_stay_serial_without_two_cpus_fork_or_a_lone_thread(
     try:
         assert tc_table(3, 30) == _serial_table(3, 30)
         assert _table(argv) == formatted
+        assert tc_row(3, 30) == _serial_table(3, 30)[30]  # a cold cache advance
     finally:
         release.set()
         if waiting.is_alive():
@@ -906,12 +1010,12 @@ def test_a_failed_child_ends_the_table_with_an_error(fail, code, message, forked
 
     def failing(rows):
         sent = None
-        for n in range(1, 10):
+        for n in range(2, 10):  # the pass resumes from word row 1
             sent = yield rows.send(sent)
         fail()
 
-    def rows(d, window):
-        rows = plain_rows(d, window)
+    def rows(d, window, start=None):
+        rows = plain_rows(d, window, start)
         return rows if os.getpid() == parent else failing(rows)
 
     earlier = [n for n in range(1, 9) if words._hands_down(n, 60)]  # handovers before row 9's
@@ -945,6 +1049,40 @@ def test_a_failed_child_ends_the_table_with_an_error(fail, code, message, forked
         _no_child_left()
     assert len(forked) == 2
     assert len(broken) == 1  # the handover write met the closed pipe, and no traceback escaped
+
+
+@pytest.mark.parametrize("fail, error", [
+    (lambda: _raise(MemoryError()), MemoryError),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), MemoryError),
+    (lambda: _raise(ValueError("injected")), ExactnessError),
+])
+def test_a_failed_child_ends_the_cache_advance(fail, error, forked, monkeypatch):
+    # the child fails building word row 25 in a split advance from the row
+    # 19 the cache rests on to row 39: the call ends in the error, d's rows
+    # are dropped and the next call starts over
+    parent, plain = os.getpid(), words._word_rows
+
+    def failing(rows):
+        sent = None
+        for _ in range(20, 25):
+            sent = yield rows.send(sent)
+        fail()
+
+    def rows(d, window, start=None):
+        rows = plain(d, window, start)
+        return rows if os.getpid() == parent else failing(rows)
+
+    tc_row(2, 20)
+    monkeypatch.setattr(words, "SPLIT_CELLS", 0)
+    with monkeypatch.context() as patched:
+        patched.setattr(words, "_word_rows", rows)
+        with pytest.raises(error, match="tc_row's child process"):
+            tc_row(2, 40)
+    assert 2 not in _TC_ROWS
+    _no_child_left()
+    assert tc_row(2, 40) == _cold(2, 40)
+    assert len(forked) == 2
+    _no_child_left()
 
 
 def _table(argv):
