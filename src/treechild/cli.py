@@ -24,6 +24,12 @@ the byte.  A failed child ends the call as a failed split pass does: exit
 2 if it ran out of memory or was killed by a signal, else 1, with stdout
 a prefix of the table.
 
+A plain argv (the command, its positional, each option spelled out once
+as `--opt value` with a value that does not start with "-") skips
+argparse's parse and is read from the parser's own actions (_quick_parse);
+every other argv reaches argparse, with the same Namespace, output and exit
+code as ever.
+
 Handlers only write records or raise; `run` alone turns a failure into an
 exit code.  Exit codes: 0 success; 1 verification failure, printed as
 "verification failure: ..." (a `params.ExactnessError`: a failed exactness
@@ -356,14 +362,77 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _grammar() -> dict:
+    """command -> (its positional or None, option string -> action for the
+    options that take one value, the required options, the Namespace values
+    before any argument is read: the command, its actions' defaults, then
+    set_defaults' values for the other dests), read from _parser()'s own
+    sub-parsers."""
+    (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    grammar = {}
+    for command, p in sub.choices.items():
+        start = {sub.dest: command}
+        start.update((a.dest, a.default) for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default))
+        for dest, value in p._defaults.items():
+            start.setdefault(dest, value)
+        grammar[command] = (
+            next((a for a in p._actions if not a.option_strings), None),
+            {flag: a for a in p._actions if type(a) is argparse._StoreAction and a.nargs is None
+             for flag in a.option_strings},
+            [a for a in p._actions if a.required and a.option_strings],
+            start,
+        )
+    return grammar
+
+
+def _quick_parse(argv) -> argparse.Namespace | None:
+    """The Namespace _parser().parse_args(argv) returns, for argv in its
+    plain form: a command, its positional (one of its choices), and each
+    option spelled out in full once as `--opt value`, where value does not
+    start with "-", converts by the option's type and lies in its choices,
+    every required option present.  None for any other argv (help, an
+    abbreviation, `--opt=value`, a repeated option, a negative value, an
+    error), which argparse then parses as ever."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    entry = _grammar().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    positional, options, required, values = entry
+    values, rest = dict(values), argv[1:]
+    if positional is not None:
+        if not rest or rest[0] not in positional.choices:
+            return None
+        values[positional.dest], rest = rest[0], rest[1:]
+    if len(rest) % 2:
+        return None
+    seen = set()
+    for flag, token in zip(rest[::2], rest[1::2]):
+        action = options.get(flag)
+        if action is None or action in seen or token.startswith("-"):
+            return None
+        seen.add(action)
+        try:
+            value = action.type(token) if action.type else token
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv=None, out=None) -> int:
-    """Parse argv and execute; returns the exit code.  The one place that
-    turns a failure into an exit code: ExactnessError is 1, any other
-    ValueError or ArithmeticError, a RecursionError and a MemoryError are
-    2."""
+    """Parse argv and execute; returns the exit code.  A plain argv is read
+    by _quick_parse, any other by argparse, with the same Namespace.  The
+    one place that turns a failure into an exit code: ExactnessError is 1,
+    any other ValueError or ArithmeticError, a RecursionError and a
+    MemoryError are 2."""
     out = out or sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        args = _quick_parse(argv) or _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

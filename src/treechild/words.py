@@ -259,7 +259,12 @@ def _direct_row(d: int, n: int) -> list[int]:
 # b(n, k, m) recurrence
 
 
-def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = lambda n: (0, n),
+def _whole(n: int) -> tuple[int, int]:
+    """The window of every strand of word row n."""
+    return 0, n
+
+
+def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = _whole,
                start: tuple | None = None) -> Iterator[list[list[int]]]:
     """Prefix-sum rows n = 1, 2, ... of the b-table: row[k-lo][m-1] =
     S(n, k, m) = sum_{j<=m} b(n, k, j) for 1 <= m <= n and the strands
@@ -330,10 +335,13 @@ def _word_rows(d: int, window: Callable[[int], tuple[int, int]] = lambda n: (0, 
 def _cells(start: int, stop: int, k_max: int | None = None) -> int:
     """Prefix-sum cells _word_rows computes for its rows start < n <= stop
     with the window (0, min(n, k_max)): row n holds n cells for each
-    k <= min(n, k_max)."""
-    return sum(
-        n * (n + 1 if k_max is None else min(n, k_max) + 1) for n in range(start + 1, stop + 1)
-    )
+    k <= min(n, k_max).  Closed form: rows n <= m = min(k_max, stop) hold
+    n(n+1) cells, summing to m(m+1)(m+2)/3 from row 1, the rest n(k_max+1)."""
+    if stop <= start:
+        return 0
+    m = stop if k_max is None else min(max(k_max, start), stop)
+    full = (m * (m + 1) * (m + 2) - start * (start + 1) * (start + 2)) // 3
+    return full + ((k_max or 0) + 1) * (stop * (stop + 1) - m * (m + 1)) // 2
 
 
 def _tc_counts(n: int, counts: list[int], lo: int = 0) -> list[int]:
@@ -451,6 +459,9 @@ def count_tc_total(d: int, n: int) -> int:
 # faster at 60, and a fork costs 2-4 ms (2-vCPU Xeon, 3.11).
 SPLIT_CELLS = 150_000
 
+# the context of a pass below SPLIT_CELLS, shared as it holds no child
+_SERIAL = nullcontext()
+
 
 def _may_fork() -> bool:
     """Whether work may be shared with a forked child: with os.fork, two
@@ -464,6 +475,11 @@ def _boundary(n: int) -> int:
     the rest in the child.  This side also converts the counts, and 3n/5
     beat 11n/20 and 13n/20 at d = 2 (`table tc`, 2-vCPU Xeon, Python 3.11)."""
     return max(1, 3 * n // 5)
+
+
+def _upper(n: int) -> tuple[int, int]:
+    """The window of this process's strands k >= K(n) in a split pass."""
+    return _boundary(n), n
 
 
 def _hands_down(n: int, n_max: int) -> bool:
@@ -609,18 +625,17 @@ def _split_count_rows(d: int, n_max: int, rest: list, keep: bool = True) -> Iter
     j = rest[0][0]
     if n_max - 1 <= j:
         return
-    what = f"{'tc_row' if keep else 'tc_table'}'s child process"
-    work = partial(_low_frames, d, n_max, rest, keep)
-    with _forked(what, work) if _cells(j, n_max - 1) >= SPLIT_CELLS else nullcontext() as child:
-        cut = _boundary if child else partial(mul, 0)  # strands k < cut(n) are the child's
-        upper, edge = _word_rows(d, lambda n: (cut(n), n), rest.pop()), None
+    split = _cells(j, n_max - 1) >= SPLIT_CELLS  # a smaller pass builds no child
+    with _forked(f"{'tc_row' if keep else 'tc_table'}'s child process",
+                 partial(_low_frames, d, n_max, rest, keep)) if split else _SERIAL as child:
+        upper, edge = _word_rows(d, _upper if child else _whole, rest.pop()), None
         for n in range(j + 1, n_max):
             mine = upper.send(edge)
             edge, lows = child.receive(f" at word row {n}") if child else (None, [])
             if child and _hands_down(n, n_max):
                 child.hand(mine[0])
             if keep and n == n_max - 1:
-                back = [child.receive(f" at word row {n}") for _ in range(cut(n))]
+                back = [child.receive(f" at word row {n}") for _ in range(_boundary(n))] if child else []
                 rest.append((n, back + mine))
             tops, mine = _last_cells(mine), None  # no row is held while the next is built
             yield lows + tops

@@ -853,3 +853,63 @@ def test_every_drawn_call_ends_in_records_or_a_usage_error(argv):
         assert text, argv
         for line in text.splitlines():
             assert set(json.loads(line)) == {"command", "parameters", "results", "method"}, argv
+
+
+def _argparse_namespace(argv):
+    """argparse's Namespace for argv, or None where it refuses argv."""
+    try:
+        with redirect_stderr(io.StringIO()):
+            return cli._parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_a_plain_argv_parses_as_argparse_parses_it(argv):
+    quick, parsed = cli._quick_parse(argv), _argparse_namespace(argv)
+    if quick is not None:
+        assert quick == parsed
+        assert list(vars(quick)) == list(vars(parsed))  # the attributes in argparse's order too
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for a in sub.choices[argv[0]]._actions for flag in a.option_strings}
+    if parsed is not None and not any(t.startswith("-") for t in argv if t not in flags):
+        assert quick is not None, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    ["count", "-h"],
+    ["table", "tc", "--d", "2", "--n", "3"],  # an abbreviation of --n-max
+    ["count", "tc", "--d=2", "--n", "5"],
+    ["count", "tc", "--d", "2", "--n", "5", "--d", "3"],
+    ["count", "tc", "--d", "2", "--n", "5", "--k", "-1"],
+    ["count", "tc", "--d", "2", "--", "--n", "5"],
+    ["count", "tc", "--d", "2"],  # --n is required
+    ["count", "tc", "otc", "--d", "2", "--n", "5"],
+    [],
+], ids=" ".join)
+def test_every_other_argv_goes_to_argparse(argv):
+    assert cli._quick_parse(argv) is None
+
+
+PLAIN_CALLS = [
+    *(["count", target, "--d", "2", "--n", "4", "--k", "1"] for target in verify.COUNT_ROUTES),
+    *(["table", target, "--d", "2", "--n-max", "4", "--format", fmt]
+      for target in ("tc", "otc") for fmt in ("json", "csv")),
+    *(["dist", "ret", "--family", family, "--d", "2", "--n", "6", "--compare", compare]
+      for family in ("onecomp", "general") for compare in cli._TV_KEYS),
+    ["dist", "ret", "--family", "onecomp", "--d", "2", "--n", "6", "--compare", "normal"],
+    *(["asymp", target, "--d", "2", "--n", "10"] for target in ("otc", "tc-envelope", "ratio")),
+    ["asymp", "params", "--d", "2"],
+    *(["verify", "--suite", suite, "--n-max", "4"] for suite in sorted(verify.SUITES)),
+]
+
+
+def test_plain_calls_never_reach_argparse(monkeypatch):
+    def refused(self, *args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refused)
+    for argv in PLAIN_CALLS:
+        assert invoke(*argv)[0] == 0, argv

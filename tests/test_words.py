@@ -297,7 +297,7 @@ def test_cell_count_matches_the_rows_yielded(k_max):
     for d in (2, 3):
         sizes = [sum(map(len, row)) for row in islice(words._word_rows(d, _window(k_max)), 12)]
         for start in range(12):
-            for stop in range(start, 13):
+            for stop in range(13):  # an empty range, stop <= start, has no cells
                 assert words._cells(start, stop, k_max) == sum(sizes[start:stop]), (start, stop)
 
 
