@@ -24,11 +24,11 @@ the byte.  A failed child ends the call as a failed split pass does: exit
 2 if it ran out of memory or was killed by a signal, else 1, with stdout
 a prefix of the table.
 
-A plain argv (the command, its positional, each option spelled out once
-as `--opt value` with a value that does not start with "-") skips
-argparse's parse and is read from the parser's own actions (_quick_parse);
-every other argv reaches argparse, with the same Namespace, output and exit
-code as ever.
+The grammar is one table, _COMMANDS, from which argparse's parser is
+built.  A plain argv (the command, its positional, each option spelled out
+once as `--opt value` with a value that does not start with "-") is read
+from that table (_quick_parse) and builds no parser; every other argv
+reaches argparse, with the same Namespace, output and exit code as ever.
 
 Handlers only write records or raise; `run` alone turns a failure into an
 exit code.  Exit codes: 0 success; 1 verification failure, printed as
@@ -311,116 +311,97 @@ def _cmd_verify(args, out) -> None:
 # ---------------------------------------------------------------------------
 
 
+# command -> (its help, the choices of its `target` positional or None,
+# its handler, option flag -> (type, choices, required, default)): the one
+# grammar, which _quick_parse reads and _parser builds argparse from
+_COMMANDS = {
+    "count": ("single exact count", list(verify.COUNT_ROUTES), _cmd_count, {
+        "--d": (int, None, True, None),
+        "--n": (int, None, True, None),
+        "--k": (int, None, False, None),
+        "--method": (str, None, False, None),
+    }),
+    "table": ("full table up to n-max", ["tc", "otc"], _cmd_table, {
+        "--d": (int, None, True, None),
+        "--n-max": (int, None, True, None),
+        "--format": (str, ["csv", "json"], False, "json"),
+    }),
+    "dist": ("exact reticulation-count law", ["ret"], _cmd_dist, {
+        "--family": (str, ["onecomp", "general"], True, None),
+        "--d": (int, None, True, None),
+        "--n": (int, None, True, None),
+        "--compare": (str, [*_TV_KEYS, "normal"], False, None),
+    }),
+    "asymp": ("asymptotic parameters and diagnostics",
+              ["params", "otc", "tc-envelope", "ratio"], _cmd_asymp, {
+        "--d": (int, None, True, None),
+        "--n": (int, None, False, None),
+    }),
+    "verify": ("run a self-verification suite", None, _cmd_verify, {
+        "--suite": (str, sorted(verify.SUITES), True, None),
+        "--d": (int, None, False, None),
+        "--n-max": (int, None, False, None),
+    }),
+}
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import; parse_args leaves it unchanged
+    # built on the first argv that is not plain, not at import; parse_args
+    # leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="treechild",
         description="Exact enumeration of d-combining tree-child networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="single exact count")
-    p_count.add_argument("target", choices=list(verify.COUNT_ROUTES))
-    p_count.add_argument("--d", type=int, required=True)
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--k", type=int)
-    p_count.add_argument("--method")
-    p_count.set_defaults(run=_cmd_count)
-
-    p_table = sub.add_parser("table", help="full table up to n-max")
-    p_table.add_argument("target", choices=["tc", "otc"])
-    p_table.add_argument("--d", type=int, required=True)
-    p_table.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p_table.add_argument("--format", choices=["csv", "json"], default="json")
-    p_table.set_defaults(run=_cmd_table)
-
-    p_dist = sub.add_parser("dist", help="exact reticulation-count law")
-    p_dist.add_argument("target", choices=["ret"])
-    p_dist.add_argument("--family", choices=["onecomp", "general"], required=True)
-    p_dist.add_argument("--d", type=int, required=True)
-    p_dist.add_argument("--n", type=int, required=True)
-    p_dist.add_argument("--compare", choices=[*_TV_KEYS, "normal"])
-    p_dist.set_defaults(run=_cmd_dist)
-
-    p_asymp = sub.add_parser("asymp", help="asymptotic parameters and diagnostics")
-    p_asymp.add_argument("target", choices=["params", "otc", "tc-envelope", "ratio"])
-    p_asymp.add_argument("--d", type=int, required=True)
-    p_asymp.add_argument("--n", type=int)
-    p_asymp.set_defaults(run=_cmd_asymp)
-
-    p_verify = sub.add_parser("verify", help="run a self-verification suite")
-    p_verify.add_argument(
-        "--suite",
-        choices=sorted(verify.SUITES),
-        required=True,
-    )
-    p_verify.add_argument("--d", type=int)
-    p_verify.add_argument("--n-max", dest="n_max", type=int)
-    p_verify.set_defaults(run=_cmd_verify)
-
+    for command, (summary, targets, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if targets is not None:
+            p.add_argument("target", choices=targets)
+        for flag, (kind, choices, required, default) in options.items():
+            p.add_argument(flag, type=kind, choices=choices, required=required, default=default)
+        p.set_defaults(run=handler)
     return parser
 
 
-@cache
-def _grammar() -> dict:
-    """command -> (its positional or None, option string -> action for the
-    options that take one value, the required options, the Namespace values
-    before any argument is read: the command, its actions' defaults, then
-    set_defaults' values for the other dests), read from _parser()'s own
-    sub-parsers."""
-    (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    grammar = {}
-    for command, p in sub.choices.items():
-        start = {sub.dest: command}
-        start.update((a.dest, a.default) for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default))
-        for dest, value in p._defaults.items():
-            start.setdefault(dest, value)
-        grammar[command] = (
-            next((a for a in p._actions if not a.option_strings), None),
-            {flag: a for a in p._actions if type(a) is argparse._StoreAction and a.nargs is None
-             for flag in a.option_strings},
-            [a for a in p._actions if a.required and a.option_strings],
-            start,
-        )
-    return grammar
-
-
 def _quick_parse(argv) -> argparse.Namespace | None:
-    """The Namespace _parser().parse_args(argv) returns, for argv in its
-    plain form: a command, its positional (one of its choices), and each
-    option spelled out in full once as `--opt value`, where value does not
-    start with "-", converts by the option's type and lies in its choices,
-    every required option present.  None for any other argv (help, an
-    abbreviation, `--opt=value`, a repeated option, a negative value, an
-    error), which argparse then parses as ever."""
+    """The Namespace _parser().parse_args(argv) returns, read from _COMMANDS,
+    for argv in its plain form: a command, its positional (one of its
+    choices), and each option spelled out in full once as `--opt value`,
+    where value does not start with "-", converts by the option's type and
+    lies in its choices, every required option present.  None for any other
+    argv (help, an abbreviation, `--opt=value`, a repeated option, a
+    negative value, an error), which argparse then parses as ever."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    entry = _grammar().get(argv[0]) if argv else None
+    entry = _COMMANDS.get(argv[0]) if argv else None
     if entry is None:
         return None
-    positional, options, required, values = entry
-    values, rest = dict(values), argv[1:]
-    if positional is not None:
-        if not rest or rest[0] not in positional.choices:
+    _, targets, handler, options = entry
+    values, rest = {"command": argv[0]}, argv[1:]
+    if targets is not None:
+        if not rest or rest[0] not in targets:
             return None
-        values[positional.dest], rest = rest[0], rest[1:]
+        values["target"], rest = rest[0], rest[1:]
     if len(rest) % 2:
         return None
-    seen = set()
+    given = {}
     for flag, token in zip(rest[::2], rest[1::2]):
-        action = options.get(flag)
-        if action is None or action in seen or token.startswith("-"):
+        if flag not in options or flag in given or token.startswith("-"):
             return None
-        seen.add(action)
+        kind, choices, _, _ = options[flag]
         try:
-            value = action.type(token) if action.type else token
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            given[flag] = kind(token)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and given[flag] not in choices:
             return None
-        values[action.dest] = value
-    if not seen.issuperset(required):
-        return None
+    # argparse's order and names: the options in declared order, --n-max as
+    # n_max, then run
+    for flag, (_, _, required, default) in options.items():
+        if required and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    values["run"] = handler
     return argparse.Namespace(**values)
 
 

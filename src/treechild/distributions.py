@@ -5,9 +5,10 @@ variable with an exactly computable law: each mass is a ratio of two
 integer counts.  This module builds those laws for the one-component and
 general families, the paper's fixed limit laws they approach, and the
 distances used to watch the convergence.  Seen from the top, i.e. for n-1
-minus the count, the limits are Poisson(1/2) for the d = 2 general family,
-the Bessel law 1/(I_1(2) k! (k+1)!) for d = 3 and a point mass at 0 for
-d >= 4; after standardization the d = 2 one-component count is normal.
+minus the count, the general family tends to Poisson(1/2) at d = 2 and to a
+point mass at 0 at d >= 3; the one-component family tends to the Bessel law
+1/(I_1(2) k! (k+1)!) at d = 3 and to a point mass at 0 at d >= 4, and at
+d = 2 its count, after standardization, is normal.
 
 Every law is its integer weights over their sum, P(k) = weights[k] / total,
 never normalized.  The Poisson and Bessel laws are their series truncated

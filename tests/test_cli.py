@@ -806,36 +806,34 @@ MALFORMED_INTS = ["2.0", "1e3", "", "x"]
 METHODS = sorted({m for routes in verify.COUNT_ROUTES.values() for m in routes} | {"all", "nosuch"})
 
 
-def _int_token(dest: str, n: int):
+def _int_token(flag: str, n: int):
     value = {
-        "d": st.integers(-1, 6),
-        "n": st.just(n),
-        "k": st.integers(-1, 14) | st.sampled_from([n - 1, n]),
-    }.get(dest, st.integers(-1, 14))
+        "--d": st.integers(-1, 6),
+        "--n": st.just(n),
+        "--k": st.integers(-1, 14) | st.sampled_from([n - 1, n]),
+    }.get(flag, st.integers(-1, 14))
     return (value.map(str) | value.filter(lambda v: v >= 0).map(lambda v: f"0{v}")
             | st.sampled_from(MALFORMED_INTS))
 
 
 @st.composite
 def cli_argv(draw):
-    """argv from the parser's own grammar: every subcommand, positional choice
-    and flag; an optional flag may be absent."""
-    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    command = draw(st.sampled_from(sorted(sub.choices)))
+    """argv from the CLI's grammar table, which its parser is built from:
+    every subcommand, positional choice and flag; an optional flag may be
+    absent."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, targets, _, options = cli._COMMANDS[command]
     argv, n = [command], draw(st.integers(-1, 14))
-    for action in sub.choices[command]._actions:
-        if isinstance(action, argparse._HelpAction):
+    if targets is not None:
+        argv.append(draw(st.sampled_from(targets)))
+    for flag, (kind, choices, required, _) in options.items():
+        if not required and draw(st.booleans()):
             continue
-        if not action.option_strings:
-            argv.append(draw(st.sampled_from(action.choices)))
-            continue
-        if not action.required and draw(st.booleans()):
-            continue
-        if action.type is int:
-            token = draw(_int_token(action.dest, n))
+        if kind is int:
+            token = draw(_int_token(flag, n))
         else:
-            token = draw(st.sampled_from(action.choices or METHODS))
-        argv += [action.option_strings[0], token]
+            token = draw(st.sampled_from(choices or METHODS))
+        argv += [flag, token]
     return argv
 
 
@@ -871,8 +869,7 @@ def test_a_plain_argv_parses_as_argparse_parses_it(argv):
     if quick is not None:
         assert quick == parsed
         assert list(vars(quick)) == list(vars(parsed))  # the attributes in argparse's order too
-    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {flag for a in sub.choices[argv[0]]._actions for flag in a.option_strings}
+    flags = set(cli._COMMANDS[argv[0]][3])
     if parsed is not None and not any(t.startswith("-") for t in argv if t not in flags):
         assert quick is not None, argv
 
@@ -913,3 +910,25 @@ def test_plain_calls_never_reach_argparse(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refused)
     for argv in PLAIN_CALLS:
         assert invoke(*argv)[0] == 0, argv
+
+
+def test_plain_calls_never_build_the_parser():
+    # in a fresh interpreter, so no earlier call or import has built it
+    script = (
+        "import argparse, io, json, sys\n"
+        "def refused(self, *args, **kwargs):\n"
+        "    raise AssertionError('argparse built a parser for a plain argv')\n"
+        "argparse.ArgumentParser.__init__ = refused\n"
+        "from treechild import cli\n"
+        "codes = [cli.run(argv, out=io.StringIO()) for argv in json.load(sys.stdin)]\n"
+        "print(json.dumps([codes, cli._parser.cache_info().misses]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(PLAIN_CALLS),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(PLAIN_CALLS), 0]

@@ -1,6 +1,7 @@
 """Unit tests for exact reticulation-count distributions and diagnostics."""
 from fractions import Fraction
 from hashlib import sha256
+from itertools import islice
 from math import exp, factorial, sqrt
 
 import pytest
@@ -18,6 +19,7 @@ from treechild import (
     total_variation,
     total_variation_exact,
     twig_expectation_bound,
+    words,
 )
 from treechild.distributions import _truncated, normal_sup_gap
 
@@ -209,3 +211,36 @@ def test_twig_bound_matches_direct_sum():
     want = sum(Fraction((n - 1 - k) * v, total) for k, v in enumerate(row))
     assert twig_expectation_bound(2, n) == want
     assert 0 < want < 1
+
+
+def _top_band(d: int, n_max: int, top: int) -> dict:
+    """n -> [TC(n, k) for max(0, n-1-top) <= k <= n-1], 2 <= n <= n_max: the
+    top band of each TC row, from word row n-1's strands k >= n-1-top only."""
+    def window(j):
+        return max(0, j - top), j
+
+    rows = islice(words._word_rows(d, window), n_max - 1)
+    return {j + 1: words._tc_counts(j + 1, words._last_cells(row), window(j)[0])
+            for j, row in enumerate(rows, 1)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_top_band_matches_the_whole_row(d):
+    band = _top_band(d, 60, 3)
+    assert band == {n: words.tc_row(d, n)[max(0, n - 4):] for n in range(2, 61)}
+
+
+def test_d2_top_two_counts_are_in_ratio_one_half():
+    # TC(n, n-2)/TC(n, n-1) is Poisson(1/2)'s P(1)/P(0) = 1/2 exactly at
+    # every n, not only in the limit; pinned as computed
+    band = _top_band(2, 400, 1)
+    assert all(2 * band[n][0] == band[n][1] for n in range(2, 401))
+
+
+def test_d2_top_ratio_approaches_its_poisson_limit():
+    # TC(n, n-3)/TC(n, n-1) tends to Poisson(1/2)'s P(2)/P(0) = 1/8 from
+    # below, the gap shrinking by about 1.6 a doubling of n
+    band = _top_band(2, 400, 2)
+    gaps = [Fraction(band[n][0], band[n][2]) - Fraction(1, 8) for n in (100, 200, 400)]
+    assert [float(g) for g in gaps] == pytest.approx([-2.275e-3, -1.407e-3, -8.77e-4], rel=1e-3)
+    assert abs(gaps[0]) > abs(gaps[1]) > abs(gaps[2])
